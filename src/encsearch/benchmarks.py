@@ -34,10 +34,9 @@ class BenchmarkConfig:
     zipf_a: float = 1.1
     sigma: float = 0.05
     seed: int = 0
-    repetitions: int = 1
 
     def __post_init__(self):
-        if min(self.n_docs, self.n_keywords, self.n_owners, self.s, self.k, self.queries, self.repetitions) < 1:
+        if min(self.n_docs, self.n_keywords, self.n_owners, self.s, self.k, self.queries) < 1:
             raise ValueError("all benchmark parameters must be positive")
 
 
@@ -74,7 +73,7 @@ def _single_query_vector(pipeline: Pipeline, query: QuerySpec) -> np.ndarray:
 
 def _run_tree(tree, qv: np.ndarray, k: int) -> tuple[int, float]:
     start = time.perf_counter()
-    _, visited = forest_mod.gdfs(tree, forest_mod.plaintext_scorer(qv), k)
+    _, visited = forest_mod.gdfs(tree, qv, k)
     return visited, time.perf_counter() - start
 
 
@@ -92,7 +91,7 @@ def bench_tree_orders(
         PipelineConfig(s=1, sigma=config.sigma, seed=config.seed, encrypt=False, zipf_a=config.zipf_a),
     )
     mlsb = pipeline.trees[0]
-    entries = [(leaf.doc_id, leaf.vec) for leaf in mlsb.leaves]
+    entries = mlsb.leaf_entries()
 
     rng = np.random.default_rng(config.seed + 1)
     shuffled = list(entries)
@@ -184,7 +183,7 @@ def bench_forest_speedup(
         total = 0
         for p in selected:
             qv = np.concatenate([real[p], np.zeros(forest_pipe.noise[p].pseudo_count)])
-            _, v = forest_mod.gdfs(forest_pipe.trees[p], forest_mod.plaintext_scorer(qv), quota)
+            _, v = forest_mod.gdfs(forest_pipe.trees[p], qv, quota)
             total += v
         f_times.append(time.perf_counter() - start)
         f_visited.append(total)

@@ -101,12 +101,7 @@ class Server:
         selected: Sequence[int],
         quota: int | None = None,
     ) -> tuple[list[tuple[int, float]], dict[int, int]]:
-        scorers: dict[int, forest_mod.Scorer] = {
-            p: forest_mod.encrypted_scorer(trapdoors[p]) for p in selected
-        }
-        return forest_mod.search_forest(
-            self.trees, [scorers.get(i) for i in range(len(self.trees))], k, list(selected), quota
-        )
+        return forest_mod.search_forest(self.trees, trapdoors, k, list(selected), quota)
 
     def replace_tree(self, partition: int, tree: Tree) -> None:
         self.trees[partition] = tree
@@ -175,7 +170,6 @@ class Pipeline:
                 cond_cap=config.cond_cap,
             )
             self._encrypt_forest(tag="build")
-        self._query_rng = np.random.default_rng(_derive_seed(config.seed, "query"))
         return self
 
     def _build_weights(self) -> None:
@@ -501,7 +495,7 @@ class Pipeline:
         touched = forest_mod.delete_leaf(self.trees[p], doc_id)
         rebuilt = False
         tree = self.trees[p]
-        if tree.root is not None and len(tree.leaves) * 2 <= tree.size_at_build:
+        if 0 < len(tree.leaves) * 2 <= tree.size_at_build:
             self.trees[p] = forest_mod.rebuild_tree(tree)
             rebuilt = True
         if self.config.encrypt and self.key is not None:
@@ -579,5 +573,4 @@ class Pipeline:
         if (out / "keys.bin").exists():
             self.key = aspe.load_key(out / "keys.bin")
             self.server = Server(forest_mod.load_forest(out / "forest_enc.bin"))
-        self._query_rng = np.random.default_rng(_derive_seed(self.config.seed, "query"))
         return self

@@ -7,24 +7,41 @@ last node is promoted unpaired.  Internal node vectors are the elementwise
 maximum of their children, which makes them upper bounds for any non-negative
 query and lets the depth-first search prune subtrees that cannot reach the
 current candidate list.
+
+Layout.  A tree of m leaves has 2m-1 nodes, every internal node has two
+children, and the nodes are stored in preorder as parallel arrays: ``doc_ids``
+(int64, the leaf's document id, -1 at an internal node) and one row per node of
+the plaintext node matrix ``nodes``, or of the ciphertext halves ``enc1`` and
+``enc2`` in an encrypted tree.  The left child of internal node i is i+1; its
+right child is the node after the left subtree (``Tree.right_children``).  The
+leaves read in preorder are in likelihood order, so an insert or delete splices
+rows where one leaf was.  An encrypted tree shares ``doc_ids`` with the
+plaintext tree it was encrypted from; updates replace that array, never write
+into it.
+
+File layout (magic ``ESF2``, little endian): the magic and the tree count
+(u32); then per tree a header of partition (u32), encrypted flag (u8),
+dimension (u32), probe length (u32), node count n (u64), probe config (count
+u32, keywords per probe u32, zipf_a f64, seed u32) and size at build (u64),
+followed by the probe (f64), ``doc_ids`` (n i64) and the node matrix (n rows
+of f64), or ``enc1`` then ``enc2``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .aspe import PartitionKey, Trapdoor, encrypt_matrix
 from .errors import ForestError
 
-FOREST_MAGIC = b"ESF1"
-
-Scorer = Callable[["Node"], float]
+FOREST_MAGIC = b"ESF2"
+_TREE_HEADER = struct.Struct("<IBIIQIIdIQ")
 
 
 def round_score(x: float) -> float:
@@ -33,23 +50,13 @@ def round_score(x: float) -> float:
     return float(np.round(x, 9))
 
 
-class Node:
-    __slots__ = ("vec", "enc1", "enc2", "doc_id", "left", "right", "parent", "pscore", "idx")
-
-    def __init__(self, vec=None, doc_id=None, enc1=None, enc2=None):
-        self.vec = vec
-        self.enc1 = enc1
-        self.enc2 = enc2
-        self.doc_id = doc_id
-        self.left = None
-        self.right = None
-        self.parent = None
-        self.pscore = 0.0  # accumulated probe score (leaves)
-        self.idx = -1      # preorder index, assigned by reindex()
+class TreeNode(NamedTuple):
+    index: int   # row in the tree's preorder arrays
+    doc_id: int  # -1 at an internal node
 
     @property
     def is_leaf(self) -> bool:
-        return self.doc_id is not None
+        return self.doc_id >= 0
 
 
 @dataclass
@@ -60,64 +67,77 @@ class ProbeConfig:
     seed: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class Tree:
     partition: int
-    root: Node | None
-    leaves: list[Node]
+    doc_ids: np.ndarray                    # (n,) int64 in preorder, -1 at internal nodes
+    nodes: np.ndarray | None = None        # (n, dim) plaintext node matrix
+    enc1: np.ndarray | None = None         # (n, dim) ciphertext halves of an encrypted tree
+    enc2: np.ndarray | None = None
     probe: np.ndarray | None = None        # aggregate of all probe queries
     probe_config: ProbeConfig | None = None
-    encrypted: bool = False
     size_at_build: int = 0
-    _nodes: list[Node] = field(default_factory=list, repr=False)
 
-    def node_count(self) -> int:
-        return sum(1 for _ in self.preorder())
+    @property
+    def encrypted(self) -> bool:
+        return self.enc1 is not None
+
+    @property
+    def leaves(self) -> np.ndarray:
+        """Leaf doc ids in likelihood order."""
+        return self.doc_ids[self.doc_ids >= 0]
+
+    def leaf_entries(self) -> list[tuple[int, np.ndarray]]:
+        """(doc_id, vector) of every leaf of a plaintext tree, in likelihood order."""
+        at = np.flatnonzero(self.doc_ids >= 0)
+        return list(zip(self.doc_ids[at].tolist(), self.nodes[at]))
 
     def preorder(self):
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
+        for i, doc_id in enumerate(self.doc_ids.tolist()):
+            yield TreeNode(i, doc_id)
 
-    def reindex(self) -> list[Node]:
-        """Assign preorder indexes; needed before matrix-based scoring."""
-        self._nodes = list(self.preorder())
-        for i, node in enumerate(self._nodes):
-            node.idx = i
-        return self._nodes
+    def right_children(self) -> np.ndarray:
+        """Index of each internal node's right child; -1 at a leaf.
 
-    def node_matrix(self) -> np.ndarray:
-        nodes = self.reindex()
-        return np.stack([n.vec for n in nodes])
+        Count +1 per internal node and -1 per leaf.  A subtree sums to -1 and
+        its proper prefixes to >= 0, so the running total before node i next
+        takes the same value right after i's left subtree, at i's right child.
+        """
+        step = np.where(self.doc_ids < 0, 1, -1)
+        before = np.cumsum(step) - step
+        order = np.argsort(before, kind="stable")
+        following = np.full(len(step), -1)
+        following[order[:-1]] = order[1:]
+        return np.where(step > 0, following, -1)
 
     def depth(self) -> int:
         """Longest root-to-leaf edge count."""
-        if self.root is None:
-            return 0
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.is_leaf:
-                best = max(best, d)
+        best, d, pending = 0, 0, []  # pending: depths of right children still to visit
+        for doc_id in self.doc_ids.tolist():
+            if doc_id < 0:
+                d += 1
+                pending.append(d)
             else:
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
+                best = max(best, d)
+                d = pending.pop() if pending else 0
         return best
 
-    def shape_signature(self) -> tuple:
-        """Structure + leaf doc ids, independent of node payloads."""
 
-        def sig(node):
-            if node.is_leaf:
-                return ("L", node.doc_id)
-            return ("I", sig(node.left), sig(node.right))
+def _ancestors(tree: Tree, j: int) -> list[int]:
+    """Indexes on the path from the root down to node j, j excluded."""
+    right = tree.right_children()
+    path, i = [], 0
+    while i != j:
+        path.append(i)
+        i = i + 1 if j < right[i] else int(right[i])
+    return path
 
-        return sig(self.root) if self.root is not None else ("E",)
+
+def _refresh_bounds(tree: Tree, path: list[int]) -> None:
+    """Recompute the node vectors on ``path`` bottom-up from their children."""
+    right = tree.right_children()
+    for i in reversed(path):
+        tree.nodes[i] = np.maximum(tree.nodes[i + 1], tree.nodes[right[i]])
 
 
 # ---------------------------------------------------------------------------
@@ -175,80 +195,45 @@ def build_tree(
     level by level, internal vectors the elementwise max of their children."""
     if not ordered:
         raise ForestError("cannot build a tree without leaves")
-    leaves = [Node(vec=np.asarray(vec, dtype=np.float64), doc_id=doc_id) for doc_id, vec in ordered]
-    if probe is not None:
-        for leaf in leaves:
-            leaf.pscore = float(leaf.vec @ probe)
-    level = list(leaves)
+    m = len(ordered)
+    ids = np.array([doc_id for doc_id, _ in ordered], dtype=np.int64)
+    if (ids < 0).any():
+        raise ForestError("doc ids must be non-negative")
+    # Build order: the leaves, then each level's new internal nodes.
+    vecs = np.empty((2 * m - 1, len(ordered[0][1])))
+    vecs[:m] = [vec for _, vec in ordered]
+    size = np.ones(2 * m - 1, dtype=np.int64)
+    merges = []
+    level, top = np.arange(m), m
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            left, right = level[i], level[i + 1]
-            parent = Node(vec=np.maximum(left.vec, right.vec))
-            parent.left, parent.right = left, right
-            left.parent = right.parent = parent
-            nxt.append(parent)
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])  # odd node promoted unpaired
-        level = nxt
-    tree = Tree(
-        partition=partition,
-        root=level[0],
-        leaves=leaves,
-        probe=probe,
-        probe_config=probe_config,
-        size_at_build=len(leaves),
-    )
-    tree.reindex()
-    return tree
+        half = len(level) // 2
+        left, right = level[0 : 2 * half : 2], level[1 : 2 * half : 2]
+        new = np.arange(top, top + half)
+        vecs[new] = np.maximum(vecs[left], vecs[right])
+        size[new] = size[left] + size[right] + 1
+        merges.append((new, left, right))
+        level, top = np.concatenate([new, level[2 * half :]]), top + half
+    # Preorder positions, from the root (built last, position 0) down.
+    pos = np.zeros(2 * m - 1, dtype=np.int64)
+    for new, left, right in reversed(merges):
+        pos[left] = pos[new] + 1
+        pos[right] = pos[new] + 1 + size[left]
+    doc_ids = np.full(2 * m - 1, -1, dtype=np.int64)
+    doc_ids[pos[:m]] = ids
+    nodes = np.empty_like(vecs)
+    nodes[pos] = vecs
+    return Tree(partition, doc_ids, nodes, probe=probe, probe_config=probe_config, size_at_build=m)
 
 
 def encrypt_tree(tree: Tree, key: PartitionKey, rng: np.random.Generator) -> Tree:
-    """Node-for-node encrypted twin; shape (and leaf doc ids) preserved."""
-    if tree.root is None:
-        return Tree(tree.partition, None, [], encrypted=True)
-    nodes = tree.reindex()
-    mat = np.stack([n.vec for n in nodes])
-    if mat.shape[1] != key.dim:
-        raise ForestError(f"node dimension {mat.shape[1]} does not match key dim {key.dim}")
-    c1, c2 = encrypt_matrix(mat, key, rng)
-
-    leaves: list[Node] = []
-
-    def clone(node: Node) -> Node:
-        twin = Node(doc_id=node.doc_id, enc1=c1[node.idx], enc2=c2[node.idx])
-        if not node.is_leaf:
-            twin.left = clone(node.left)
-            twin.right = clone(node.right)
-            twin.left.parent = twin.right.parent = twin
-        return twin
-
-    root = clone(tree.root)
-    stack = [root]
-    ordered_leaves = {}
-    for twin, orig in zip(_paired_preorder(root), _paired_preorder(tree.root)):
-        if twin.is_leaf:
-            ordered_leaves[orig.doc_id] = twin
-    leaves = [ordered_leaves[leaf.doc_id] for leaf in tree.leaves]
-    enc = Tree(
-        partition=tree.partition,
-        root=root,
-        leaves=leaves,
-        encrypted=True,
-        size_at_build=tree.size_at_build,
+    """Encrypted twin: the node matrix encrypted row by row, the structure
+    shared with the plaintext tree."""
+    if tree.nodes.shape[1] != key.dim:
+        raise ForestError(f"node dimension {tree.nodes.shape[1]} does not match key dim {key.dim}")
+    enc1, enc2 = encrypt_matrix(tree.nodes, key, rng)
+    return Tree(
+        tree.partition, tree.doc_ids, enc1=enc1, enc2=enc2, size_at_build=tree.size_at_build
     )
-    enc.reindex()
-    return enc
-
-
-def _paired_preorder(root: Node):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
 
 
 def encrypt_forest(
@@ -262,66 +247,61 @@ def encrypt_forest(
 # ---------------------------------------------------------------------------
 # Greedy depth-first top-k search.
 
-def plaintext_scorer(query: np.ndarray) -> Scorer:
-    return lambda node: round_score(node.vec @ query)
+def node_scores(tree: Tree, query: np.ndarray | Trapdoor) -> np.ndarray:
+    """Every node's score in preorder, on the 1e-9 grid of ``round_score``.
+    ``query`` is a plaintext vector for a plaintext tree and a trapdoor for
+    an encrypted one."""
+    if tree.encrypted != isinstance(query, Trapdoor):
+        raise ForestError("an encrypted tree takes a trapdoor, a plaintext tree a vector")
+    if tree.encrypted:
+        return np.round(tree.enc1 @ query.t1 + tree.enc2 @ query.t2, 9)
+    return np.round(tree.nodes @ query, 9)
 
 
-def encrypted_scorer(trapdoor: Trapdoor) -> Scorer:
-    return lambda node: round_score(node.enc1 @ trapdoor.t1 + node.enc2 @ trapdoor.t2)
-
-
-def array_scorer(scores: np.ndarray) -> Scorer:
-    """Score lookup from a precomputed per-node array (see Tree.reindex)."""
-    return lambda node: round_score(scores[node.idx])
-
-
-def gdfs(tree: Tree, score_of: Scorer, quota: int) -> tuple[list[tuple[int, float]], int]:
+def gdfs(
+    tree: Tree, query: np.ndarray | Trapdoor, quota: int
+) -> tuple[list[tuple[int, float]], int]:
     """Greedy depth-first search of one tree.
 
     Returns the tree's top-``quota`` leaves as (doc_id, score), ranked by
-    descending score then ascending doc_id, plus the number of node score
-    evaluations.  A subtree is pruned only when its bound is strictly below
-    the current worst candidate score, so tied candidates are never lost.
+    descending score then ascending doc_id, plus the number of node scores
+    the search used: the root and both children of every node it expanded.
+    A subtree is pruned only when its bound is strictly below the current
+    worst candidate score, so tied candidates are never lost.
     """
     if quota < 1:
         raise ForestError("quota must be >= 1")
-    if tree.root is None:
+    if not len(tree.doc_ids):
         return [], 0
+    scores = node_scores(tree, query).tolist()
+    doc_ids = tree.doc_ids.tolist()
+    right = tree.right_children().tolist()
     heap: list[tuple[float, int]] = []  # (score, -doc_id); heap[0] = worst
-    visited = 0
-
-    def consider(leaf: Node, s: float) -> None:
-        entry = (s, -leaf.doc_id)
-        if len(heap) < quota:
-            heappush(heap, entry)
-        elif entry > heap[0]:
-            heapreplace(heap, entry)
-
-    def descend(node: Node, s: float) -> None:
-        nonlocal visited
-        if node.is_leaf:
-            consider(node, s)
-            return
-        sl = score_of(node.left)
-        sr = score_of(node.right)
-        visited += 2
-        children = ((node.left, sl), (node.right, sr))
-        if sr > sl:
-            children = ((node.right, sr), (node.left, sl))
-        for child, sc in children:
-            if len(heap) == quota and sc < heap[0][0]:
-                continue  # bound cannot beat the current worst score
-            descend(child, sc)
-
     visited = 1
-    descend(tree.root, score_of(tree.root))
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        s = scores[i]
+        if len(heap) == quota and s < heap[0][0]:
+            continue  # bound cannot beat the current worst score
+        if doc_ids[i] >= 0:
+            entry = (s, -doc_ids[i])
+            if len(heap) < quota:
+                heappush(heap, entry)
+            elif entry > heap[0]:
+                heapreplace(heap, entry)
+            continue
+        visited += 2
+        left, r = i + 1, right[i]
+        # The better child is popped first; the left one on a tie.
+        stack.extend((left, r) if scores[r] > scores[left] else (r, left))
     ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
     return [(-neg_id, s) for s, neg_id in ranked], visited
 
 
 def search_forest(
     trees: Sequence[Tree],
-    scorers: Sequence[Scorer],
+    queries: Sequence | Mapping,
     k: int,
     selected: Sequence[int] | None = None,
     quota: int | None = None,
@@ -329,7 +309,8 @@ def search_forest(
     """Search ``selected`` trees (default: all), merge per-tree candidate
     lists and return the global top-k plus per-tree visited-node counts.
 
-    The per-tree candidate quota defaults to ceil(k/t) for t selected trees.
+    ``queries[i]`` is the query vector or trapdoor of tree i.  The per-tree
+    candidate quota defaults to ceil(k/t) for t selected trees.
     """
     if k < 1:
         raise ForestError("k must be >= 1")
@@ -342,7 +323,7 @@ def search_forest(
     merged: list[tuple[int, float]] = []
     visits: dict[int, int] = {}
     for i in selected:
-        candidates, visited = gdfs(trees[i], scorers[i], q)
+        candidates, visited = gdfs(trees[i], queries[i], q)
         merged.extend(candidates)
         visits[i] = visited
     merged.sort(key=lambda e: (-e[1], e[0]))
@@ -361,56 +342,40 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     """
     if tree.encrypted:
         raise ForestError("insert into the plaintext tree, then re-encrypt")
+    if doc_id < 0:
+        raise ForestError("doc ids must be non-negative")
     vec = np.asarray(vec, dtype=np.float64)
-    if any(leaf.doc_id == doc_id for leaf in tree.leaves):
+    if (tree.doc_ids == doc_id).any():
         raise ForestError(f"doc {doc_id} already present in tree")
-    new = Node(vec=vec, doc_id=doc_id)
-    new.pscore = float(vec @ tree.probe) if tree.probe is not None else 0.0
-    if tree.root is None:
-        tree.root = new
-        tree.leaves = [new]
+    leaf_at = np.flatnonzero(tree.doc_ids >= 0)
+    if not len(leaf_at):
+        tree.doc_ids = np.array([doc_id], dtype=np.int64)
+        tree.nodes = vec[None, :].copy()
         tree.size_at_build = max(tree.size_at_build, 1)
         return 1, False
 
-    key = (-new.pscore, doc_id)
-    pos = 0
-    for pos, leaf in enumerate(tree.leaves):
-        if key < (-leaf.pscore, leaf.doc_id):
-            break
+    # The new leaf goes before the first leaf ranking after it by
+    # (-probe score, doc_id), or after the last leaf.
+    ids = tree.doc_ids[leaf_at]
+    if tree.probe is None:
+        score, scores = 0.0, np.zeros(len(ids))
     else:
-        pos = len(tree.leaves)
+        # Row by row, as order_by_likelihood scores them: a matrix product may
+        # round differently and reorder leaves whose scores tie.
+        score = float(vec @ tree.probe)
+        scores = np.array([tree.nodes[i] @ tree.probe for i in leaf_at.tolist()])
+    later = np.flatnonzero((scores < score) | ((scores == score) & (ids > doc_id)))
+    target = int(leaf_at[later[0]] if len(later) else leaf_at[-1])
+    path = _ancestors(tree, target)
+    at = [target, target] if len(later) else [target, target + 1]
+    parent_vec = np.maximum(vec, tree.nodes[target])
+    tree.doc_ids = np.insert(tree.doc_ids, at, [-1, doc_id])
+    tree.nodes = np.insert(tree.nodes, at, [parent_vec, vec], axis=0)
+    _refresh_bounds(tree, path)
 
-    if pos < len(tree.leaves):
-        target, new_first = tree.leaves[pos], True
-    else:
-        target, new_first = tree.leaves[-1], False
-    parent = Node()
-    parent.left, parent.right = (new, target) if new_first else (target, new)
-    parent.vec = np.maximum(new.vec, target.vec)
-    grand = target.parent
-    parent.parent = grand
-    new.parent = target.parent = parent
-    if grand is None:
-        tree.root = parent
-    elif grand.left is target:
-        grand.left = parent
-    else:
-        grand.right = parent
-
-    touched = 2  # new leaf + new internal node
-    node = grand
-    while node is not None:
-        node.vec = np.maximum(node.left.vec, node.right.vec)
-        touched += 1
-        node = node.parent
-    tree.leaves.insert(pos, new)
-
-    depth = 0
-    node = new
-    while node.parent is not None:
-        depth += 1
-        node = node.parent
-    m = len(tree.leaves)
+    touched = 2 + len(path)  # new leaf + new internal node + ancestors
+    depth = len(path) + 1
+    m = len(ids) + 1
     limit = int(np.ceil(np.log2(m))) + 1 if m > 1 else 1
     needs_rebuild = depth > limit or m >= 2 * max(1, tree.size_at_build)
     return touched, needs_rebuild
@@ -421,29 +386,18 @@ def delete_leaf(tree: Tree, doc_id: int) -> int:
     Returns the touched-node count."""
     if tree.encrypted:
         raise ForestError("delete from the plaintext tree, then re-encrypt")
-    leaf = next((l for l in tree.leaves if l.doc_id == doc_id), None)
-    if leaf is None:
+    hit = np.flatnonzero(tree.doc_ids == doc_id)
+    if doc_id < 0 or not len(hit):  # -1 would match an internal node
         raise ForestError(f"doc {doc_id} not found in tree")
-    tree.leaves.remove(leaf)
-    parent = leaf.parent
-    if parent is None:
-        tree.root = None
-        return 1
-    sibling = parent.right if parent.left is leaf else parent.left
-    grand = parent.parent
-    sibling.parent = grand
-    if grand is None:
-        tree.root = sibling
-    elif grand.left is parent:
-        grand.left = sibling
-    else:
-        grand.right = sibling
-    touched = 2
-    node = grand
-    while node is not None:
-        node.vec = np.maximum(node.left.vec, node.right.vec)
-        touched += 1
-        node = node.parent
+    leaf = int(hit[0])
+    path = _ancestors(tree, leaf)
+    touched = len(path) + 1
+    # Dropping the parent row with the leaf row leaves the sibling's subtree
+    # in the parent's place.
+    drop = [path.pop(), leaf] if path else [leaf]
+    tree.doc_ids = np.delete(tree.doc_ids, drop)
+    tree.nodes = np.delete(tree.nodes, drop, axis=0)
+    _refresh_bounds(tree, path)
     return touched
 
 
@@ -451,123 +405,79 @@ def rebuild_tree(tree: Tree) -> Tree:
     """Full local rebuild: reorder the current leaves by probe score and bulk
     load again.  Used when the balance bound is violated or the size has
     doubled/halved since the last build."""
-    entries = [(leaf.doc_id, leaf.vec) for leaf in tree.leaves]
+    entries = tree.leaf_entries()
     if tree.probe is not None:
         entries = order_by_likelihood(entries, tree.probe)
     if not entries:
-        return Tree(tree.partition, None, [], probe=tree.probe, probe_config=tree.probe_config)
+        return Tree(tree.partition, tree.doc_ids, tree.nodes, probe=tree.probe,
+                    probe_config=tree.probe_config)
     return build_tree(entries, tree.partition, tree.probe, tree.probe_config)
 
 
 # ---------------------------------------------------------------------------
-# Serialization: versioned binary, preorder shape + node vectors.
+# Serialization: versioned binary, one header and plain array dumps per tree.
 
 def save_forest(trees: Sequence[Tree], path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(FOREST_MAGIC)
         fh.write(struct.pack("<I", len(trees)))
         for tree in trees:
-            nodes = list(tree.preorder())
-            if tree.encrypted:
-                dim = nodes[0].enc1.shape[0] if nodes else 0
-            else:
-                dim = nodes[0].vec.shape[0] if nodes else 0
+            mats = (tree.enc1, tree.enc2) if tree.encrypted else (tree.nodes,)
             probe = tree.probe if tree.probe is not None else np.zeros(0)
             cfg = tree.probe_config or ProbeConfig()
             fh.write(
-                struct.pack(
-                    "<IBIIQ",
+                _TREE_HEADER.pack(
                     tree.partition,
                     int(tree.encrypted),
-                    dim,
+                    mats[0].shape[1],
                     probe.shape[0],
-                    len(nodes),
+                    len(tree.doc_ids),
+                    cfg.count,
+                    cfg.keywords_per_probe,
+                    cfg.zipf_a,
+                    cfg.seed,
+                    tree.size_at_build,
                 )
             )
-            fh.write(struct.pack("<IIdI", cfg.count, cfg.keywords_per_probe, cfg.zipf_a, cfg.seed))
-            fh.write(struct.pack("<Q", tree.size_at_build))
             fh.write(np.ascontiguousarray(probe, dtype="<f8").tobytes())
-            for node in nodes:
-                fh.write(struct.pack("<Bq", int(node.is_leaf), node.doc_id if node.is_leaf else -1))
-                if tree.encrypted:
-                    fh.write(np.ascontiguousarray(node.enc1, dtype="<f8").tobytes())
-                    fh.write(np.ascontiguousarray(node.enc2, dtype="<f8").tobytes())
-                else:
-                    fh.write(np.ascontiguousarray(node.vec, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(tree.doc_ids, dtype="<i8").tobytes())
+            for mat in mats:
+                fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
 
 
 def load_forest(path: str | Path) -> list[Tree]:
     raw = Path(path).read_bytes()
     if raw[:4] != FOREST_MAGIC:
         raise ForestError(f"{path}: not a forest file (bad magic)")
-    off = 4
-    (ntrees,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    off = 8
+
+    def take(dtype: str, count: int) -> np.ndarray:
+        nonlocal off
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off).copy()
+        off += arr.nbytes
+        return arr
+
     trees = []
-    for _ in range(ntrees):
-        partition, encrypted, dim, probe_len, n_nodes = struct.unpack_from("<IBIIQ", raw, off)
-        off += struct.calcsize("<IBIIQ")
-        count, kpp, zipf_a, seed = struct.unpack_from("<IIdI", raw, off)
-        off += struct.calcsize("<IIdI")
-        (size_at_build,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        probe = np.frombuffer(raw, dtype="<f8", count=probe_len, offset=off).copy()
-        off += probe_len * 8
-
-        records = []
-        for _n in range(n_nodes):
-            is_leaf, doc_id = struct.unpack_from("<Bq", raw, off)
-            off += struct.calcsize("<Bq")
+    try:
+        for _ in range(struct.unpack_from("<I", raw, 4)[0]):
+            (partition, encrypted, dim, probe_len, n_nodes,
+             count, kpp, zipf_a, seed, size_at_build) = _TREE_HEADER.unpack_from(raw, off)
+            off += _TREE_HEADER.size
+            probe = take("<f8", probe_len)
+            doc_ids = take("<i8", n_nodes)
+            mats = [take("<f8", n_nodes * dim).reshape(n_nodes, dim) for _ in range(1 + encrypted)]
+            tree = Tree(
+                partition,
+                doc_ids,
+                probe=probe if probe_len else None,
+                probe_config=ProbeConfig(count, kpp, zipf_a, seed),
+                size_at_build=size_at_build,
+            )
             if encrypted:
-                e1 = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
-                off += dim * 8
-                e2 = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
-                off += dim * 8
-                records.append((is_leaf, doc_id, e1, e2))
+                tree.enc1, tree.enc2 = mats
             else:
-                v = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
-                off += dim * 8
-                records.append((is_leaf, doc_id, v, None))
-
-        pos = 0
-
-        def read_node():
-            nonlocal pos
-            is_leaf, doc_id, a, b = records[pos]
-            pos += 1
-            if encrypted:
-                node = Node(doc_id=doc_id if is_leaf else None, enc1=a, enc2=b)
-            else:
-                node = Node(vec=a, doc_id=doc_id if is_leaf else None)
-            if not is_leaf:
-                node.left = read_node()
-                node.right = read_node()
-                node.left.parent = node.right.parent = node
-            return node
-
-        root = read_node() if n_nodes else None
-        leaves = []
-        if root is not None:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    leaves.append(node)
-                else:
-                    stack.append(node.right)
-                    stack.append(node.left)
-        tree = Tree(
-            partition=partition,
-            root=root,
-            leaves=leaves,
-            probe=probe if probe_len else None,
-            probe_config=ProbeConfig(count, kpp, zipf_a, seed),
-            encrypted=bool(encrypted),
-            size_at_build=size_at_build,
-        )
-        if probe_len and not encrypted:
-            for leaf in tree.leaves:
-                leaf.pscore = float(leaf.vec @ tree.probe)
-        tree.reindex()
-        trees.append(tree)
+                tree.nodes = mats[0]
+            trees.append(tree)
+    except (struct.error, ValueError) as exc:
+        raise ForestError(f"{path}: truncated forest file") from exc
     return trees

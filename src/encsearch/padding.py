@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import PaddingError
 from .metrics import equilibrium, precision, rank_privacy
-from .weighting import WeightedIndex
 
 
 def uniform_to_normal(mu_prime: float, delta: float, omega: int) -> tuple[float, float]:
@@ -68,14 +67,6 @@ class NoiseModel:
         return cls(u, sigma, -(-u // 2), seed)
 
 
-@dataclass(frozen=True)
-class SecureWeightedIndex:
-    doc_id: int
-    owner_id: int
-    partition: int
-    values: np.ndarray  # (N_i + U_i,)
-
-
 def pad_matrix(values: np.ndarray, model: NoiseModel) -> np.ndarray:
     """Extend an (M, N) weighted matrix to (M, N+U) with clamped noise.
 
@@ -94,19 +85,6 @@ def pad_matrix(values: np.ndarray, model: NoiseModel) -> np.ndarray:
         z = rng.standard_normal(model.omega)
         padded[row, values.shape[1] + positions] = np.clip(model.sigma * z, -1.0, 1.0)
     return padded
-
-
-def pad_partition(
-    weighted: Sequence[WeightedIndex], model: NoiseModel
-) -> list[SecureWeightedIndex]:
-    """Pad every weighted index of a partition; deterministic under the seed."""
-    if not weighted:
-        return []
-    mat = pad_matrix(np.stack([w.values for w in weighted]), model)
-    return [
-        SecureWeightedIndex(w.doc_id, w.owner_id, w.partition, mat[i])
-        for i, w in enumerate(weighted)
-    ]
 
 
 # ---------------------------------------------------------------------------

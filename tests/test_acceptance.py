@@ -14,7 +14,7 @@ from encsearch.aspe import encrypt_vector, keygen, make_trapdoor, score
 from encsearch.benchmarks import BenchmarkConfig, bench_forest_speedup, bench_tree_orders
 from encsearch.corpus import Document, synthetic_corpus
 from encsearch.engine import Pipeline, PipelineConfig
-from encsearch.forest import build_tree, gdfs, plaintext_scorer, round_score
+from encsearch.forest import build_tree, gdfs, round_score
 from encsearch.metrics import efficiency_ratio, equilibrium, precision, rank_privacy, storage_ratio
 from encsearch.padding import optimize_noise
 
@@ -85,18 +85,20 @@ def test_criterion_3_pruning_soundness(report):
 
         # Bound soundness: each internal score >= both child scores implies,
         # by induction, >= every descendant leaf score.
+        right = tree.right_children()
         for node in tree.preorder():
             if node.is_leaf:
                 continue
-            s = float(node.vec @ q)
-            if s < float(node.left.vec @ q) - 1e-12 or s < float(node.right.vec @ q) - 1e-12:
+            i = node.index
+            s = float(tree.nodes[i] @ q)
+            if s < float(tree.nodes[i + 1] @ q) - 1e-12 or s < float(tree.nodes[right[i]] @ q) - 1e-12:
                 bound_violations += 1
                 break
 
         # Losslessness: the greedy search returns exactly the brute-force
         # per-tree top-quota under the tie rule.
         quota = int(rng.integers(1, m + 1))
-        got, _ = gdfs(tree, plaintext_scorer(q), quota)
+        got, _ = gdfs(tree, q, quota)
         want = sorted(
             ((round_score(v @ q), d) for d, v in entries), key=lambda t: (-t[0], t[1])
         )[:quota]
@@ -214,10 +216,10 @@ def test_criterion_8_dynamic_maintenance(report):
     touched_ok = True
     single_tree_ok = True
     for i, nd in enumerate(new_docs):
-        before = [t.shape_signature() for t in pipe.trees]
+        before = [tuple(t.doc_ids.tolist()) for t in pipe.trees]
         rep = pipe.insert_document(Document(10_000 + i, nd.owner_id, nd.counts))
         touched_ok = touched_ok and rep.touched_nodes <= limit
-        after = [t.shape_signature() for t in pipe.trees]
+        after = [tuple(t.doc_ids.tolist()) for t in pipe.trees]
         changed = [p for p in range(s) if before[p] != after[p]]
         single_tree_ok = single_tree_ok and changed == [rep.partition]
     mismatches = 0

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,18 @@ class TestUpdates:
         after = pipe.run_query(q, k=12)
         assert [d for d, _ in before] == [d for d, _ in after]
 
+    def test_replaced_tree_freed_without_cyclic_gc(self):
+        docs = synthetic_corpus(20, 40, 3, seed=8)
+        pipe = Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=9))
+        word = pipe.pset.sub_dictionaries[0][0]
+        gc.disable()
+        try:
+            old = weakref.ref(pipe.server.trees[0].enc1)
+            pipe.insert_document(Document.from_terms(999, 1, [word] * 5), partition=0)
+            assert old() is None
+        finally:
+            gc.enable()
+
 
 class TestPersistence:
     def test_save_load_same_results(self, tmp_path, multi):
@@ -260,6 +275,16 @@ class TestPersistence:
         Pipeline.build(docs, cfg).save(out_a)
         Pipeline.build(docs, cfg).save(out_b)
         assert (out_a / "forest_enc.bin").read_bytes() == (out_b / "forest_enc.bin").read_bytes()
+
+    def test_loaded_copies_send_unlinkable_trapdoors(self, tmp_path, multi):
+        multi.save(tmp_path / "run")
+        first, second = Pipeline.load(tmp_path / "run"), Pipeline.load(tmp_path / "run")
+        q = multi.sample_queries(1, n_keywords=5, seed=4)[0]
+        p = int(np.argmax(multi.key.dims))  # a one-dimensional key may split nothing
+        a = first.make_trapdoors(q.keywords, [p], q.alphas)
+        b = second.make_trapdoors(q.keywords, [p], q.alphas)
+        assert not np.allclose(a[p].t1, b[p].t1)
+        assert [d for d, _ in first.run_query(q, k=8)] == [d for d, _ in second.run_query(q, k=8)]
 
 
 def test_empty_subdictionary_query_sampling_error():

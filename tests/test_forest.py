@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from encsearch.aspe import keygen, make_trapdoor
+from encsearch.corpus import synthetic_corpus
+from encsearch.engine import Pipeline, PipelineConfig
 from encsearch.errors import ForestError
 from encsearch.forest import (
     ProbeConfig,
@@ -11,12 +16,10 @@ from encsearch.forest import (
     build_tree,
     delete_leaf,
     encrypt_tree,
-    encrypted_scorer,
     gdfs,
     insert_leaf,
     load_forest,
     order_by_likelihood,
-    plaintext_scorer,
     probe_aggregate,
     rebuild_tree,
     round_score,
@@ -76,15 +79,14 @@ class TestOrdering:
 class TestBuildTree:
     def test_single_leaf(self):
         tree = build_tree([(7, np.array([1.0, 2.0]))])
-        assert tree.root.is_leaf and tree.root.doc_id == 7
+        assert tree.doc_ids.tolist() == [7]
         assert tree.depth() == 0
-        assert tree.node_count() == 1
 
     def test_unit_basis_root_is_all_ones(self):
         entries = [(i, np.eye(4)[i]) for i in range(4)]
         tree = build_tree(entries)
-        np.testing.assert_array_equal(tree.root.vec, np.ones(4))
-        assert tree.node_count() == 7
+        np.testing.assert_array_equal(tree.nodes[0], np.ones(4))
+        assert len(tree.doc_ids) == 7
         assert tree.depth() == 2
 
     def test_odd_promotion(self):
@@ -92,36 +94,45 @@ class TestBuildTree:
         entries = [(i, np.full(2, float(i + 1))) for i in range(3)]
         tree = build_tree(entries)
         assert tree.depth() == 2
-        assert tree.root.right.is_leaf and tree.root.right.doc_id == 2
-        assert not tree.root.left.is_leaf
+        assert tree.doc_ids[tree.right_children()[0]] == 2
+        assert tree.doc_ids[1] == -1  # the root's left child is internal
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 17, 64, 100])
     def test_depth_bound_and_leaf_order(self, m):
         entries = random_entries(m, 3, seed=m)
         tree = build_tree(entries)
         assert tree.depth() <= int(np.ceil(np.log2(m))) + 1 if m > 1 else tree.depth() == 0
-        assert [leaf.doc_id for leaf in tree.leaves] == [d for d, _ in entries]
-        assert tree.node_count() == 2 * m - 1
+        assert tree.leaves.tolist() == [d for d, _ in entries]
+        assert len(tree.doc_ids) == 2 * m - 1
 
     def test_internal_bound_soundness(self):
         # Every internal vector dominates every descendant leaf elementwise,
         # so for a non-negative query the internal score is an upper bound.
         entries = random_entries(25, 5, seed=9)
         tree = build_tree(entries)
+        right = tree.right_children()
 
-        def check(node):
-            if node.is_leaf:
-                return [node.vec]
-            below = check(node.left) + check(node.right)
+        def check(i):
+            if tree.doc_ids[i] >= 0:
+                return [tree.nodes[i]]
+            below = check(i + 1) + check(right[i])
             for v in below:
-                assert (node.vec >= v - 1e-12).all()
+                assert (tree.nodes[i] >= v - 1e-12).all()
             return below
 
-        check(tree.root)
+        assert len(check(0)) == 25
 
     def test_empty_error(self):
         with pytest.raises(ForestError):
             build_tree([])
+
+    def test_negative_doc_id_rejected(self):
+        # -1 marks internal nodes in the preorder doc_ids array.
+        with pytest.raises(ForestError, match="non-negative"):
+            build_tree([(-1, np.ones(2))])
+        tree = build_tree([(0, np.ones(2))])
+        with pytest.raises(ForestError, match="non-negative"):
+            insert_leaf(tree, -1, np.ones(2))
 
 
 class TestGdfs:
@@ -131,28 +142,28 @@ class TestGdfs:
         entries = random_entries(40, 6, seed=seed)
         tree = build_tree(entries)
         query = np.abs(np.random.default_rng(seed + 100).normal(size=6))
-        got, visited = gdfs(tree, plaintext_scorer(query), k)
+        got, visited = gdfs(tree, query, k)
         assert got == brute_force_topk(entries, query, k)
-        assert 1 <= visited <= tree.node_count()
+        assert 1 <= visited <= len(tree.doc_ids)
 
     def test_zero_query_returns_lowest_doc_ids(self):
         entries = random_entries(12, 4, seed=5)
         tree = build_tree(entries)
-        got, _ = gdfs(tree, plaintext_scorer(np.zeros(4)), 3)
+        got, _ = gdfs(tree, np.zeros(4), 3)
         assert [d for d, _ in got] == [0, 1, 2]
 
     def test_quota_larger_than_tree(self):
         entries = random_entries(4, 3, seed=1)
         tree = build_tree(entries)
         query = np.ones(3)
-        got, _ = gdfs(tree, plaintext_scorer(query), 10)
+        got, _ = gdfs(tree, query, 10)
         assert len(got) == 4
         assert got == brute_force_topk(entries, query, 4)
 
     def test_quota_error(self):
         tree = build_tree(random_entries(2, 2))
         with pytest.raises(ForestError):
-            gdfs(tree, plaintext_scorer(np.ones(2)), 0)
+            gdfs(tree, np.ones(2), 0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -165,7 +176,7 @@ class TestGdfs:
         tree = build_tree(order_by_likelihood(entries, probe), probe=probe)
         query = np.abs(rng.normal(size=dim)) * rng.integers(0, 2, size=dim)
         k = int(rng.integers(1, m + 1))
-        got, _ = gdfs(tree, plaintext_scorer(query), k)
+        got, _ = gdfs(tree, query, k)
         assert got == brute_force_topk(entries, query, k)
 
 
@@ -184,16 +195,16 @@ class TestSearchForest:
     def test_merge_matches_global_oracle(self):
         trees, all_entries = self.make_forest()
         query = np.abs(np.random.default_rng(7).normal(size=4))
-        scorers = [plaintext_scorer(query)] * 3
-        got, visits = search_forest(trees, scorers, k=8, quota=8)
+        queries = [query] * 3
+        got, visits = search_forest(trees, queries, k=8, quota=8)
         assert got == brute_force_topk(all_entries, query, 8)
         assert set(visits) == {0, 1, 2}
 
     def test_selected_subset(self):
         trees, all_entries = self.make_forest()
         query = np.ones(4)
-        scorers = [plaintext_scorer(query)] * 3
-        got, visits = search_forest(trees, scorers, k=5, selected=[1], quota=5)
+        queries = [query] * 3
+        got, visits = search_forest(trees, queries, k=5, selected=[1], quota=5)
         subset = [(d, v) for d, v in all_entries if 100 <= d < 200]
         assert got == brute_force_topk(subset, query, 5)
         assert set(visits) == {1}
@@ -201,17 +212,17 @@ class TestSearchForest:
     def test_default_quota_is_ceil_k_over_t(self):
         trees, _ = self.make_forest()
         query = np.ones(4)
-        scorers = [plaintext_scorer(query)] * 3
-        got, _ = search_forest(trees, scorers, k=7)  # quota ceil(7/3)=3 per tree
+        queries = [query] * 3
+        got, _ = search_forest(trees, queries, k=7)  # quota ceil(7/3)=3 per tree
         assert len(got) == 7
 
     def test_errors(self):
         trees, _ = self.make_forest()
-        scorers = [plaintext_scorer(np.ones(4))] * 3
+        queries = [np.ones(4)] * 3
         with pytest.raises(ForestError):
-            search_forest(trees, scorers, k=0)
+            search_forest(trees, queries, k=0)
         with pytest.raises(ForestError):
-            search_forest(trees, scorers, k=3, selected=[])
+            search_forest(trees, queries, k=3, selected=[])
 
 
 class TestEncryptedTree:
@@ -222,14 +233,24 @@ class TestEncryptedTree:
         rng = np.random.default_rng(3)
         enc = encrypt_tree(tree, key, rng)
         assert enc.encrypted
-        assert enc.shape_signature() == tree.shape_signature()
+        assert enc.doc_ids is tree.doc_ids
         query = np.abs(np.random.default_rng(5).normal(size=5))
         trap = make_trapdoor(query, key, rng)
-        plain, _ = gdfs(tree, plaintext_scorer(query), 6)
-        cipher, _ = gdfs(enc, encrypted_scorer(trap), 6)
+        plain, _ = gdfs(tree, query, 6)
+        cipher, _ = gdfs(enc, trap, 6)
         assert [d for d, _ in cipher] == [d for d, _ in plain]
         for (_, a), (_, b) in zip(plain, cipher):
             assert a == pytest.approx(b, abs=1e-6)
+
+    def test_query_kind_must_match_tree(self):
+        tree = build_tree(random_entries(4, 3))
+        key = keygen([3], seed=0)[0]
+        rng = np.random.default_rng(0)
+        enc = encrypt_tree(tree, key, rng)
+        with pytest.raises(ForestError, match="trapdoor"):
+            gdfs(enc, np.ones(3), 2)
+        with pytest.raises(ForestError, match="trapdoor"):
+            gdfs(tree, make_trapdoor(np.ones(3), key, rng), 2)
 
     def test_dim_mismatch(self):
         tree = build_tree(random_entries(4, 3))
@@ -244,8 +265,8 @@ class TestInsertDelete:
         touched, rebuild = insert_leaf(tree, 1, np.array([0.0, 2.0]))
         assert touched == 2
         assert rebuild  # size doubled since the bulk load
-        assert sorted(l.doc_id for l in tree.leaves) == [0, 1]
-        np.testing.assert_array_equal(tree.root.vec, [1.0, 2.0])
+        assert sorted(tree.leaves.tolist()) == [0, 1]
+        np.testing.assert_array_equal(tree.nodes[0], [1.0, 2.0])
 
     def test_insert_touched_bounded_by_path(self):
         entries = random_entries(33, 4, seed=2)
@@ -267,8 +288,8 @@ class TestInsertDelete:
         rebuilt = rebuild_tree(tree)
         for qseed in range(5):
             query = np.abs(np.random.default_rng(qseed).normal(size=3))
-            a, _ = gdfs(tree, plaintext_scorer(query), 5)
-            b, _ = gdfs(rebuilt, plaintext_scorer(query), 5)
+            a, _ = gdfs(tree, query, 5)
+            b, _ = gdfs(rebuilt, query, 5)
             assert a == b
 
     def test_insert_duplicate_error(self):
@@ -287,13 +308,13 @@ class TestInsertDelete:
     def test_delete_only_leaf_empties_tree(self):
         tree = build_tree([(3, np.ones(2))])
         assert delete_leaf(tree, 3) == 1
-        assert tree.root is None and tree.leaves == []
+        assert len(tree.doc_ids) == 0 and len(tree.nodes) == 0
 
     def test_delete_then_search_absent(self):
         entries = random_entries(10, 3, seed=6)
         tree = build_tree(entries)
         delete_leaf(tree, 4)
-        got, _ = gdfs(tree, plaintext_scorer(np.ones(3)), 9)
+        got, _ = gdfs(tree, np.ones(3), 9)
         assert 4 not in {d for d, _ in got}
         remaining = [(d, v) for d, v in entries if d != 4]
         assert got == brute_force_topk(remaining, np.ones(3), 9)
@@ -302,6 +323,8 @@ class TestInsertDelete:
         tree = build_tree(random_entries(3, 2))
         with pytest.raises(ForestError, match="not found"):
             delete_leaf(tree, 99)
+        with pytest.raises(ForestError, match="not found"):
+            delete_leaf(tree, -1)  # the internal-node marker
 
     def test_delete_then_insert_restores_results(self):
         entries = random_entries(12, 3, seed=7)
@@ -311,7 +334,7 @@ class TestInsertDelete:
         delete_leaf(tree, 5)
         insert_leaf(tree, 5, vec)
         query = np.abs(np.random.default_rng(2).normal(size=3))
-        got, _ = gdfs(tree, plaintext_scorer(query), 12)
+        got, _ = gdfs(tree, query, 12)
         assert got == brute_force_topk(entries, query, 12)
 
     def test_doubling_triggers_rebuild_flag(self):
@@ -341,13 +364,13 @@ class TestForestFile:
         loaded = load_forest(path)
         assert len(loaded) == 2
         for a, b in zip(trees, loaded):
-            assert a.shape_signature() == b.shape_signature()
+            np.testing.assert_array_equal(a.doc_ids, b.doc_ids)
             assert a.partition == b.partition
             assert a.size_at_build == b.size_at_build
             np.testing.assert_array_equal(a.probe, b.probe)
             assert a.probe_config == b.probe_config
             query = np.abs(np.random.default_rng(9).normal(size=4))
-            assert gdfs(a, plaintext_scorer(query), 5)[0] == gdfs(b, plaintext_scorer(query), 5)[0]
+            assert gdfs(a, query, 5)[0] == gdfs(b, query, 5)[0]
 
     def test_encrypted_round_trip(self, tmp_path):
         tree = build_tree(random_entries(7, 3, seed=3))
@@ -358,18 +381,72 @@ class TestForestFile:
         save_forest([enc], path)
         loaded = load_forest(path)[0]
         assert loaded.encrypted
-        assert loaded.shape_signature() == enc.shape_signature()
+        np.testing.assert_array_equal(loaded.doc_ids, enc.doc_ids)
         trap = make_trapdoor(np.abs(rng.normal(size=3)), key, rng)
-        assert gdfs(loaded, encrypted_scorer(trap), 4)[0] == gdfs(enc, encrypted_scorer(trap), 4)[0]
+        assert gdfs(loaded, trap, 4)[0] == gdfs(enc, trap, 4)[0]
 
     def test_empty_tree_round_trip(self, tmp_path):
         path = tmp_path / "forest.bin"
-        save_forest([Tree(partition=0, root=None, leaves=[])], path)
+        save_forest([Tree(0, np.empty(0, dtype=np.int64), np.zeros((0, 3)))], path)
         loaded = load_forest(path)[0]
-        assert loaded.root is None and loaded.leaves == []
+        assert len(loaded.doc_ids) == 0 and loaded.nodes.shape == (0, 3)
+
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "forest.bin"
+        save_forest([build_tree(random_entries(5, 3))], path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ForestError, match="truncated"):
+            load_forest(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "forest.bin"
         path.write_bytes(b"XXXX1234")
         with pytest.raises(ForestError, match="magic"):
             load_forest(path)
+
+
+def test_plaintext_forest_matches_recorded_behaviour():
+    """Search results, per-tree visited counts, preorder layouts and update
+    touched counts of a plaintext forest, pinned to the values recorded from
+    the earlier Node-object implementation (tests/data/forest_golden.json).
+    Queries without their pseudo entries tie often, which pins the order in
+    which the search visits tied children."""
+    golden = json.loads((Path(__file__).parent / "data" / "forest_golden.json").read_text())
+    pipe = Pipeline.build(synthetic_corpus(300, 400, 5, seed=0), PipelineConfig(s=4, sigma=0.05))
+    queries = pipe.sample_queries(20, 10, seed=1)
+
+    def searches(pseudo=1.0):
+        out = []
+        for q in queries:
+            real = pipe.real_query_vectors(q.keywords)
+            vecs = [np.concatenate([real[p], pseudo * q.alphas[p]]) for p in range(pipe.s)]
+            res, visits = search_forest(pipe.trees, vecs, k=10)
+            out.append({"results": [[d, s] for d, s in res],
+                        "visited": {str(p): v for p, v in visits.items()}})
+        return out
+
+    def preorder():
+        return [t.doc_ids.tolist() for t in pipe.trees]
+
+    assert preorder() == golden["preorder"]
+    assert searches() == golden["searches"]
+    assert searches(0.0) == golden["searches_tied"]
+    rng = np.random.default_rng(7)
+    inserts = []
+    for i in range(10):
+        p = i % pipe.s
+        dim = pipe.secure_mats[p].shape[1]
+        vec = np.round(rng.random(dim) * (rng.random(dim) < 0.05), 2)
+        touched, rebuild = insert_leaf(pipe.trees[p], 1000 + i, vec)
+        if rebuild:
+            pipe.trees[p] = rebuild_tree(pipe.trees[p])
+        inserts.append([p, touched, rebuild])
+    assert inserts == golden["inserts"]
+    deletes = []
+    for i in range(5):
+        p = i % pipe.s
+        victim = int(pipe.trees[p].leaves[3 * i + 1])
+        deletes.append([p, victim, delete_leaf(pipe.trees[p], victim)])
+    assert deletes == golden["deletes"]
+    assert preorder() == golden["preorder_after"]
+    assert searches() == golden["searches_after"]

@@ -11,10 +11,8 @@ from encsearch.padding import (
     distinguishability,
     optimize_noise,
     pad_matrix,
-    pad_partition,
     uniform_to_normal,
 )
-from encsearch.weighting import WeightedIndex
 
 
 class TestUniformToNormal:
@@ -111,20 +109,6 @@ class TestPadMatrix:
         mask = a[:, 3:] != 0
         np.testing.assert_array_equal(mask, c[:, 3:] != 0)
         np.testing.assert_allclose(c[:, 3:][mask], 2.0 * a[:, 3:][mask])
-
-
-def test_pad_partition():
-    weighted = [
-        WeightedIndex(doc_id=i, owner_id=1, partition=0, values=np.full(3, 0.5))
-        for i in range(4)
-    ]
-    model = NoiseModel(pseudo_count=2, sigma=0.1, omega=1, seed=5)
-    out = pad_partition(weighted, model)
-    assert [s.doc_id for s in out] == [0, 1, 2, 3]
-    for s in out:
-        assert s.values.shape == (5,)
-        np.testing.assert_array_equal(s.values[:3], 0.5)
-    assert pad_partition([], model) == []
 
 
 class TestDistinguishability:

@@ -19,6 +19,31 @@ import numpy as np
 from .errors import AspeError
 
 KEY_MAGIC = b"ESK1"
+# Largest diagonal block that _unit_lower_inverse hands to np.linalg.inv.
+_TRI_BLOCK = 64
+
+
+def _unit_lower_inverse(t: np.ndarray) -> np.ndarray:
+    """Inverse of a unit lower-triangular matrix by 2x2 block recursion.
+
+    With t = [[A, 0], [C, D]], the inverse is [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+    so only diagonal blocks of at most ``_TRI_BLOCK`` rows go through
+    ``np.linalg.inv``; the rest is matrix products.  The result is exactly
+    zero above the diagonal and exactly one on it.
+    """
+    n = t.shape[0]
+    if n <= _TRI_BLOCK:
+        out = np.tril(np.linalg.inv(t), -1)
+        np.fill_diagonal(out, 1.0)
+        return out
+    h = n // 2
+    a_inv = _unit_lower_inverse(t[:h, :h])
+    d_inv = _unit_lower_inverse(t[h:, h:])
+    out = np.zeros_like(t)
+    out[:h, :h] = a_inv
+    out[h:, h:] = d_inv
+    out[h:, :h] = -(d_inv @ (t[h:, :h] @ a_inv))
+    return out
 
 
 def random_invertible(
@@ -32,25 +57,31 @@ def random_invertible(
 
     Built as a product of ``factors`` unit-triangular matrices (alternating
     lower/upper) whose off-diagonal entries lie in [-1, 1], scaled by
-    1/sqrt(dim) to keep the product well conditioned.  Invertibility is
-    structural; the condition number (1-norm estimate) is still checked
-    against ``cond_cap`` with resampling.
+    1/sqrt(dim) to keep the product well conditioned.  The inverse is the
+    reverse product of the factors' inverses, each found by block recursion
+    on its triangle (an upper factor through its transpose), so no dense
+    ``dim x dim`` inversion is made.  Invertibility is structural; the
+    condition number (1-norm estimate) is still checked against ``cond_cap``
+    with resampling.
     """
     if dim < 1:
         raise AspeError("matrix dimension must be >= 1")
+    if factors < 1:
+        raise AspeError("need at least one triangular factor")
     scale = 1.0 / np.sqrt(dim)
     for _ in range(max_tries):
-        m = np.eye(dim)
-        inv = np.eye(dim)
+        m = inv = None
         for k in range(factors):
             t = np.eye(dim)
             off = rng.uniform(-1.0, 1.0, size=(dim, dim)) * scale
             if k % 2 == 0:
                 t += np.tril(off, -1)
+                t_inv = _unit_lower_inverse(t)
             else:
                 t += np.triu(off, 1)
-            m = m @ t
-            inv = np.linalg.inv(t) @ inv
+                t_inv = _unit_lower_inverse(t.T).T
+            m = t if m is None else m @ t
+            inv = t_inv if inv is None else t_inv @ inv
         cond = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
         if cond <= cond_cap:
             return m, inv

@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import BinaryIndex, KeywordDictionary
 from .errors import PartitioningError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -49,15 +49,35 @@ class PartitionSet:
         return [len(d) for d in self.sub_dictionaries]
 
 
-def _l1(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).sum())
+def _farthest_pair(X: np.ndarray) -> tuple[int, int]:
+    """Indexes (a, b), a < b, of the most L1-separated rows of a 0/1 matrix,
+    the first such pair in row-major order on ties.
+
+    On 0/1 rows the L1 distance is |a| + |b| - 2 a.b, so one Gram matrix
+    gives every distance in O(m^2) memory; the values are small integers,
+    exact in float64.
+    """
+    gram = X @ X.T
+    ones = np.diag(gram)
+    dists = ones[:, None] + ones[None, :] - 2.0 * gram
+    a, b = np.unravel_index(np.argmax(dists), dists.shape)
+    return int(min(a, b)), int(max(a, b))
+
+
+def _bit_median(rows: np.ndarray) -> np.ndarray:
+    """Component-wise median of 0/1 rows from the count of ones: 1 where ones
+    are the majority, 0 where they are the minority, 1/2 on an even split."""
+    ones = rows.sum(axis=0)
+    return (np.sign(2.0 * ones - rows.shape[0]) + 1.0) / 2.0
 
 
 def local_split(owner_indexes: Sequence[BinaryIndex], max_iter: int = 20) -> list[InitialPartition]:
     """Split one owner's index vectors into at most two clusters.
 
     Deterministic: seeds are the pair of vectors at maximal L1 distance.  A
-    single vector, or a set of identical vectors, yields one cluster.
+    single vector, or a set of identical vectors, yields one cluster.  All
+    distances and medians are taken from products and counts over the 0/1
+    rows, with no (m, m, n) or (m, n) difference temporaries.
     """
     if not owner_indexes:
         raise PartitioningError("owner has no index vectors")
@@ -67,21 +87,20 @@ def local_split(owner_indexes: Sequence[BinaryIndex], max_iter: int = 20) -> lis
     if m == 1 or not np.any(X != X[0]):
         return [InitialPartition(ids, X.mean(axis=0))]
 
-    # Seed with the most L1-separated pair (lowest indexes on ties).
-    dists = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2)
-    a, b = np.unravel_index(np.argmax(dists), dists.shape)
-    centers = np.stack([X[min(a, b)], X[max(a, b)]])
+    a, b = _farthest_pair(X)
+    centers = X[[a, b]]
     labels = None
     for _it in range(max_iter):
-        d0 = np.abs(X - centers[0]).sum(axis=1)
-        d1 = np.abs(X - centers[1]).sum(axis=1)
-        new_labels = (d1 < d0).astype(int)  # ties go to cluster 0
+        # Centers hold 0, 1/2 or 1, so the L1 distance of a 0/1 row x to
+        # center c is |c| + x.(1 - 2c), exact in float64.
+        d = centers.sum(axis=1) + X @ (1.0 - 2.0 * centers).T
+        new_labels = (d[:, 1] < d[:, 0]).astype(int)  # ties go to cluster 0
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
         if labels.min() == labels.max():
             break
-        centers = np.stack([np.median(X[labels == c], axis=0) for c in (0, 1)])
+        centers = np.stack([_bit_median(X[labels == c]) for c in (0, 1)])
 
     out = []
     for c in (0, 1):
@@ -234,33 +253,51 @@ def cluster_indexes(
     splitter: Callable[[Sequence[BinaryIndex]], list[InitialPartition]] = local_split,
 ) -> PartitionSet:
     """Full pipeline: per-owner local split, global clustering, segmentation."""
+    by_owner = partition_owners(binary_indexes)
     initials: list[InitialPartition] = []
-    for owner in sorted(partition_owners(binary_indexes)):
-        initials.extend(splitter(partition_owners(binary_indexes)[owner]))
+    for owner in sorted(by_owner):
+        initials.extend(splitter(by_owner[owner]))
     assignments = global_cluster(initials, s, seed=seed)
     return segment_dictionary(assignments, binary_indexes, dictionary, s)
 
 
 # ---------------------------------------------------------------------------
-# Serialization (versioned JSON record file).
+# Serialization: a versioned JSON record for the metadata, and beside it an
+# npz archive (same name, suffix ``.npz``) holding the compressed matrices as
+# uint8 arrays ``compressed0`` .. ``compressed{s-1}``.
+
+def _matrices_path(path: str | Path) -> Path:
+    return Path(path).with_suffix(".npz")
+
 
 def save_partition_set(pset: PartitionSet, path: str | Path) -> None:
+    """Write ``path`` (JSON metadata) and its ``.npz`` sibling (matrices)."""
     payload = {
         "version": FORMAT_VERSION,
         "s": pset.s,
         "assignments": {str(k): v for k, v in pset.assignments.items()},
         "sub_dictionaries": pset.sub_dictionaries,
         "members": pset.members,
-        "compressed": [mat.tolist() for mat in pset.compressed],
     }
     Path(path).write_text(json.dumps(payload))
+    np.savez(
+        _matrices_path(path),
+        **{f"compressed{i}": mat for i, mat in enumerate(pset.compressed)},
+    )
 
 
 def load_partition_set(path: str | Path) -> PartitionSet:
+    """Read a partition set written by ``save_partition_set``."""
     payload = json.loads(Path(path).read_text())
     if payload.get("version") != FORMAT_VERSION:
         raise PartitioningError(f"unsupported partition-set version in {path}")
     sub_dictionaries = payload["sub_dictionaries"]
+    members = [[tuple(t) for t in group] for group in payload["members"]]
+    with np.load(_matrices_path(path)) as arrays:
+        compressed = [arrays[f"compressed{i}"] for i in range(payload["s"])]
+    for mat, words, group in zip(compressed, sub_dictionaries, members):
+        if mat.dtype != np.uint8 or mat.shape != (len(group), len(words)):
+            raise PartitioningError(f"compressed matrix does not match its partition in {path}")
     sub_positions = [{w: i for i, w in enumerate(d)} for d in sub_dictionaries]
     home = {}
     for part, words in enumerate(sub_dictionaries):
@@ -271,12 +308,7 @@ def load_partition_set(path: str | Path) -> PartitionSet:
         assignments={int(k): v for k, v in payload["assignments"].items()},
         sub_dictionaries=sub_dictionaries,
         sub_positions=sub_positions,
-        members=[[tuple(t) for t in group] for group in payload["members"]],
-        compressed=[
-            np.array(mat, dtype=np.uint8)
-            if mat
-            else np.zeros((0, len(words)), dtype=np.uint8)
-            for mat, words in zip(payload["compressed"], sub_dictionaries)
-        ],
+        members=members,
+        compressed=compressed,
         home=home,
     )

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from encsearch.aspe import (
     save_key,
     score,
     _split_index,
+    _unit_lower_inverse,
 )
 from encsearch.errors import AspeError
 
@@ -45,13 +50,43 @@ class TestRandomInvertible:
     def test_invalid_dim(self):
         with pytest.raises(AspeError):
             random_invertible(0, np.random.default_rng(0))
+        with pytest.raises(AspeError, match="factor"):
+            random_invertible(4, np.random.default_rng(0), factors=0)
 
     def test_cap_exhausted(self):
         with pytest.raises(AspeError, match="condition"):
             random_invertible(16, np.random.default_rng(0), cond_cap=1.0, max_tries=2)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 129, 300])
+def test_unit_lower_inverse(dim):
+    rng = np.random.default_rng(dim)
+    t = np.eye(dim) + np.tril(rng.uniform(-1.0, 1.0, (dim, dim)) / np.sqrt(dim), -1)
+    inv = _unit_lower_inverse(t)
+    assert np.all(inv[np.triu_indices(dim, 1)] == 0.0)
+    assert np.all(np.diag(inv) == 1.0)
+    np.testing.assert_allclose(t @ inv, np.eye(dim), rtol=0, atol=1e-12)
+
+
 class TestKeygen:
+    def test_matches_recorded_matrices(self):
+        """M1/M2 pinned bit for bit to the digests recorded before the
+        triangular inverses (tests/data/build_golden.json): the random draws
+        and the forward products are unchanged, only M^-1 is computed
+        differently."""
+        golden = json.loads((Path(__file__).parent / "data" / "build_golden.json").read_text())
+        spec = golden["keygen"]
+        key = keygen(spec["dims"], seed=spec["seed"])
+
+        def digest(mat):
+            return hashlib.sha256(np.ascontiguousarray(mat, dtype="<f8").tobytes()).hexdigest()
+
+        assert [digest(pk.m1) for pk in key.partitions] == spec["m1_sha256"]
+        assert [digest(pk.m2) for pk in key.partitions] == spec["m2_sha256"]
+        for pk in key.partitions:
+            np.testing.assert_allclose(pk.m1 @ pk.m1_inv, np.eye(pk.dim), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pk.m2 @ pk.m2_inv, np.eye(pk.dim), rtol=0, atol=1e-12)
+
     def test_shapes_and_indicator(self):
         key = keygen([4, 7], seed=1)
         assert len(key) == 2

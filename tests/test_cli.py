@@ -23,7 +23,7 @@ def test_parse_grid():
 
 def test_build_writes_artifacts(run_dir):
     for name in ("config.json", "corpus.jsonl", "dictionary.txt", "partitions.json",
-                 "forest_plain.bin", "forest_enc.bin", "keys.bin"):
+                 "partitions.npz", "forest_plain.bin", "forest_enc.bin", "keys.bin"):
         assert (run_dir / name).exists()
 
 

@@ -1,12 +1,18 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from encsearch.corpus import BinaryIndex, KeywordDictionary, build_binary_indexes, build_dictionary, synthetic_corpus
+from encsearch import partitioning
 from encsearch.errors import PartitioningError
 from encsearch.partitioning import (
     InitialPartition,
+    _farthest_pair,
     cluster_indexes,
     default_partition_count,
     global_cluster,
@@ -28,6 +34,16 @@ def l1_cost(vectors, labels):
         group = np.stack([v for v, l in zip(vectors, labels) if l == c])
         cost += np.abs(group - np.median(group, axis=0)).sum()
     return cost
+
+
+@st.composite
+def binary_rows(draw):
+    """0/1 matrices built from a few distinct rows, so that duplicate rows and
+    tied distances are common."""
+    n = draw(st.integers(1, 10))
+    bases = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=16))
+    return np.array([bases[i] for i in picks], dtype=np.float64)
 
 
 class TestLocalSplit:
@@ -70,6 +86,50 @@ class TestLocalSplit:
             bits = np.stack([[1, 0], [1, 1], [0, 1]])
             ids = [d for d, _ in p.members]
             np.testing.assert_allclose(p.representative, bits[[i - 1 for i in ids]].mean(axis=0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(binary_rows())
+    def test_matches_direct_l1_two_means(self, X):
+        # Oracle: 2-means with explicit |x - c| distances and np.median
+        # centers, seeded with the brute-force farthest pair.
+        m = len(X)
+        labels = np.zeros(m, dtype=int)
+        if np.any(X != X[0]):
+            pairs = [(np.abs(X[i] - X[j]).sum(), -i, -j) for i in range(m) for j in range(i + 1, m)]
+            _, a, b = max(pairs)
+            centers = np.stack([X[-a], X[-b]])
+            labels = None
+            for _ in range(20):
+                d0 = np.abs(X - centers[0]).sum(axis=1)
+                d1 = np.abs(X - centers[1]).sum(axis=1)
+                new = (d1 < d0).astype(int)
+                if labels is not None and np.array_equal(new, labels):
+                    break
+                labels = new
+                if labels.min() == labels.max():
+                    break
+                centers = np.stack([np.median(X[labels == c], axis=0) for c in (0, 1)])
+        want = [[i for i in range(m) if labels[i] == c] for c in (0, 1)]
+        parts = local_split([bi(i, 1, row.astype(np.uint8)) for i, row in enumerate(X)])
+        assert [[d for d, _ in p.members] for p in parts] == [g for g in want if g]
+
+
+class TestFarthestPair:
+    @settings(max_examples=300, deadline=None)
+    @given(binary_rows())
+    def test_matches_brute_force_l1(self, X):
+        # Oracle: every ordered pair in row-major order, first maximum kept.
+        best, want = -1.0, None
+        for i in range(len(X)):
+            for j in range(len(X)):
+                d = np.abs(X[i] - X[j]).sum()
+                if d > best:
+                    best, want = d, (min(i, j), max(i, j))
+        assert _farthest_pair(X) == want
+
+    def test_lowest_indexes_on_ties(self):
+        X = np.array([[0, 0], [1, 1], [0, 0], [1, 1]], dtype=np.float64)
+        assert _farthest_pair(X) == (0, 1)
 
 
 class TestGlobalCluster:
@@ -199,22 +259,66 @@ class TestClusterIndexes:
         assert a.assignments == b.assignments
         assert a.sub_dictionaries == b.sub_dictionaries
 
+    def test_matches_recorded_assignments(self):
+        """Assignments pinned to the values recorded before the Gram-matrix
+        seeding of local_split (tests/data/build_golden.json)."""
+        golden = json.loads((Path(__file__).parent / "data" / "build_golden.json").read_text())
+        n_docs, n_words, owners, seed = golden["cluster"]["corpus"]
+        docs = synthetic_corpus(n_docs, n_words, owners, seed=seed)
+        dictionary = build_dictionary(docs)
+        indexes = build_binary_indexes(docs, dictionary)
+        ps = cluster_indexes(indexes, dictionary, golden["cluster"]["s"])
+        assert [ps.assignments[i] for i in range(n_docs)] == golden["cluster"]["assignments"]
+
+    def test_owners_grouped_once(self, pset, monkeypatch):
+        # One grouping pass over the corpus, then one splitter call per owner.
+        _, dictionary = pset
+        docs = synthetic_corpus(60, 150, 6, seed=2)
+        indexes = build_binary_indexes(docs, dictionary)
+        groupings, calls = [], []
+        group = partitioning.partition_owners
+
+        def counting_group(binary_indexes):
+            groupings.append(len(binary_indexes))
+            return group(binary_indexes)
+
+        def splitter(owner_indexes):
+            calls.append({ix.owner_id for ix in owner_indexes})
+            return local_split(owner_indexes)
+
+        monkeypatch.setattr(partitioning, "partition_owners", counting_group)
+        cluster_indexes(indexes, dictionary, 4, seed=3, splitter=splitter)
+        assert groupings == [60]
+        assert calls == [{owner} for owner in sorted({ix.owner_id for ix in indexes})]
+
     def test_round_trip(self, tmp_path, pset):
         ps, _ = pset
         path = tmp_path / "partitions.json"
         save_partition_set(ps, path)
+        assert "compressed" not in json.loads(path.read_text())
         loaded = load_partition_set(path)
         assert loaded.s == ps.s
         assert loaded.assignments == ps.assignments
         assert loaded.sub_dictionaries == ps.sub_dictionaries
+        assert loaded.members == ps.members
         assert loaded.home == ps.home
         for a, b in zip(loaded.compressed, ps.compressed):
+            assert a.dtype == np.uint8
             np.testing.assert_array_equal(a, b)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "partitions.json"
         path.write_text('{"version": 99}')
         with pytest.raises(PartitioningError, match="version"):
+            load_partition_set(path)
+
+    def test_matrix_mismatch(self, tmp_path, pset):
+        ps, _ = pset
+        path = tmp_path / "partitions.json"
+        save_partition_set(ps, path)
+        np.savez(tmp_path / "partitions.npz",
+                 **{f"compressed{i}": m[1:] for i, m in enumerate(ps.compressed)})
+        with pytest.raises(PartitioningError, match="does not match"):
             load_partition_set(path)
 
 

@@ -21,6 +21,8 @@ from .errors import AspeError
 KEY_MAGIC = b"ESK1"
 # Largest diagonal block that _unit_lower_inverse hands to np.linalg.inv.
 _TRI_BLOCK = 64
+# Rows of an inverse that PartitionKey rebuilds from its columns at a time.
+_ROW_BLOCK = 256
 
 
 def _unit_lower_inverse(t: np.ndarray) -> np.ndarray:
@@ -88,19 +90,54 @@ def random_invertible(
     raise AspeError(f"could not generate a matrix with condition <= {cond_cap:g}")
 
 
-@dataclass
 class PartitionKey:
-    """Key material of one partition: indicator S, matrix pair and inverses."""
+    """Key material of one partition: indicator S, matrix pair and inverses.
 
-    indicator: np.ndarray  # (V,), uint8 in {0, 1}
-    m1: np.ndarray
-    m2: np.ndarray
-    m1_inv: np.ndarray
-    m2_inv: np.ndarray
+    A trapdoor multiplies each inverse by a vector that is dense on the S=0
+    dimensions but, on the S=1 ones, nonzero only where the query is.  So the
+    inverses are kept column by column with the S=0 columns first: row j of
+    ``_inv_columns[i]`` is column ``_split[j]`` of inverse i.  A trapdoor then
+    reads the S=0 block and the query's own S=1 columns, about half of each
+    matrix.  ``m1_inv`` and ``m2_inv`` rebuild the square inverses.
+    """
+
+    def __init__(
+        self,
+        indicator: np.ndarray,  # (V,), uint8 in {0, 1}
+        m1: np.ndarray,
+        m2: np.ndarray,
+        m1_inv: np.ndarray,
+        m2_inv: np.ndarray,
+    ):
+        self.indicator = indicator
+        self.m1 = m1
+        self.m2 = m2
+        self._split = np.argsort(indicator, kind="stable")  # S=0 dimensions, then S=1
+        self._zeros = int(indicator.shape[0] - np.count_nonzero(indicator))
+        self._inv_columns = (m1_inv.T[self._split], m2_inv.T[self._split])
 
     @property
     def dim(self) -> int:
         return self.indicator.shape[0]
+
+    @property
+    def m1_inv(self) -> np.ndarray:
+        return self._inverse(0)
+
+    @property
+    def m2_inv(self) -> np.ndarray:
+        return self._inverse(1)
+
+    def _inverse(self, i: int) -> np.ndarray:
+        return np.concatenate(list(self._inverse_blocks(i)))
+
+    def _inverse_blocks(self, i: int):
+        """Inverse i as row-major blocks of ``_ROW_BLOCK`` rows, each small
+        enough to transpose in cache."""
+        back = np.argsort(self._split)
+        cols = self._inv_columns[i]
+        for start in range(0, self.dim, _ROW_BLOCK):
+            yield np.ascontiguousarray(cols[back, start : start + _ROW_BLOCK].T)
 
 
 @dataclass
@@ -196,14 +233,19 @@ def make_trapdoor(
         raise AspeError(f"query shape {query.shape} does not match key dim {key.dim}")
     if np.any(query < 0):
         raise AspeError("query vector entries must be non-negative")
-    zeros = ~key.indicator.astype(bool)
     q = query.astype(np.float64)
-    q1 = q.copy()
     r = rng.uniform(0.0, 1.0, size=q.shape)
-    q1[zeros] = r[zeros]
-    q2 = q.copy()
-    q2[zeros] = q[zeros] - r[zeros]
-    return Trapdoor(key.m1_inv @ q1, key.m2_inv @ q2)
+    # Split where S=0 (q1 = r, q2 = q - r), copy where S=1 (q1 = q2 = q).  In
+    # the key's column order the S=0 entries come first; of the S=1 entries
+    # only the query's nonzero ones need their columns.
+    n0 = key._zeros
+    qs = q[key._split]
+    r0 = r[key._split[:n0]]
+    nz = n0 + np.flatnonzero(qs[n0:])
+    c1, c2 = key._inv_columns
+    t1 = c1[:n0].T @ r0 + c1[nz].T @ qs[nz]
+    t2 = c2[:n0].T @ (qs[:n0] - r0) + c2[nz].T @ qs[nz]
+    return Trapdoor(t1, t2)
 
 
 def score(encrypted: EncryptedVector, trapdoor: Trapdoor) -> float:
@@ -223,8 +265,11 @@ def save_key(key: SecretKey, path: str | Path) -> None:
         for pk in key.partitions:
             fh.write(struct.pack("<I", pk.dim))
             fh.write(pk.indicator.astype(np.uint8).tobytes())
-            for mat in (pk.m1, pk.m2, pk.m1_inv, pk.m2_inv):
-                fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+            for mat in (pk.m1, pk.m2):
+                fh.write(np.ascontiguousarray(mat, dtype="<f8"))
+            for i in (0, 1):
+                for rows in pk._inverse_blocks(i):
+                    fh.write(rows.astype("<f8", copy=False))
 
 
 def load_key(path: str | Path) -> SecretKey:
@@ -243,7 +288,9 @@ def load_key(path: str | Path) -> SecretKey:
         mats = []
         for _m in range(4):
             mat = np.frombuffer(raw, dtype="<f8", count=dim * dim, offset=off)
-            mats.append(mat.reshape(dim, dim).copy())
+            mats.append(mat.reshape(dim, dim))
             off += dim * dim * 8
-        partitions.append(PartitionKey(indicator, *mats))
+        m1, m2, m1_inv, m2_inv = mats
+        # PartitionKey regroups (and so copies) the inverses itself.
+        partitions.append(PartitionKey(indicator, m1.copy(), m2.copy(), m1_inv, m2_inv))
     return SecretKey(partitions)

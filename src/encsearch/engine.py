@@ -3,7 +3,7 @@
 Owners contribute documents and binary indexes; the trusted proxy clusters,
 weights, pads and encrypts them into an index forest and turns user requests
 into trapdoors; the server stores only the encrypted forest and answers
-trapdoor searches; users reach it through an attribute-gated grant check.
+trapdoor searches; users reach it through a per-partition grant check.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .corpus import (
     save_dictionary,
 )
 from .errors import AccessError, EncSearchError, ForestError
-from .forest import ProbeConfig, Tree, round_score
+from .forest import ProbeConfig, Tree
 
 
 @dataclass
@@ -64,7 +64,6 @@ class QuerySpec:
 @dataclass(frozen=True)
 class UserGrant:
     user_id: int
-    attributes: frozenset[str]
     partitions: frozenset[int]
 
 
@@ -107,20 +106,10 @@ class Server:
         self.trees[partition] = tree
 
 
-def authorize(
-    grant: UserGrant,
-    partitions: Sequence[int],
-    partition_attributes: Mapping[int, frozenset[str]] | None = None,
-) -> bool:
-    """Allow iff every requested partition is granted and its attribute set is
-    covered by the user's attributes.  Deny is a value, not an error."""
-    attrs = partition_attributes or {}
-    for p in partitions:
-        if p not in grant.partitions:
-            return False
-        if not frozenset(attrs.get(p, frozenset())) <= grant.attributes:
-            return False
-    return True
+def authorize(grant: UserGrant, partitions: Sequence[int]) -> bool:
+    """Allow iff every requested partition is granted.  Deny is a value, not
+    an error."""
+    return all(p in grant.partitions for p in partitions)
 
 
 class Pipeline:
@@ -132,15 +121,13 @@ class Pipeline:
         self.dictionary: KeywordDictionary | None = None
         self.pset: partitioning.PartitionSet | None = None
         self.correlativity: list[np.ndarray] = []
-        self.weights: list[dict[int, weighting.OwnerWeights]] = []
+        self.weights: list[dict[int, np.ndarray]] = []  # owner -> normalized weights
         self.w_max: list[np.ndarray] = []
-        self.weighted_mats: list[np.ndarray] = []
         self.noise: list[padding.NoiseModel] = []
-        self.secure_mats: list[np.ndarray] = []
+        self.secure_mats: list[np.ndarray] = []  # padded rows, pset.members order
         self.trees: list[Tree] = []
         self.key: aspe.SecretKey | None = None
         self.server: Server | None = None
-        self.partition_attributes: dict[int, frozenset[str]] = {}
         self._query_rng: np.random.Generator = np.random.default_rng()
 
     # -- construction -------------------------------------------------------
@@ -159,9 +146,9 @@ class Pipeline:
         self.pset = partitioning.cluster_indexes(
             indexes, self.dictionary, s, seed=_derive_seed(config.seed, "cluster")
         )
-        self._build_weights()
+        weighted = self._build_weights()
         self._build_noise(config.sigma)
-        self._pad()
+        self._pad(weighted)
         self._build_forest()
         if config.encrypt:
             self.key = aspe.keygen(
@@ -169,11 +156,14 @@ class Pipeline:
                 seed=_derive_seed(config.seed, "keys"),
                 cond_cap=config.cond_cap,
             )
-            self._encrypt_forest(tag="build")
+        self._encrypt_forest(tag="build")
         return self
 
-    def _build_weights(self) -> None:
-        self.correlativity, self.weights, self.w_max, self.weighted_mats = [], [], [], []
+    def _build_weights(self) -> list[np.ndarray]:
+        """Correlativity and owner weights of every partition; returns each
+        partition's weighted (M_i, N_i) rows."""
+        self.correlativity, self.weights, self.w_max = [], [], []
+        weighted_mats = []
         for p in range(self.pset.s):
             corr = weighting.build_correlativity(self.pset.compressed[p])
             w = weighting.compute_weights(
@@ -190,26 +180,33 @@ class Pipeline:
                 self.pset.members[p], self.pset.compressed[p], w, p
             )
             self.correlativity.append(corr)
-            self.weights.append(w)
+            self.weights.append({owner: ow.normalized for owner, ow in w.items()})
             self.w_max.append(wmax)
-            self.weighted_mats.append(weighting.weighted_matrix(weighted))
+            weighted_mats.append(weighting.weighted_matrix(weighted))
+        return weighted_mats
 
     def _build_noise(self, sigma: float) -> None:
         self.noise = []
         for p in range(self.pset.s):
             n_real = len(self.pset.sub_dictionaries[p])
-            u = int(np.ceil(self.config.u_ratio * n_real))
+            # A partition whose documents have no home keyword still needs one
+            # key dimension: it gets a single pseudo dimension.
+            u = int(np.ceil(self.config.u_ratio * n_real)) if n_real else 1
             omega = self.config.omega if self.config.omega is not None else -(-u // 2)
             omega = min(omega, u)
             self.noise.append(
                 padding.NoiseModel(u, sigma, omega, seed=_derive_seed(self.config.seed, f"pad{p}"))
             )
 
-    def _pad(self) -> None:
+    def _pad(self, weighted: Sequence[np.ndarray]) -> None:
         self.secure_mats = [
-            padding.pad_matrix(self.weighted_mats[p], self.noise[p])
-            for p in range(self.pset.s)
+            padding.pad_matrix(weighted[p], self.noise[p]) for p in range(self.pset.s)
         ]
+
+    def _real_rows(self, p: int) -> np.ndarray:
+        """Partition p's weighted rows: its padded rows without the pseudo
+        columns, which ``pad_matrix`` appends after the real ones."""
+        return self.secure_mats[p][:, : len(self.pset.sub_dictionaries[p])]
 
     def _build_forest(self) -> None:
         self.trees = []
@@ -229,9 +226,16 @@ class Pipeline:
                 for row, (doc_id, _owner) in enumerate(self.pset.members[p])
             ]
             ordered = forest_mod.order_by_likelihood(entries, probe)
-            self.trees.append(forest_mod.build_tree(ordered, p, probe, cfg))
+            if ordered:
+                tree = forest_mod.build_tree(ordered, p, probe, cfg)
+            else:  # deletes emptied the partition
+                tree = Tree(p, np.zeros(0, dtype=np.int64), np.zeros((0, total)),
+                            probe=probe, probe_config=cfg)
+            self.trees.append(tree)
 
     def _encrypt_forest(self, tag: str) -> None:
+        if self.key is None:
+            return
         rng = np.random.default_rng(_derive_seed(self.config.seed, f"encsplit:{tag}"))
         enc = forest_mod.encrypt_forest(self.trees, self.key.partitions, rng)
         self.server = Server(enc)
@@ -327,7 +331,7 @@ class Pipeline:
         )
         if not selected:
             raise ForestError("no index partitions selected")
-        if grant is not None and not authorize(grant, selected, self.partition_attributes):
+        if grant is not None and not authorize(grant, selected):
             raise AccessError(f"user {grant.user_id} is not granted partitions {selected}")
         start = time.perf_counter()
         trapdoors = self.make_trapdoors(keywords, selected, alphas)
@@ -343,26 +347,27 @@ class Pipeline:
         if not isinstance(keywords, Mapping):
             keywords = {w: 1.0 for w in keywords}
         real = self.real_query_vectors(keywords)
-        scored: list[tuple[int, float]] = []
+        ids, scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for p in range(self.s):
-            if self.weighted_mats[p].size == 0:
+            rows = self._real_rows(p)
+            if rows.size == 0:
                 continue
-            scores = self.weighted_mats[p] @ real[p]
-            for (doc_id, _owner), sc in zip(self.pset.members[p], scores):
-                scored.append((doc_id, round_score(sc)))
-        scored.sort(key=lambda e: (-e[1], e[0]))
-        return scored if k is None else scored[:k]
+            ids.append(np.array([doc_id for doc_id, _owner in self.pset.members[p]], dtype=np.int64))
+            scores.append(np.round(rows @ real[p], 9))  # round_score's grid
+        ids, scores = np.concatenate(ids), np.concatenate(scores)
+        order = np.lexsort((ids, -scores))[:k]
+        return list(zip(ids[order].tolist(), scores[order].tolist()))
 
     # -- sigma sweep handle (padding.optimize_noise protocol) ---------------
 
     def set_sigma(self, sigma: float) -> None:
         """Re-pad with the same noise pattern scaled to ``sigma``, rebuild the
         forest ordering and re-encrypt.  Keys and dimensions are unchanged."""
+        weighted = [self._real_rows(p) for p in range(self.s)]
         self._build_noise(sigma)
-        self._pad()
+        self._pad(weighted)
         self._build_forest()
-        if self.config.encrypt and self.key is not None:
-            self._encrypt_forest(tag=f"sigma:{sigma}")
+        self._encrypt_forest(tag=f"sigma:{sigma}")
 
     def run_query(self, query: QuerySpec, k: int) -> list[tuple[int, float]]:
         res = self.query(
@@ -431,10 +436,8 @@ class Pipeline:
             if dim is not None:
                 bits[dim] = 1.0
                 tf[dim] = count
-        owner_w = self.weights[p].get(doc.owner_id)
-        if owner_w is not None:
-            w = owner_w.normalized
-        else:
+        w = self.weights[p].get(doc.owner_id)
+        if w is None:
             # Unknown owner: weight this single document through the stored
             # correlativity and per-keyword maxima, clipped to the weight range.
             raw = self.correlativity[p] @ tf
@@ -467,14 +470,12 @@ class Pipeline:
         n_real = len(self.pset.sub_dictionaries[p])
         bits = (vec[:n_real] > 0).astype(np.uint8)
         self.pset.compressed[p] = np.vstack([self.pset.compressed[p], bits])
-        self.weighted_mats[p] = np.vstack([self.weighted_mats[p], vec[:n_real]])
         self.secure_mats[p] = np.vstack([self.secure_mats[p], vec])
 
         touched, needs_rebuild = forest_mod.insert_leaf(self.trees[p], doc.doc_id, vec)
         if needs_rebuild:
             self.trees[p] = forest_mod.rebuild_tree(self.trees[p])
-        if self.config.encrypt and self.key is not None:
-            self._reencrypt_tree(p, tag=f"ins:{doc.doc_id}")
+        self._reencrypt_tree(p, tag=f"ins:{doc.doc_id}")
         return UpdateReport(doc.doc_id, p, touched, needs_rebuild)
 
     def delete_document(self, doc_id: int) -> UpdateReport:
@@ -488,7 +489,6 @@ class Pipeline:
         keep = np.ones(self.pset.compressed[p].shape[0], dtype=bool)
         keep[row] = False
         self.pset.compressed[p] = self.pset.compressed[p][keep]
-        self.weighted_mats[p] = self.weighted_mats[p][keep]
         self.secure_mats[p] = self.secure_mats[p][keep]
         del self.docs_by_id[doc_id]
 
@@ -498,8 +498,7 @@ class Pipeline:
         if 0 < len(tree.leaves) * 2 <= tree.size_at_build:
             self.trees[p] = forest_mod.rebuild_tree(tree)
             rebuilt = True
-        if self.config.encrypt and self.key is not None:
-            self._reencrypt_tree(p, tag=f"del:{doc_id}")
+        self._reencrypt_tree(p, tag=f"del:{doc_id}")
         return UpdateReport(doc_id, p, touched, rebuilt)
 
     # -- persistence --------------------------------------------------------
@@ -525,11 +524,8 @@ class Pipeline:
         for p in range(self.s):
             arrays[f"corr{p}"] = self.correlativity[p]
             arrays[f"wmax{p}"] = self.w_max[p]
-            arrays[f"weighted{p}"] = self.weighted_mats[p]
-            arrays[f"secure{p}"] = self.secure_mats[p]
-            for owner, ow in self.weights[p].items():
-                arrays[f"w{p}_{owner}"] = ow.normalized
-                arrays[f"raw{p}_{owner}"] = ow.raw
+            for owner, vec in self.weights[p].items():
+                arrays[f"w{p}_{owner}"] = vec
         np.savez(out / "arrays.npz", **arrays)
         forest_mod.save_forest(self.trees, out / "forest_plain.bin")
         if self.key is not None:
@@ -550,27 +546,26 @@ class Pipeline:
         arrays = np.load(out / "arrays.npz")
         self.correlativity = [arrays[f"corr{p}"] for p in range(self.pset.s)]
         self.w_max = [arrays[f"wmax{p}"] for p in range(self.pset.s)]
-        self.weighted_mats = [arrays[f"weighted{p}"] for p in range(self.pset.s)]
-        self.secure_mats = [arrays[f"secure{p}"] for p in range(self.pset.s)]
         self.weights = []
         for p in range(self.pset.s):
             owners = {owner for _, owner in self.pset.members[p]}
-            w = {}
-            for owner in owners:
-                key = f"w{p}_{owner}"
-                if key in arrays:
-                    w[owner] = weighting.OwnerWeights(
-                        owner_id=owner,
-                        partition=p,
-                        doc_freq=np.zeros(0),
-                        alpha=np.zeros(0),
-                        akp=np.zeros(0),
-                        raw=arrays[f"raw{p}_{owner}"],
-                        normalized=arrays[key],
-                    )
-            self.weights.append(w)
+            self.weights.append(
+                {o: arrays[f"w{p}_{o}"] for o in owners if f"w{p}_{o}" in arrays}
+            )
         self.trees = forest_mod.load_forest(out / "forest_plain.bin")
+        self.secure_mats = [
+            _member_rows(tree, members) for tree, members in zip(self.trees, self.pset.members)
+        ]
         if (out / "keys.bin").exists():
             self.key = aspe.load_key(out / "keys.bin")
             self.server = Server(forest_mod.load_forest(out / "forest_enc.bin"))
         return self
+
+
+def _member_rows(tree: Tree, members: Sequence[tuple[int, int]]) -> np.ndarray:
+    """A plaintext tree's leaf rows, which are the partition's padded rows,
+    in ``members`` order."""
+    at = {doc_id: i for i, doc_id in enumerate(tree.doc_ids.tolist()) if doc_id >= 0}
+    if sorted(at) != sorted(doc_id for doc_id, _owner in members):
+        raise ForestError(f"tree {tree.partition}: leaves do not match the partition's members")
+    return tree.nodes[np.array([at[doc_id] for doc_id, _owner in members], dtype=np.int64)]

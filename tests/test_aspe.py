@@ -200,6 +200,47 @@ class TestScoreIdentity:
         assert score(enc, trap) == pytest.approx(0.0, abs=1e-9)
 
 
+class TestTrapdoorColumns:
+    """make_trapdoor reads the inverses column-wise, S=0 columns first; it
+    must equal the dense complementary split times the square inverses."""
+
+    @staticmethod
+    def dense_trapdoor(q, key, rng):
+        ones = key.indicator.astype(bool)
+        r = rng.uniform(0.0, 1.0, size=q.shape)
+        q1 = np.where(ones, q, r)
+        q2 = np.where(ones, q, q - r)
+        return key.m1_inv @ q1, key.m2_inv @ q2
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            keygen([1], seed=1)[0],
+            keygen([7], seed=2)[0],
+            keygen([40], seed=3)[0],
+            identity_key(5),
+            identity_key(5, ones=range(5)),
+        ],
+        ids=["dim1", "dim7", "dim40", "all-zero-S", "all-one-S"],
+    )
+    def test_matches_dense_split(self, key):
+        rng = np.random.default_rng(4)
+        for density in (0.0, 0.2, 1.0):
+            q = np.abs(rng.normal(size=key.dim)) * (rng.random(key.dim) < density)
+            trap = make_trapdoor(q, key, np.random.default_rng(9))
+            t1, t2 = self.dense_trapdoor(q, key, np.random.default_rng(9))
+            np.testing.assert_allclose(trap.t1, t1, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(trap.t2, t2, rtol=1e-12, atol=1e-12)
+
+    def test_inverses_kept_exactly(self):
+        rng = np.random.default_rng(5)
+        indicator = rng.integers(0, 2, size=9).astype(np.uint8)
+        a, b = rng.normal(size=(9, 9)), rng.normal(size=(9, 9))
+        key = PartitionKey(indicator, np.eye(9), np.eye(9), a, b)
+        np.testing.assert_array_equal(key.m1_inv, a)
+        np.testing.assert_array_equal(key.m2_inv, b)
+
+
 class TestEncryptMatrix:
     def test_rows_score_like_vectors(self):
         key = keygen([6], seed=6)[0]

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from encsearch import padding
 from encsearch.corpus import Document, synthetic_corpus
 from encsearch.engine import (
     Pipeline,
@@ -13,6 +14,34 @@ from encsearch.engine import (
     authorize,
 )
 from encsearch.errors import AccessError, EncSearchError, ForestError
+from encsearch.forest import load_forest, round_score, save_forest
+
+
+def brute_force(pipe, query, k):
+    """Every padded row scored against the padded query over all
+    partitions, top k by (score desc, doc id asc) on the 1e-9 grid."""
+    real = pipe.real_query_vectors(query.keywords)
+    scored = []
+    for p in range(pipe.s):
+        q = np.concatenate([real[p], query.alphas[p]])
+        scores = np.round(pipe.secure_mats[p] @ q, 9).tolist()
+        scored.extend(zip([d for d, _ in pipe.pset.members[p]], scores))
+    scored.sort(key=lambda e: (-e[1], e[0]))
+    return scored[:k]
+
+
+def assert_same_answer(got, want):
+    assert [d for d, _ in got] == [d for d, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a == pytest.approx(b, abs=1e-6)
+
+
+def empty_smallest_partition(pipe):
+    """Delete every member of the smallest partition; returns its id."""
+    p = min(range(pipe.s), key=lambda i: len(pipe.pset.members[i]))
+    for doc_id, _owner in list(pipe.pset.members[p]):
+        pipe.delete_document(doc_id)
+    return p
 
 
 def toy_config(**overrides):
@@ -58,7 +87,7 @@ class TestBuild:
             for w in words:
                 if w in d.counts:
                     dim = pipe.pset.sub_positions[0][w]
-                    score += pipe.weights[0][d.owner_id].normalized[dim]
+                    score += pipe.weights[0][d.owner_id][dim]
             want.append((d.doc_id, round(score, 9)))
         want.sort(key=lambda e: (-e[1], e[0]))
         res = pipe.query(words, k=10, quota=10)
@@ -111,6 +140,20 @@ class TestQueryPath:
         for (d1, s1), (d2, s2) in zip(ranked, ranked[1:]):
             assert s1 > s2 or (s1 == s2 and d1 < d2)
 
+    def test_exact_search_matches_per_document_ranking(self, multi):
+        pipe = multi
+        for qseed in range(5):
+            q = pipe.sample_queries(1, n_keywords=6, seed=qseed)[0]
+            real = pipe.real_query_vectors(q.keywords)
+            want = []
+            for p in range(pipe.s):
+                rows = pipe.secure_mats[p][:, : len(pipe.pset.sub_dictionaries[p])]
+                for (doc_id, _owner), sc in zip(pipe.pset.members[p], rows @ real[p]):
+                    want.append((doc_id, round_score(sc)))
+            want.sort(key=lambda e: (-e[1], e[0]))
+            assert pipe.exact_search(q.keywords) == want
+            assert pipe.exact_search(q.keywords, 7) == want[:7]
+
     def test_query_without_encryption(self):
         docs = synthetic_corpus(6, 12, 2, seed=4)
         pipe = Pipeline.build(docs, toy_config(encrypt=False))
@@ -143,16 +186,13 @@ class TestPartitionSelection:
 
 class TestAuthorization:
     def test_examples(self):
-        g = UserGrant(1, frozenset({"hr"}), frozenset({0, 1}))
+        g = UserGrant(1, frozenset({0, 1}))
         assert authorize(g, [0, 1])
         assert not authorize(g, [2])
-        attrs = {0: frozenset({"hr"}), 1: frozenset({"finance"})}
-        assert authorize(g, [0], attrs)
-        assert not authorize(g, [1], attrs)
 
     def test_access_error_on_query(self, multi):
         pipe = multi
-        grant = UserGrant(7, frozenset(), frozenset({0}))
+        grant = UserGrant(7, frozenset({0}))
         word = pipe.pset.sub_dictionaries[1][0]
         with pytest.raises(AccessError):
             pipe.query([word], k=3, grant=grant)
@@ -192,6 +232,58 @@ class TestSigmaSweep:
         pipe.set_sigma(0.0)
         again = pipe.run_query(q, k=8)
         assert [d for d, _ in base] == [d for d, _ in again]
+
+
+class TestEmptiedPartition:
+    @pytest.fixture
+    def emptied(self):
+        docs = synthetic_corpus(80, 160, 5, seed=2)
+        pipe = Pipeline.build(docs, PipelineConfig(s=3, probe_count=50, seed=3))
+        p = empty_smallest_partition(pipe)
+        return pipe, p
+
+    def test_sigma_sweep_runs(self, emptied):
+        pipe, p = emptied
+        queries = pipe.sample_queries(4, n_keywords=5, seed=1)
+        report = padding.optimize_noise(pipe, [0.0, 0.1], 8, queries)
+        assert [r.sigma for r in report.rows] == [0.0, 0.1]
+        assert pipe.trees[p].nodes.shape == (0, pipe.key[p].dim)
+        assert pipe.secure_mats[p].shape == (0, pipe.key[p].dim)
+        assert len(pipe.server.trees[p].doc_ids) == 0
+        for q in queries:  # sigma = 0.1, the last grid value
+            assert_same_answer(pipe.run_query(q, k=8), brute_force(pipe, q, 8))
+        pipe.set_sigma(0.0)
+        for q in queries:
+            assert_same_answer(pipe.run_query(q, k=8), pipe.exact_query(q, k=8))
+
+    def test_cli_tune(self, emptied, tmp_path, capsys):
+        from encsearch.cli import main
+
+        pipe, _ = emptied
+        pipe.save(tmp_path / "run")
+        argv = ["tune", "--run", str(tmp_path / "run"), "--grid", "0.0:0.1:0.1",
+                "--k", "5", "--queries", "3"]
+        assert main(argv) == 0
+        assert "sigma*=" in capsys.readouterr().out
+
+
+class TestPartitionWithoutKeywords:
+    # Partition 0 of this corpus gets documents but no home keyword.
+    DOCS = dict(n_docs=40, n_keywords=40, n_owners=4, seed=0)
+
+    def test_builds_with_one_pseudo_dimension(self):
+        pipe = Pipeline.build(synthetic_corpus(**self.DOCS), PipelineConfig(s=2, seed=0))
+        assert pipe.pset.sizes[0] == 0 and len(pipe.pset.members[0]) > 0
+        assert [m.pseudo_count for m in pipe.noise] == [1, 4]
+        assert pipe.key.dims[0] == 1
+        for q in pipe.sample_queries(10, n_keywords=5, seed=3):
+            assert_same_answer(pipe.run_query(q, k=10), brute_force(pipe, q, 10))
+            assert_same_answer(pipe.exact_query(q, k=10), pipe.exact_search(q.keywords, 10))
+
+    def test_partitions_with_keywords_unchanged(self):
+        cfg = PipelineConfig(s=2, u_ratio=0.0, seed=0)
+        pipe = Pipeline.build(synthetic_corpus(**self.DOCS), cfg)
+        assert [m.pseudo_count for m in pipe.noise] == [1, 0]
 
 
 class TestUpdates:
@@ -267,6 +359,47 @@ class TestPersistence:
             q = pipe.sample_queries(1, n_keywords=5, seed=qseed)[0]
             assert loaded.run_query(q, k=8) == pipe.run_query(q, k=8)
             assert loaded.exact_query(q, k=8) == pipe.exact_query(q, k=8)
+
+    def test_arrays_hold_no_rows_or_raw_weights(self, tmp_path, multi):
+        multi.save(tmp_path / "run")
+        with np.load(tmp_path / "run" / "arrays.npz") as arrays:
+            names = arrays.files
+        assert names
+        assert not [n for n in names if n.startswith(("secure", "weighted", "raw"))]
+
+    def test_load_rebuilds_padded_rows_after_updates(self, tmp_path):
+        docs = synthetic_corpus(80, 160, 5, seed=2)
+        pipe = Pipeline.build(docs, PipelineConfig(s=3, probe_count=50, seed=3))
+        for i, d in enumerate(synthetic_corpus(12, 160, 5, seed=21)):
+            pipe.insert_document(Document(1000 + i, d.owner_id, d.counts))
+        back = pipe.docs_by_id[17]
+        for doc_id in (4, 17, 33, 1003, 1007):
+            pipe.delete_document(doc_id)
+        pipe.insert_document(back)  # members out of doc id order
+        emptied = empty_smallest_partition(pipe)
+        pipe.save(tmp_path / "run")
+        loaded = Pipeline.load(tmp_path / "run")
+        assert loaded.secure_mats[emptied].shape == (0, pipe.key[emptied].dim)
+        for a, b in zip(pipe.secure_mats, loaded.secure_mats):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        queries = pipe.sample_queries(5, n_keywords=5, seed=6)
+        for q in queries:
+            assert loaded.exact_search(q.keywords) == pipe.exact_search(q.keywords)
+            assert_same_answer(loaded.run_query(q, k=8), pipe.run_query(q, k=8))
+        pipe.set_sigma(0.1)
+        loaded.set_sigma(0.1)
+        for a, b in zip(pipe.secure_mats, loaded.secure_mats):
+            np.testing.assert_array_equal(a, b)
+        for q in queries:
+            assert_same_answer(loaded.run_query(q, k=8), pipe.run_query(q, k=8))
+
+    def test_load_rejects_forest_of_other_members(self, tmp_path, multi):
+        multi.save(tmp_path / "run")
+        path = tmp_path / "run" / "forest_plain.bin"
+        save_forest(load_forest(path)[::-1], path)
+        with pytest.raises(ForestError, match="leaves do not match"):
+            Pipeline.load(tmp_path / "run")
 
     def test_same_seed_bit_identical_forest_files(self, tmp_path):
         docs = synthetic_corpus(80, 160, 5, seed=2)

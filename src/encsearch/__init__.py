@@ -29,7 +29,7 @@ from .errors import (
 )
 from .forest import Tree, build_tree, gdfs, load_forest, save_forest, search_forest
 from .metrics import efficiency_ratio, equilibrium, precision, rank_privacy, storage_ratio
-from .padding import NoiseModel, distinguishability, optimize_noise, uniform_to_normal
+from .padding import NoiseModel, distinguishability, optimize_noise
 from .partitioning import PartitionSet, cluster_indexes, segment_dictionary
 from .weighting import build_correlativity, compute_weights
 
@@ -84,5 +84,4 @@ __all__ = [
     "segment_dictionary",
     "storage_ratio",
     "synthetic_corpus",
-    "uniform_to_normal",
 ]

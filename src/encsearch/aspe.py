@@ -167,30 +167,19 @@ class Trapdoor:
     t2: np.ndarray
 
 
-def _partition_key(dim: int, rng: np.random.Generator, cond_cap: float) -> PartitionKey:
+def _partition_key(dim: int, rng: np.random.Generator) -> PartitionKey:
     indicator = rng.integers(0, 2, size=dim).astype(np.uint8)
-    m1, m1_inv = random_invertible(dim, rng, cond_cap=cond_cap)
-    m2, m2_inv = random_invertible(dim, rng, cond_cap=cond_cap)
+    m1, m1_inv = random_invertible(dim, rng)
+    m2, m2_inv = random_invertible(dim, rng)
     return PartitionKey(indicator, m1, m2, m1_inv, m2_inv)
 
 
-def keygen(dims: Sequence[int], seed: int = 0, cond_cap: float = 1e6) -> SecretKey:
+def keygen(dims: Sequence[int], seed: int = 0) -> SecretKey:
     """One independent key per partition, dimension V_i each."""
     if any(d < 1 for d in dims):
         raise AspeError("all key dimensions must be >= 1")
     rng = np.random.default_rng(seed)
-    return SecretKey([_partition_key(d, rng, cond_cap) for d in dims])
-
-
-def extend_key(
-    key: PartitionKey, added: int, seed: int = 0, cond_cap: float = 1e6
-) -> PartitionKey:
-    """Fresh key of dimension V+Z after Z keywords were added.  Existing
-    ciphertexts are invalid under the new key and must be re-encrypted."""
-    if added < 1:
-        raise AspeError("number of added keywords must be >= 1")
-    rng = np.random.default_rng(seed)
-    return _partition_key(key.dim + added, rng, cond_cap)
+    return SecretKey([_partition_key(d, rng) for d in dims])
 
 
 def _split_index(values: np.ndarray, key: PartitionKey, rng: np.random.Generator):

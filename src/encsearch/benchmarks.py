@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -61,6 +61,30 @@ def _stats(name: str, visited: list[int], times: list[float]) -> VariantStats:
     )
 
 
+def _corpus(config: BenchmarkConfig, n_docs: int, seed: int) -> list[Document]:
+    return synthetic_corpus(
+        n_docs, config.n_keywords, config.n_owners, seed=seed,
+        mean_len=config.mean_len, zipf_a=config.zipf_a,
+    )
+
+
+def _plain_pipeline(docs: Sequence[Document], config: BenchmarkConfig, s: int) -> Pipeline:
+    """An unencrypted s-partition pipeline: the benches count visited and
+    touched nodes of the plaintext trees, which encryption does not change."""
+    return Pipeline.build(
+        docs, PipelineConfig(s=s, sigma=config.sigma, seed=config.seed, encrypt=False, zipf_a=config.zipf_a)
+    )
+
+
+def _write_csv(out_dir: str | Path | None, name: str, header: list[str], rows: list[list]) -> None:
+    if out_dir is None:
+        return
+    with open(Path(out_dir) / name, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _single_query_vector(pipeline: Pipeline, query: QuerySpec) -> np.ndarray:
     real = pipeline.real_query_vectors(query.keywords)[0]
     alpha = (
@@ -82,14 +106,8 @@ def bench_tree_orders(
 ) -> list[VariantStats]:
     """Compare single-tree search under three leaf orders: random, grouped by
     index cluster, and probe-score (maximum likelihood) order."""
-    docs = synthetic_corpus(
-        config.n_docs, config.n_keywords, config.n_owners, seed=config.seed,
-        mean_len=config.mean_len, zipf_a=config.zipf_a,
-    )
-    pipeline = Pipeline.build(
-        docs,
-        PipelineConfig(s=1, sigma=config.sigma, seed=config.seed, encrypt=False, zipf_a=config.zipf_a),
-    )
+    docs = _corpus(config, config.n_docs, config.seed)
+    pipeline = _plain_pipeline(docs, config, 1)
     mlsb = pipeline.trees[0]
     entries = mlsb.leaf_entries()
 
@@ -120,16 +138,12 @@ def bench_tree_orders(
             times.append(dt)
         stats.append(_stats(name, visited, times))
 
-    if out_dir is not None:
-        path = Path(out_dir) / "fig4_tree_speed.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variant", "mean_visited", "var_visited", "mean_time_s", "var_time_s", "seed"])
-            for st in stats:
-                writer.writerow(
-                    [st.name, f"{st.mean_visited:.3f}", f"{st.var_visited:.3f}",
-                     f"{st.mean_time:.6e}", f"{st.var_time:.6e}", config.seed]
-                )
+    _write_csv(
+        out_dir, "fig4_tree_speed.csv",
+        ["variant", "mean_visited", "var_visited", "mean_time_s", "var_time_s", "seed"],
+        [[st.name, f"{st.mean_visited:.3f}", f"{st.var_visited:.3f}",
+          f"{st.mean_time:.6e}", f"{st.var_time:.6e}", config.seed] for st in stats],
+    )
     return stats
 
 
@@ -149,16 +163,9 @@ def bench_forest_speedup(
 ) -> ForestSpeedup:
     """Forest search vs one tree over the whole corpus, on a cluster-coherent
     query workload (keywords drawn from one sub-dictionary per query)."""
-    docs = synthetic_corpus(
-        config.n_docs, config.n_keywords, config.n_owners, seed=config.seed,
-        mean_len=config.mean_len, zipf_a=config.zipf_a,
-    )
-    forest_pipe = Pipeline.build(
-        docs, PipelineConfig(s=config.s, sigma=config.sigma, seed=config.seed, encrypt=False, zipf_a=config.zipf_a)
-    )
-    single_pipe = Pipeline.build(
-        docs, PipelineConfig(s=1, sigma=config.sigma, seed=config.seed, encrypt=False, zipf_a=config.zipf_a)
-    )
+    docs = _corpus(config, config.n_docs, config.seed)
+    forest_pipe = _plain_pipeline(docs, config, config.s)
+    single_pipe = _plain_pipeline(docs, config, 1)
 
     queries: list[QuerySpec] = []
     populated = [
@@ -177,16 +184,14 @@ def bench_forest_speedup(
     for q in queries:
         real = forest_pipe.real_query_vectors(q.keywords)
         selected = forest_pipe.select_partitions(q.keywords, None)
-        t = len(selected)
-        quota = -(-config.k // t)
+        vecs = {
+            p: np.concatenate([real[p], np.zeros(forest_pipe.noise[p].pseudo_count)])
+            for p in selected
+        }
         start = time.perf_counter()
-        total = 0
-        for p in selected:
-            qv = np.concatenate([real[p], np.zeros(forest_pipe.noise[p].pseudo_count)])
-            _, v = forest_mod.gdfs(forest_pipe.trees[p], qv, quota)
-            total += v
+        _, visits = forest_mod.search_forest(forest_pipe.trees, vecs, config.k, selected)
         f_times.append(time.perf_counter() - start)
-        f_visited.append(total)
+        f_visited.append(sum(visits.values()))
 
         qv = _single_query_vector(single_pipe, QuerySpec(q.keywords, None))
         v, dt = _run_tree(single_pipe.trees[0], qv, config.k)
@@ -202,18 +207,15 @@ def bench_forest_speedup(
         time_ratio=float(np.mean(s_times) / np.mean(f_times)),
         theoretical_eta=metrics.efficiency_ratio(config.n_docs, config.s),
     )
-    if out_dir is not None:
-        path = Path(out_dir) / "fig4_forest_speed.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["variant", "mean_visited", "mean_time_s", "visited_ratio", "time_ratio", "eta", "seed"]
-            )
-            writer.writerow(["forest", f"{result.forest_visited:.3f}", f"{result.forest_time:.6e}",
-                             f"{result.visited_ratio:.3f}", f"{result.time_ratio:.3f}",
-                             f"{result.theoretical_eta:.2f}", config.seed])
-            writer.writerow(["single_tree", f"{result.single_visited:.3f}", f"{result.single_time:.6e}",
-                             "", "", "", config.seed])
+    _write_csv(
+        out_dir, "fig4_forest_speed.csv",
+        ["variant", "mean_visited", "mean_time_s", "visited_ratio", "time_ratio", "eta", "seed"],
+        [["forest", f"{result.forest_visited:.3f}", f"{result.forest_time:.6e}",
+          f"{result.visited_ratio:.3f}", f"{result.time_ratio:.3f}",
+          f"{result.theoretical_eta:.2f}", config.seed],
+         ["single_tree", f"{result.single_visited:.3f}", f"{result.single_time:.6e}",
+          "", "", "", config.seed]],
+    )
     return result
 
 
@@ -225,18 +227,7 @@ def bench_scaling(
     """Search cost of forest vs single tree as the corpus grows."""
     rows = []
     for n in sizes:
-        cfg = BenchmarkConfig(
-            n_docs=n,
-            n_keywords=base.n_keywords,
-            n_owners=base.n_owners,
-            s=base.s,
-            k=base.k,
-            queries=min(base.queries, 200),
-            query_keywords=base.query_keywords,
-            sigma=base.sigma,
-            seed=base.seed,
-        )
-        sp = bench_forest_speedup(cfg)
+        sp = bench_forest_speedup(replace(base, n_docs=n, queries=min(base.queries, 200)))
         rows.append(
             {
                 "n_docs": n,
@@ -246,12 +237,7 @@ def bench_scaling(
                 "single_time_s": sp.single_time,
             }
         )
-    if out_dir is not None:
-        path = Path(out_dir) / "fig5_scaling.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+    _write_csv(out_dir, "fig5_scaling.csv", list(rows[0]), [list(r.values()) for r in rows])
     return rows
 
 
@@ -268,20 +254,10 @@ def bench_update(
     config: BenchmarkConfig, inserts: int = 50, out_dir: str | Path | None = None
 ) -> UpdateBench:
     """Touched-node counts for insertions into the forest vs a single tree."""
-    docs = synthetic_corpus(
-        config.n_docs, config.n_keywords, config.n_owners, seed=config.seed,
-        mean_len=config.mean_len, zipf_a=config.zipf_a,
-    )
-    forest_pipe = Pipeline.build(
-        docs, PipelineConfig(s=config.s, sigma=config.sigma, seed=config.seed, encrypt=False, zipf_a=config.zipf_a)
-    )
-    single_pipe = Pipeline.build(
-        docs, PipelineConfig(s=1, sigma=config.sigma, seed=config.seed, encrypt=False, zipf_a=config.zipf_a)
-    )
-    new_docs = synthetic_corpus(
-        inserts, config.n_keywords, config.n_owners, seed=config.seed + 99,
-        mean_len=config.mean_len, zipf_a=config.zipf_a,
-    )
+    docs = _corpus(config, config.n_docs, config.seed)
+    forest_pipe = _plain_pipeline(docs, config, config.s)
+    single_pipe = _plain_pipeline(docs, config, 1)
+    new_docs = _corpus(config, inserts, config.seed + 99)
     f_touched, s_touched = [], []
     for i, nd in enumerate(new_docs):
         doc = Document(1_000_000 + i, nd.owner_id, nd.counts)
@@ -297,17 +273,12 @@ def bench_update(
         theoretical_per_update=float(theoretical),
         amortized_all_partitions=float((2.0 / s) * np.log2(n / s) / (2.0 * np.log2(n))),
     )
-    if out_dir is not None:
-        path = Path(out_dir) / "update_cost.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["forest_mean_touched", "single_mean_touched", "per_update_ratio",
-                 "theoretical_per_update", "amortized_all_partitions", "seed"]
-            )
-            writer.writerow(
-                [f"{result.forest_mean_touched:.2f}", f"{result.single_mean_touched:.2f}",
-                 f"{result.per_update_ratio:.4f}", f"{result.theoretical_per_update:.4f}",
-                 f"{result.amortized_all_partitions:.4f}", config.seed]
-            )
+    _write_csv(
+        out_dir, "update_cost.csv",
+        ["forest_mean_touched", "single_mean_touched", "per_update_ratio",
+         "theoretical_per_update", "amortized_all_partitions", "seed"],
+        [[f"{result.forest_mean_touched:.2f}", f"{result.single_mean_touched:.2f}",
+          f"{result.per_update_ratio:.4f}", f"{result.theoretical_per_update:.4f}",
+          f"{result.amortized_all_partitions:.4f}", config.seed]],
+    )
     return result

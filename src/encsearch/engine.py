@@ -9,9 +9,10 @@ trapdoor searches; users reach it through a per-partition grant check.
 from __future__ import annotations
 
 import json
+import re
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,10 +40,8 @@ class PipelineConfig:
     sigma: float = 0.05         # noise std
     omega: int | None = None    # nonzero pseudo entries per vector; None -> ceil(U/2)
     probe_count: int = 1000     # R probe queries for leaf ordering
-    probe_keywords: int = 10
     zipf_a: float = 1.0
     seed: int = 0
-    cond_cap: float = 1e6
     encrypt: bool = True        # benches may skip key generation / encryption
 
     def resolve_s(self, dictionary_size: int) -> int:
@@ -152,9 +151,7 @@ class Pipeline:
         self._build_forest()
         if config.encrypt:
             self.key = aspe.keygen(
-                [mat.shape[1] for mat in self.secure_mats],
-                seed=_derive_seed(config.seed, "keys"),
-                cond_cap=config.cond_cap,
+                [mat.shape[1] for mat in self.secure_mats], seed=_derive_seed(config.seed, "keys")
             )
         self._encrypt_forest(tag="build")
         return self
@@ -166,21 +163,14 @@ class Pipeline:
         weighted_mats = []
         for p in range(self.pset.s):
             corr = weighting.build_correlativity(self.pset.compressed[p])
-            w = weighting.compute_weights(
-                self.docs_by_id,
-                self.pset.members[p],
-                self.pset.sub_positions[p],
-                corr,
-                p,
+            w, wmax = weighting.compute_weights(
+                self.docs_by_id, self.pset.members[p], self.pset.sub_positions[p], corr
             )
-            wmax = np.zeros(len(self.pset.sub_dictionaries[p]))
-            for ow in w.values():
-                wmax = np.maximum(wmax, ow.raw)
             weighted = weighting.weight_indexes(
                 self.pset.members[p], self.pset.compressed[p], w, p
             )
             self.correlativity.append(corr)
-            self.weights.append({owner: ow.normalized for owner, ow in w.items()})
+            self.weights.append(w)
             self.w_max.append(wmax)
             weighted_mats.append(weighting.weighted_matrix(weighted))
         return weighted_mats
@@ -216,7 +206,6 @@ class Pipeline:
             popularity = self.pset.compressed[p].sum(axis=0).astype(np.float64)
             cfg = ProbeConfig(
                 count=self.config.probe_count,
-                keywords_per_probe=self.config.probe_keywords,
                 zipf_a=self.config.zipf_a,
                 seed=_derive_seed(self.config.seed, f"probe{p}"),
             )
@@ -269,17 +258,22 @@ class Pipeline:
             out[p][dim] = weight
         return out
 
+    def _coverage(self, keywords: Mapping[str, float]) -> np.ndarray:
+        """Per partition, the summed weight of the keywords homed there."""
+        covered = np.zeros(self.s)
+        for word, weight in keywords.items():
+            loc = self.pset.home.get(word)
+            if loc is not None:
+                covered[loc[0]] += weight
+        return covered
+
     def select_partitions(
         self, keywords: Mapping[str, float], t: int | None
     ) -> list[int]:
         """Pick the t partitions whose sub-dictionaries best cover the query
         (covered weight descending, partition id ascending).  A query touching
         no known keyword selects all partitions."""
-        covered = np.zeros(self.s)
-        for word, weight in keywords.items():
-            loc = self.pset.home.get(word)
-            if loc is not None:
-                covered[loc[0]] += weight
+        covered = self._coverage(keywords)
         candidates = [p for p in range(self.s) if covered[p] > 0]
         if not candidates:
             candidates = list(range(self.s))
@@ -419,15 +413,11 @@ class Pipeline:
     # -- dynamic maintenance ------------------------------------------------
 
     def _partition_for(self, doc: Document) -> int:
-        coverage = np.zeros(self.s)
-        for word, count in doc.counts.items():
-            loc = self.pset.home.get(word)
-            if loc is not None:
-                coverage[loc[0]] += count
-        return int(coverage.argmax())  # ties -> lowest partition id
+        return int(self._coverage(doc.counts).argmax())  # ties -> lowest partition id
 
     def _secure_vector_for(self, doc: Document, p: int) -> np.ndarray:
-        """Compressed, weighted, padded vector for a new document."""
+        """Compressed, weighted, padded vector for a new document, padded by
+        ``pad_matrix`` with the partition's noise model seeded by the doc id."""
         n_real = len(self.pset.sub_dictionaries[p])
         bits = np.zeros(n_real)
         tf = np.zeros(n_real)
@@ -439,20 +429,10 @@ class Pipeline:
         w = self.weights[p].get(doc.owner_id)
         if w is None:
             # Unknown owner: weight this single document through the stored
-            # correlativity and per-keyword maxima, clipped to the weight range.
-            raw = self.correlativity[p] @ tf
-            wmax = self.w_max[p]
-            w = np.where(wmax > 0, np.minimum(raw / np.where(wmax > 0, wmax, 1.0), 1.0), 0.0)
-        weighted = bits * w
-        model = self.noise[p]
-        rng = np.random.default_rng(_derive_seed(self.config.seed, f"ins:{doc.doc_id}"))
-        padded = np.concatenate([weighted, np.zeros(model.pseudo_count)])
-        if model.pseudo_count:
-            pos = rng.choice(model.pseudo_count, size=model.omega, replace=False)
-            padded[n_real + pos] = np.clip(
-                model.sigma * rng.standard_normal(model.omega), -1.0, 1.0
-            )
-        return padded
+            # correlativity and per-keyword maxima.
+            w = weighting.normalize(self.correlativity[p] @ tf, self.w_max[p])
+        model = replace(self.noise[p], seed=_derive_seed(self.config.seed, f"ins:{doc.doc_id}"))
+        return padding.pad_matrix((bits * w)[None, :], model)[0]
 
     def insert_document(self, doc: Document, partition: int | None = None) -> UpdateReport:
         """Add one document: only its partition's tree is touched; the proxy
@@ -492,14 +472,11 @@ class Pipeline:
         self.secure_mats[p] = self.secure_mats[p][keep]
         del self.docs_by_id[doc_id]
 
-        touched = forest_mod.delete_leaf(self.trees[p], doc_id)
-        rebuilt = False
-        tree = self.trees[p]
-        if 0 < len(tree.leaves) * 2 <= tree.size_at_build:
-            self.trees[p] = forest_mod.rebuild_tree(tree)
-            rebuilt = True
+        touched, needs_rebuild = forest_mod.delete_leaf(self.trees[p], doc_id)
+        if needs_rebuild:
+            self.trees[p] = forest_mod.rebuild_tree(self.trees[p])
         self._reencrypt_tree(p, tag=f"del:{doc_id}")
-        return UpdateReport(doc_id, p, touched, rebuilt)
+        return UpdateReport(doc_id, p, touched, needs_rebuild)
 
     # -- persistence --------------------------------------------------------
 
@@ -536,7 +513,7 @@ class Pipeline:
     def load(cls, out_dir: str | Path) -> "Pipeline":
         out = Path(out_dir)
         self = cls()
-        self.config = PipelineConfig(**json.loads((out / "config.json").read_text()))
+        self.config = _load_config(out / "config.json")
         docs = load_corpus(out / "corpus.jsonl")
         self.docs_by_id = {d.doc_id: d for d in docs}
         self.dictionary = load_dictionary(out / "dictionary.txt")
@@ -546,12 +523,12 @@ class Pipeline:
         arrays = np.load(out / "arrays.npz")
         self.correlativity = [arrays[f"corr{p}"] for p in range(self.pset.s)]
         self.w_max = [arrays[f"wmax{p}"] for p in range(self.pset.s)]
-        self.weights = []
-        for p in range(self.pset.s):
-            owners = {owner for _, owner in self.pset.members[p]}
-            self.weights.append(
-                {o: arrays[f"w{p}_{o}"] for o in owners if f"w{p}_{o}" in arrays}
-            )
+        # Every saved owner, also one whose documents in the partition were
+        # all deleted: its next document is weighted as before the save.
+        self.weights = [{} for _ in range(self.pset.s)]
+        for name in arrays.files:
+            if m := re.fullmatch(r"w(\d+)_(-?\d+)", name):
+                self.weights[int(m[1])][int(m[2])] = arrays[name]
         self.trees = forest_mod.load_forest(out / "forest_plain.bin")
         self.secure_mats = [
             _member_rows(tree, members) for tree, members in zip(self.trees, self.pset.members)
@@ -560,6 +537,17 @@ class Pipeline:
             self.key = aspe.load_key(out / "keys.bin")
             self.server = Server(forest_mod.load_forest(out / "forest_enc.bin"))
         return self
+
+
+def _load_config(path: Path) -> PipelineConfig:
+    raw = json.loads(path.read_text())
+    # Former fields, now constants; older files hold them at those values.
+    for key in ("probe_keywords", "cond_cap"):
+        raw.pop(key, None)
+    unknown = sorted(set(raw) - {f.name for f in fields(PipelineConfig)})
+    if unknown:
+        raise EncSearchError(f"{path}: unknown config keys {unknown}")
+    return PipelineConfig(**raw)
 
 
 def _member_rows(tree: Tree, members: Sequence[tuple[int, int]]) -> np.ndarray:

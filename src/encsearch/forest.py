@@ -381,9 +381,10 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     return touched, needs_rebuild
 
 
-def delete_leaf(tree: Tree, doc_id: int) -> int:
+def delete_leaf(tree: Tree, doc_id: int) -> tuple[int, bool]:
     """Remove a leaf; its sibling is promoted and ancestor bounds recomputed.
-    Returns the touched-node count."""
+    Returns (touched-node count, rebuild-recommended) where the flag is set
+    once a non-empty tree has shrunk to half its size at the last build."""
     if tree.encrypted:
         raise ForestError("delete from the plaintext tree, then re-encrypt")
     hit = np.flatnonzero(tree.doc_ids == doc_id)
@@ -398,7 +399,7 @@ def delete_leaf(tree: Tree, doc_id: int) -> int:
     tree.doc_ids = np.delete(tree.doc_ids, drop)
     tree.nodes = np.delete(tree.nodes, drop, axis=0)
     _refresh_bounds(tree, path)
-    return touched
+    return touched, 0 < len(tree.leaves) * 2 <= tree.size_at_build
 
 
 def rebuild_tree(tree: Tree) -> Tree:

@@ -4,19 +4,9 @@ theoretical efficiency and storage ratios."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EncSearchError
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    k: int
-    true_positives: int
-    precision: float      # P_k = k'/k
-    rank_privacy: float   # P'_k = sum |r_i - r'_i| / k^2
-    f: float              # equilibrium score of (100*P_k, 100*P'_k)
 
 
 def precision(retrieved: Sequence[int], exact_topk: Sequence[int]) -> float:
@@ -51,19 +41,6 @@ def equilibrium(x: float, y: float) -> float:
     ``x`` is query precision and ``y`` rank privacy, both as percentages.
     """
     return x * x / 95.0 + y * y / 80.0
-
-
-def metrics_row(retrieved: Sequence[int], exact_ranking: Sequence[int]) -> MetricsRow:
-    k = len(retrieved)
-    p = precision(retrieved, exact_ranking[:k])
-    rp = rank_privacy(retrieved, exact_ranking[:k])
-    return MetricsRow(
-        k=k,
-        true_positives=round(p * k),
-        precision=p,
-        rank_privacy=rp,
-        f=equilibrium(100.0 * p, 100.0 * rp),
-    )
 
 
 def efficiency_ratio(n_docs: int, s: int) -> float:

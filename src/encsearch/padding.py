@@ -11,7 +11,6 @@ the value maximizing the equilibrium score f(precision%, rank-privacy%).
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -20,16 +19,6 @@ import numpy as np
 
 from .errors import PaddingError
 from .metrics import equilibrium, precision, rank_privacy
-
-
-def uniform_to_normal(mu_prime: float, delta: float, omega: int) -> tuple[float, float]:
-    """Central-limit parameters of a sum of ``omega`` U(mu'-delta, mu'+delta)
-    draws: mean omega*mu', variance omega*delta^2/3."""
-    if delta < 0:
-        raise PaddingError("delta must be >= 0")
-    if omega < 1:
-        raise PaddingError("omega must be >= 1")
-    return omega * mu_prime, omega * delta * delta / 3.0
 
 
 @dataclass
@@ -51,20 +40,6 @@ class NoiseModel:
                 f"omega={self.omega} exceeds pseudo_count={self.pseudo_count}"
             )
 
-    @classmethod
-    def from_uniform(
-        cls, pseudo_count: int, mu_prime: float, delta: float, omega: int, seed: int = 0
-    ) -> "NoiseModel":
-        mu, var = uniform_to_normal(mu_prime, delta, omega)
-        if abs(mu) > 1e-12:
-            raise PaddingError("only zero-mean noise is supported (set mu' = 0)")
-        return cls(pseudo_count, math.sqrt(var), omega, seed)
-
-    @classmethod
-    def default_for(cls, real_dims: int, sigma: float, seed: int = 0) -> "NoiseModel":
-        """Default sizing: U = ceil(0.1*N), omega = ceil(U/2)."""
-        u = -(-real_dims // 10)
-        return cls(u, sigma, -(-u // 2), seed)
 
 
 def pad_matrix(values: np.ndarray, model: NoiseModel) -> np.ndarray:

@@ -37,19 +37,6 @@ def build_correlativity(compressed: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0  # exact symmetry despite float rounding
 
 
-@dataclass
-class OwnerWeights:
-    """Weight vectors of one owner inside one partition."""
-
-    owner_id: int
-    partition: int
-    doc_freq: np.ndarray    # |L_i(w_t)|: owner docs containing keyword t
-    alpha: np.ndarray       # 1/doc_freq where nonzero, else 0
-    akp: np.ndarray         # average keyword popularity
-    raw: np.ndarray         # correlativity-smoothed raw weights
-    normalized: np.ndarray  # raw / per-keyword max over owners, in [0, 1]
-
-
 @dataclass(frozen=True)
 class WeightedIndex:
     doc_id: int
@@ -63,9 +50,9 @@ def compute_weights(
     members: Sequence[tuple[int, int]],
     sub_positions: Mapping[str, int],
     correlativity: np.ndarray,
-    partition: int,
-) -> dict[int, OwnerWeights]:
-    """Per-owner weights for one partition.
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Per-owner normalized weights for one partition, plus the per-keyword
+    maximum raw weight ``w_max`` they are normalized by.
 
     Keyword weights are compared (and the per-keyword maximum taken) only
     across owners present in this partition.
@@ -88,43 +75,38 @@ def compute_weights(
 
     raw = {}
     for o in owners:
+        # Average keyword popularity: term frequency over the owner's
+        # documents that contain the keyword.
         with np.errstate(divide="ignore"):
             alpha = np.where(df[o] > 0, 1.0 / np.where(df[o] > 0, df[o], 1.0), 0.0)
-        akp = tf[o] * alpha
-        raw[o] = (correlativity @ akp, akp, alpha)
+        raw[o] = correlativity @ (tf[o] * alpha)
 
     w_max = np.zeros(n)
     for o in owners:
-        w_max = np.maximum(w_max, raw[o][0])
+        w_max = np.maximum(w_max, raw[o])
+    return {o: normalize(raw[o], w_max) for o in owners}, w_max
 
-    out = {}
-    for o in owners:
-        w_raw, akp, alpha = raw[o]
-        normalized = np.where(w_max > 0, w_raw / np.where(w_max > 0, w_max, 1.0), 0.0)
-        out[o] = OwnerWeights(
-            owner_id=o,
-            partition=partition,
-            doc_freq=df[o],
-            alpha=alpha,
-            akp=akp,
-            raw=w_raw,
-            normalized=normalized,
-        )
-    return out
+
+def normalize(raw: np.ndarray, w_max: np.ndarray) -> np.ndarray:
+    """Raw weights over the per-keyword maxima, clipped to [0, 1]; 0 where the
+    maximum is 0.  The clip matters only for raw weights not among those the
+    maxima were taken over, such as a new owner's."""
+    return np.where(w_max > 0, np.minimum(raw / np.where(w_max > 0, w_max, 1.0), 1.0), 0.0)
 
 
 def weight_indexes(
     members: Sequence[tuple[int, int]],
     compressed: np.ndarray,
-    weights: Mapping[int, OwnerWeights],
+    weights: Mapping[int, np.ndarray],
     partition: int,
 ) -> list[WeightedIndex]:
-    """Elementwise product of compressed bits with the owner's weight vector."""
+    """Elementwise product of compressed bits with the owner's normalized
+    weight vector."""
     out = []
     for row, (doc_id, owner) in enumerate(members):
         if owner not in weights:
             raise WeightingError(f"no weights computed for owner {owner}")
-        w = weights[owner].normalized
+        w = weights[owner]
         bits = compressed[row]
         if bits.shape != w.shape:
             raise WeightingError(

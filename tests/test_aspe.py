@@ -13,7 +13,6 @@ from encsearch.aspe import (
     Trapdoor,
     encrypt_matrix,
     encrypt_vector,
-    extend_key,
     keygen,
     load_key,
     make_trapdoor,
@@ -277,34 +276,6 @@ class TestTrapdoorValidation:
                 encrypt_vector(np.zeros(3), key, np.random.default_rng(0)),
                 Trapdoor(np.zeros(4), np.zeros(4)),
             )
-
-
-class TestExtendKey:
-    def test_dimension_grows(self):
-        old = keygen([4], seed=0)[0]
-        new = extend_key(old, 2, seed=1)
-        assert new.dim == 6
-        assert new.indicator.shape == (6,)
-        assert new.m1.shape == (6, 6)
-
-    def test_zero_added_rejected(self):
-        old = keygen([4], seed=0)[0]
-        with pytest.raises(AspeError):
-            extend_key(old, 0)
-
-    def test_reencrypt_then_search_consistent(self):
-        # After extension (new keyword dims appended as zeros), scores on the
-        # unchanged keywords match the pre-extension scores.
-        rng = np.random.default_rng(3)
-        old = keygen([5], seed=2)[0]
-        v = rng.normal(size=5)
-        q = np.abs(rng.normal(size=5))
-        before = score(encrypt_vector(v, old, rng), make_trapdoor(q, old, rng))
-        new = extend_key(old, 3, seed=9)
-        v2 = np.concatenate([v, np.zeros(3)])
-        q2 = np.concatenate([q, np.zeros(3)])
-        after = score(encrypt_vector(v2, new, rng), make_trapdoor(q2, new, rng))
-        assert after == pytest.approx(before, abs=1e-8)
 
 
 class TestKeyFile:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from encsearch import benchmarks
 from encsearch.benchmarks import (
     BenchmarkConfig,
     bench_forest_speedup,
@@ -66,6 +67,14 @@ def test_scaling_rows_and_csv(tmp_path):
     lines = (tmp_path / "fig5_scaling.csv").read_text().strip().splitlines()
     assert lines[0] == "n_docs,forest_visited,single_visited,forest_time_s,single_time_s"
     assert len(lines) == 3
+
+
+def test_scaling_keeps_base_corpus_shape(monkeypatch):
+    seen = []
+    real = benchmarks.bench_forest_speedup
+    monkeypatch.setattr(benchmarks, "bench_forest_speedup", lambda cfg: seen.append(cfg) or real(cfg))
+    bench_scaling(small_config(mean_len=25, zipf_a=2.0), [40, 80])
+    assert [(c.n_docs, c.queries, c.mean_len, c.zipf_a) for c in seen] == [(40, 20, 25, 2.0), (80, 20, 25, 2.0)]
 
 
 def test_update_bench(tmp_path):

@@ -1,5 +1,8 @@
 import gc
+import hashlib
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +64,31 @@ def toy():
 def multi():
     docs = synthetic_corpus(80, 160, n_owners=5, seed=2)
     return Pipeline.build(docs, PipelineConfig(s=3, sigma=0.0, u_ratio=0.0, probe_count=100, seed=3))
+
+
+def inserted_rows():
+    """(doc id, partition, padded row) of 21 inserts, spread over the
+    partitions: 16 seeded documents and one unknown owner's document whose
+    counts exceed the partition's weight maxima into a sigma=0.05 pipeline,
+    owners 5 and 6 among them unknown to every partition, and 4 seeded
+    documents into a sigma=0 one."""
+    base = synthetic_corpus(80, 160, 5, seed=2)
+    new = synthetic_corpus(20, 160, 7, seed=5)
+    out = []
+    for sigma, batch in ((0.05, new[:16]), (0.0, new[16:])):
+        pipe = Pipeline.build(base, PipelineConfig(s=3, sigma=sigma, probe_count=50, seed=3, encrypt=False))
+        if sigma:
+            heavy = {word: 50 for word in pipe.pset.sub_dictionaries[1][:3]}
+            batch = batch + [Document(22, 9, heavy)]  # doc 1022, into partition 1
+        for d in batch:
+            doc = Document(1000 + d.doc_id, d.owner_id, d.counts)
+            report = pipe.insert_document(doc, partition=d.doc_id % pipe.s)
+            out.append((report.doc_id, report.partition, pipe.secure_mats[report.partition][-1]))
+    return out
+
+
+def row_digest(row):
+    return hashlib.sha256(np.ascontiguousarray(row, dtype="<f8").tobytes()).hexdigest()
 
 
 class TestBuild:
@@ -335,6 +363,13 @@ class TestUpdates:
         after = pipe.run_query(q, k=12)
         assert [d for d, _ in before] == [d for d, _ in after]
 
+    def test_inserted_rows_match_recorded_digests(self):
+        """Padded rows of new documents, pinned bit for bit to
+        tests/data/insert_golden.json."""
+        golden = json.loads((Path(__file__).parent / "data" / "insert_golden.json").read_text())
+        got = [[doc_id, p, row_digest(row)] for doc_id, p, row in inserted_rows()]
+        assert got == golden
+
     def test_replaced_tree_freed_without_cyclic_gc(self):
         docs = synthetic_corpus(20, 40, 3, seed=8)
         pipe = Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=9))
@@ -393,6 +428,32 @@ class TestPersistence:
             np.testing.assert_array_equal(a, b)
         for q in queries:
             assert_same_answer(loaded.run_query(q, k=8), pipe.run_query(q, k=8))
+
+    def test_load_keeps_weights_of_owner_gone_from_partition(self, tmp_path):
+        docs = synthetic_corpus(80, 160, 5, seed=2)
+        pipe = Pipeline.build(docs, PipelineConfig(s=3, probe_count=50, seed=3, encrypt=False))
+        gone = [d for d, owner in pipe.pset.members[1] if owner == 4]
+        assert len(gone) == 11
+        for doc_id in gone:
+            pipe.delete_document(doc_id)
+        pipe.save(tmp_path / "run")
+        loaded = Pipeline.load(tmp_path / "run")
+        np.testing.assert_array_equal(loaded.weights[1][4], pipe.weights[1][4])
+        for i, d in enumerate(synthetic_corpus(5, 160, 5, seed=7)):
+            doc = Document(1000 + i, 4, d.counts)
+            np.testing.assert_array_equal(
+                loaded._secure_vector_for(doc, 1), pipe._secure_vector_for(doc, 1)
+            )
+
+    def test_load_drops_retired_config_keys_only(self, tmp_path, multi):
+        multi.save(tmp_path / "run")
+        path = tmp_path / "run" / "config.json"
+        config = json.loads(path.read_text())
+        path.write_text(json.dumps({**config, "probe_keywords": 10, "cond_cap": 1e6}))
+        assert Pipeline.load(tmp_path / "run").config == multi.config
+        path.write_text(json.dumps({**config, "depth": 3}))
+        with pytest.raises(EncSearchError, match="unknown config keys \\['depth'\\]"):
+            Pipeline.load(tmp_path / "run")
 
     def test_load_rejects_forest_of_other_members(self, tmp_path, multi):
         multi.save(tmp_path / "run")

@@ -307,7 +307,7 @@ class TestInsertDelete:
 
     def test_delete_only_leaf_empties_tree(self):
         tree = build_tree([(3, np.ones(2))])
-        assert delete_leaf(tree, 3) == 1
+        assert delete_leaf(tree, 3) == (1, False)  # an empty tree is not rebuilt
         assert len(tree.doc_ids) == 0 and len(tree.nodes) == 0
 
     def test_delete_then_search_absent(self):
@@ -345,6 +345,12 @@ class TestInsertDelete:
             _, rebuild = insert_leaf(tree, new_id, rng.random(2))
             flagged = flagged or rebuild
         assert flagged  # size more than doubled since the bulk load
+
+    def test_halving_triggers_rebuild_flag(self):
+        tree = build_tree(random_entries(8, 2, seed=0), probe=np.ones(2))
+        flags = [delete_leaf(tree, doc_id)[1] for doc_id in range(5)]
+        # 7, 6, 5, 4 and 3 leaves left of the 8 at build: 4 is half.
+        assert flags == [False, False, False, True, True]
 
 
 class TestForestFile:
@@ -446,7 +452,9 @@ def test_plaintext_forest_matches_recorded_behaviour():
     for i in range(5):
         p = i % pipe.s
         victim = int(pipe.trees[p].leaves[3 * i + 1])
-        deletes.append([p, victim, delete_leaf(pipe.trees[p], victim)])
+        touched, rebuild = delete_leaf(pipe.trees[p], victim)
+        assert not rebuild
+        deletes.append([p, victim, touched])
     assert deletes == golden["deletes"]
     assert preorder() == golden["preorder_after"]
     assert searches() == golden["searches_after"]

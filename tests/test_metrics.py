@@ -6,7 +6,6 @@ from encsearch.errors import EncSearchError
 from encsearch.metrics import (
     efficiency_ratio,
     equilibrium,
-    metrics_row,
     precision,
     rank_privacy,
     storage_ratio,
@@ -98,11 +97,3 @@ class TestStorageRatio:
         with pytest.raises(EncSearchError):
             storage_ratio(4, 8)
 
-
-def test_metrics_row():
-    row = metrics_row([2, 1, 9], [1, 2, 3])
-    assert row.k == 3
-    assert row.true_positives == 2
-    assert row.precision == pytest.approx(2 / 3)
-    assert row.rank_privacy == pytest.approx((1 + 1 + 3) / 9)
-    assert row.f == pytest.approx(equilibrium(100 * row.precision, 100 * row.rank_privacy))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from encsearch.corpus import synthetic_corpus
+from encsearch.engine import Pipeline, PipelineConfig
 from encsearch.errors import PaddingError
 from encsearch.padding import (
     EquilibriumReport,
@@ -11,32 +13,7 @@ from encsearch.padding import (
     distinguishability,
     optimize_noise,
     pad_matrix,
-    uniform_to_normal,
 )
-
-
-class TestUniformToNormal:
-    def test_reference_arithmetic(self):
-        mu, var = uniform_to_normal(0.0, 0.1, 3)
-        assert mu == 0.0
-        assert var == pytest.approx(0.01)
-
-    def test_zero_width(self):
-        assert uniform_to_normal(0.0, 0.0, 5) == (0.0, 0.0)
-
-    def test_inverted(self):
-        _, var = uniform_to_normal(0.0, math.sqrt(3) * 0.05, 1)
-        assert math.sqrt(var) == pytest.approx(0.05)
-
-    def test_nonzero_mean(self):
-        mu, _ = uniform_to_normal(0.2, 0.1, 4)
-        assert mu == pytest.approx(0.8)
-
-    def test_errors(self):
-        with pytest.raises(PaddingError):
-            uniform_to_normal(0.0, -0.1, 2)
-        with pytest.raises(PaddingError):
-            uniform_to_normal(0.0, 0.1, 0)
 
 
 class TestNoiseModel:
@@ -50,14 +27,16 @@ class TestNoiseModel:
         with pytest.raises(PaddingError):
             NoiseModel(pseudo_count=4, sigma=-0.1, omega=2)
 
-    def test_from_uniform(self):
-        m = NoiseModel.from_uniform(10, 0.0, math.sqrt(3) * 0.05, 1)
-        assert m.sigma == pytest.approx(0.05)
-
     def test_default_sizing(self):
-        m = NoiseModel.default_for(1000, 0.05)
-        assert m.pseudo_count == 100
-        assert m.omega == 50
+        # A pipeline sizes each partition's noise as U = ceil(0.1 * N_i)
+        # pseudo dimensions, omega = ceil(U / 2) of them nonzero per row.
+        pipe = Pipeline.build(synthetic_corpus(80, 160, 5, seed=2),
+                              PipelineConfig(s=3, sigma=0.05, probe_count=50, encrypt=False))
+        for p, model in enumerate(pipe.noise):
+            n_real = len(pipe.pset.sub_dictionaries[p])
+            assert model.pseudo_count == math.ceil(0.1 * n_real)
+            assert model.omega == math.ceil(model.pseudo_count / 2)
+            assert model.sigma == 0.05
 
 
 class TestPadMatrix:

@@ -5,7 +5,6 @@ from encsearch.corpus import Document, build_binary_indexes, build_dictionary, s
 from encsearch.errors import WeightingError
 from encsearch.partitioning import cluster_indexes
 from encsearch.weighting import (
-    OwnerWeights,
     build_correlativity,
     compute_weights,
     weight_indexes,
@@ -69,37 +68,40 @@ def two_owner_fixture():
 
 class TestComputeWeights:
     def test_absent_keyword_zero(self):
-        docs, members, pos, _, corr = two_owner_fixture()
-        w = compute_weights(docs, members, pos, corr, 0)
-        assert w[1].akp[pos["c"]] == 0.0
-        assert w[1].alpha[pos["c"]] == 0.0
+        # With identity correlativity, normalized * w_max is the owner's AKP.
+        docs, members, pos, _, _ = two_owner_fixture()
+        w, w_max = compute_weights(docs, members, pos, np.eye(3))
+        assert w[1][pos["c"]] * w_max[pos["c"]] == 0.0
 
     def test_single_owner_identity_corr_self_normalized(self):
         docs = {1: Document.from_terms(1, 1, ["a", "a", "b"])}
         pos = {"a": 0, "b": 1}
-        w = compute_weights(docs, [(1, 1)], pos, np.eye(2), 0)
+        w, w_max = compute_weights(docs, [(1, 1)], pos, np.eye(2))
         # AKP = (2, 1); with identity smoothing, normalized per keyword by the
         # only owner's own raw weight -> all present keywords weight 1.
-        np.testing.assert_allclose(w[1].akp, [2.0, 1.0])
-        np.testing.assert_allclose(w[1].normalized, [1.0, 1.0])
+        np.testing.assert_allclose(w[1] * w_max, [2.0, 1.0])
+        np.testing.assert_allclose(w[1], [1.0, 1.0])
 
     def test_hand_computation(self):
         # Oracle: independent scalar recomputation of AKP, S@AKP and the
         # per-keyword normalization.
         docs, members, pos, compressed, corr = two_owner_fixture()
-        w = compute_weights(docs, members, pos, corr, 0)
+        w, w_max = compute_weights(docs, members, pos, corr)
 
         akp1 = np.array([2.0, 1.0, 0.0])  # tf/df: a 2/1, b 1/1, c absent
         akp2 = np.array([1.0, 0.0, 3.0])
         raw1 = corr @ akp1
         raw2 = corr @ akp2
-        w_max = np.maximum(raw1, raw2)
-        np.testing.assert_allclose(w[1].akp, akp1)
-        np.testing.assert_allclose(w[2].akp, akp2)
-        np.testing.assert_allclose(w[1].raw, raw1)
-        np.testing.assert_allclose(w[2].raw, raw2)
-        want1 = np.where(w_max > 0, raw1 / np.where(w_max > 0, w_max, 1), 0.0)
-        np.testing.assert_allclose(w[1].normalized, want1)
+        want_max = np.maximum(raw1, raw2)
+        np.testing.assert_allclose(w_max, want_max)
+        for owner, raw in ((1, raw1), (2, raw2)):
+            want = np.where(want_max > 0, raw / np.where(want_max > 0, want_max, 1), 0.0)
+            np.testing.assert_allclose(w[owner], want)
+            np.testing.assert_allclose(w[owner] * w_max, raw)
+        # With identity correlativity, normalized * w_max is each owner's AKP.
+        w, w_max = compute_weights(docs, members, pos, np.eye(3))
+        np.testing.assert_allclose(w[1] * w_max, akp1)
+        np.testing.assert_allclose(w[2] * w_max, akp2)
 
     def test_per_keyword_max_is_one(self):
         docs = synthetic_corpus(30, 40, 4, seed=6)
@@ -109,11 +111,10 @@ class TestComputeWeights:
         by_id = {d.doc_id: d for d in docs}
         for p in range(pset.s):
             corr = build_correlativity(pset.compressed[p])
-            w = compute_weights(by_id, pset.members[p], pset.sub_positions[p], corr, p)
-            stacked = np.stack([ow.normalized for ow in w.values()])
-            raw = np.stack([ow.raw for ow in w.values()])
+            w, w_max = compute_weights(by_id, pset.members[p], pset.sub_positions[p], corr)
+            stacked = np.stack(list(w.values()))
             for t in range(stacked.shape[1]):
-                if raw[:, t].max() > 0:
+                if w_max[t] > 0:
                     assert stacked[:, t].max() == pytest.approx(1.0)
             assert (stacked >= 0).all() and (stacked <= 1 + 1e-12).all()
 
@@ -122,28 +123,26 @@ class TestComputeWeights:
         base = {1: Document.from_terms(1, 1, ["a", "b"])}
         more = {1: Document.from_terms(1, 1, ["a", "a", "a", "b"])}
         pos = {"a": 0, "b": 1}
-        wa = compute_weights(base, [(1, 1)], pos, np.eye(2), 0)[1].akp
-        wb = compute_weights(more, [(1, 1)], pos, np.eye(2), 0)[1].akp
+        w, w_max = compute_weights(base, [(1, 1)], pos, np.eye(2))
+        wa = w[1] * w_max  # the AKP, under identity correlativity
+        w, w_max = compute_weights(more, [(1, 1)], pos, np.eye(2))
+        wb = w[1] * w_max
         assert (wb >= wa).all()
 
     def test_shape_mismatch_error(self):
         docs, members, pos, _, _ = two_owner_fixture()
         with pytest.raises(WeightingError, match="correlativity shape"):
-            compute_weights(docs, members, pos, np.eye(2), 0)
+            compute_weights(docs, members, pos, np.eye(2))
 
 
 class TestWeightIndexes:
     def test_elementwise_product(self):
-        w = OwnerWeights(
-            owner_id=1, partition=0,
-            doc_freq=np.zeros(3), alpha=np.zeros(3), akp=np.zeros(3),
-            raw=np.zeros(3), normalized=np.array([0.5, 0.9, 1.0]),
-        )
+        w = np.array([0.5, 0.9, 1.0])
         out = weight_indexes([(1, 1)], np.array([[1, 0, 1]], dtype=np.uint8), {1: w}, 0)
         np.testing.assert_allclose(out[0].values, [0.5, 0.0, 1.0])
 
     def test_zero_weights(self):
-        w = OwnerWeights(1, 0, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        w = np.zeros(2)
         out = weight_indexes([(1, 1)], np.array([[1, 1]], dtype=np.uint8), {1: w}, 0)
         assert not out[0].values.any()
 
@@ -152,17 +151,15 @@ class TestWeightIndexes:
             weight_indexes([(1, 9)], np.ones((1, 2), dtype=np.uint8), {}, 0)
 
     def test_dimension_mismatch_error(self):
-        w = OwnerWeights(1, 0, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
+        w = np.zeros(3)
         with pytest.raises(WeightingError, match="mismatch"):
             weight_indexes([(1, 1)], np.ones((1, 2), dtype=np.uint8), {1: w}, 0)
 
     def test_matches_oracle_on_toy_partition(self):
         docs, members, pos, compressed, corr = two_owner_fixture()
-        w = compute_weights(docs, members, pos, corr, 0)
+        w, _ = compute_weights(docs, members, pos, corr)
         out = weight_indexes(members, compressed, w, 0)
         for row, (doc_id, owner) in enumerate(members):
-            np.testing.assert_allclose(
-                out[row].values, compressed[row] * w[owner].normalized
-            )
+            np.testing.assert_allclose(out[row].values, compressed[row] * w[owner])
         mat = weighted_matrix(out)
         assert mat.shape == compressed.shape

@@ -67,11 +67,11 @@ def multi():
 
 
 def inserted_rows():
-    """(doc id, partition, padded row) of 21 inserts, spread over the
-    partitions: 16 seeded documents and one unknown owner's document whose
-    counts exceed the partition's weight maxima into a sigma=0.05 pipeline,
-    owners 5 and 6 among them unknown to every partition, and 4 seeded
-    documents into a sigma=0 one."""
+    """(doc id, partition, padded row) of 21 inserts spread over the
+    partitions.  A sigma=0.05 pipeline takes 16 seeded documents, owners 5
+    and 6 among them unknown to every partition, plus one unknown owner's
+    document whose counts push its raw weights past the partition's maxima;
+    a sigma=0 pipeline takes 4 more."""
     base = synthetic_corpus(80, 160, 5, seed=2)
     new = synthetic_corpus(20, 160, 7, seed=5)
     out = []

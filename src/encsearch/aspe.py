@@ -5,6 +5,13 @@ pair (M1, M2).  Index vectors are split (copy where S=0, random split where
 S=1) and transformed with the transposes; query vectors use the complementary
 split and the inverses.  The sum of the two transformed dot products equals
 the plaintext inner product, so the server can rank without seeing plaintexts.
+
+Key file layout (magic ``ESK2``, little endian): the magic and the partition
+count (u32); then per partition its dimension V (u32), the indicator (V u8),
+``m1`` and ``m2`` (V x V f8 each, row-major), and each inverse as
+``PartitionKey`` keeps it (V x V f8 each): row j is column ``_split[j]`` of
+the inverse, S=0 columns first.  This is the byte count of the older ``ESK1``
+layout, which stored the square inverses row-major; such files still load.
 """
 
 from __future__ import annotations
@@ -16,13 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .binfile import BinaryReader
 from .errors import AspeError
 
-KEY_MAGIC = b"ESK1"
+KEY_MAGIC = b"ESK2"
+# The layout before the inverses were stored column-wise; read, never written.
+_KEY_MAGIC_ESK1 = b"ESK1"
+_U32 = struct.Struct("<I")
 # Largest diagonal block that _unit_lower_inverse hands to np.linalg.inv.
 _TRI_BLOCK = 64
-# Rows of an inverse that PartitionKey rebuilds from its columns at a time.
-_ROW_BLOCK = 256
 
 
 def _unit_lower_inverse(t: np.ndarray) -> np.ndarray:
@@ -98,7 +107,9 @@ class PartitionKey:
     inverses are kept column by column with the S=0 columns first: row j of
     ``_inv_columns[i]`` is column ``_split[j]`` of inverse i.  A trapdoor then
     reads the S=0 block and the query's own S=1 columns, about half of each
-    matrix.  ``m1_inv`` and ``m2_inv`` rebuild the square inverses.
+    matrix.  The constructor takes the square inverses and regroups them;
+    ``from_columns`` takes them already in this layout, which is also the key
+    file's.  ``m1_inv`` and ``m2_inv`` rebuild the square inverses.
     """
 
     def __init__(
@@ -109,12 +120,30 @@ class PartitionKey:
         m1_inv: np.ndarray,
         m2_inv: np.ndarray,
     ):
+        split = np.argsort(indicator, kind="stable")
+        self._set(indicator, m1, m2, (m1_inv.T[split], m2_inv.T[split]))
+
+    @classmethod
+    def from_columns(
+        cls,
+        indicator: np.ndarray,
+        m1: np.ndarray,
+        m2: np.ndarray,
+        inv_columns: tuple[np.ndarray, np.ndarray],
+    ) -> "PartitionKey":
+        """Key whose inverses are already in ``_inv_columns`` order; they are
+        kept as given, not copied."""
+        key = cls.__new__(cls)
+        key._set(indicator, m1, m2, inv_columns)
+        return key
+
+    def _set(self, indicator, m1, m2, inv_columns) -> None:
         self.indicator = indicator
         self.m1 = m1
         self.m2 = m2
         self._split = np.argsort(indicator, kind="stable")  # S=0 dimensions, then S=1
         self._zeros = int(indicator.shape[0] - np.count_nonzero(indicator))
-        self._inv_columns = (m1_inv.T[self._split], m2_inv.T[self._split])
+        self._inv_columns = inv_columns
 
     @property
     def dim(self) -> int:
@@ -129,15 +158,7 @@ class PartitionKey:
         return self._inverse(1)
 
     def _inverse(self, i: int) -> np.ndarray:
-        return np.concatenate(list(self._inverse_blocks(i)))
-
-    def _inverse_blocks(self, i: int):
-        """Inverse i as row-major blocks of ``_ROW_BLOCK`` rows, each small
-        enough to transpose in cache."""
-        back = np.argsort(self._split)
-        cols = self._inv_columns[i]
-        for start in range(0, self.dim, _ROW_BLOCK):
-            yield np.ascontiguousarray(cols[back, start : start + _ROW_BLOCK].T)
+        return self._inv_columns[i][np.argsort(self._split)].T
 
 
 @dataclass
@@ -250,36 +271,26 @@ def score(encrypted: EncryptedVector, trapdoor: Trapdoor) -> float:
 def save_key(key: SecretKey, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(KEY_MAGIC)
-        fh.write(struct.pack("<I", len(key.partitions)))
+        fh.write(_U32.pack(len(key.partitions)))
         for pk in key.partitions:
-            fh.write(struct.pack("<I", pk.dim))
-            fh.write(pk.indicator.astype(np.uint8).tobytes())
-            for mat in (pk.m1, pk.m2):
+            fh.write(_U32.pack(pk.dim))
+            fh.write(np.ascontiguousarray(pk.indicator, dtype=np.uint8))
+            for mat in (pk.m1, pk.m2, *pk._inv_columns):
                 fh.write(np.ascontiguousarray(mat, dtype="<f8"))
-            for i in (0, 1):
-                for rows in pk._inverse_blocks(i):
-                    fh.write(rows.astype("<f8", copy=False))
 
 
 def load_key(path: str | Path) -> SecretKey:
-    raw = Path(path).read_bytes()
-    if raw[:4] != KEY_MAGIC:
-        raise AspeError(f"{path}: not a key file (bad magic)")
-    off = 4
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    partitions = []
-    for _ in range(count):
-        (dim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        indicator = np.frombuffer(raw, dtype=np.uint8, count=dim, offset=off).copy()
-        off += dim
-        mats = []
-        for _m in range(4):
-            mat = np.frombuffer(raw, dtype="<f8", count=dim * dim, offset=off)
-            mats.append(mat.reshape(dim, dim))
-            off += dim * dim * 8
-        m1, m2, m1_inv, m2_inv = mats
-        # PartitionKey regroups (and so copies) the inverses itself.
-        partitions.append(PartitionKey(indicator, m1.copy(), m2.copy(), m1_inv, m2_inv))
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, path, "key file", AspeError)
+        magic = reader.magic((KEY_MAGIC, _KEY_MAGIC_ESK1))
+        partitions = []
+        for _ in range(reader.unpack(_U32)[0]):
+            (dim,) = reader.unpack(_U32)
+            indicator = reader.array(np.uint8, (dim,))
+            m1, m2, inv1, inv2 = (reader.array("<f8", (dim, dim)) for _ in range(4))
+            if magic == KEY_MAGIC:
+                partitions.append(PartitionKey.from_columns(indicator, m1, m2, (inv1, inv2)))
+            else:
+                partitions.append(PartitionKey(indicator, m1, m2, inv1, inv2))
+        reader.end()
     return SecretKey(partitions)

@@ -24,7 +24,9 @@ File layout (magic ``ESF2``, little endian): the magic and the tree count
 dimension (u32), probe length (u32), node count n (u64), probe config (count
 u32, keywords per probe u32, zipf_a f64, seed u32) and size at build (u64),
 followed by the probe (f64), ``doc_ids`` (n i64) and the node matrix (n rows
-of f64), or ``enc1`` then ``enc2``.
+of f64), or ``enc1`` then ``enc2``.  The file holds nothing else, so the
+arrays go between disk and memory as they are: written from the arrays, and
+read each with one ``readinto`` into a writable array of the file's dtype.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .aspe import PartitionKey, Trapdoor, encrypt_matrix
+from .binfile import BinaryReader
 from .errors import ForestError
 
 FOREST_MAGIC = b"ESF2"
+_U32 = struct.Struct("<I")
 _TREE_HEADER = struct.Struct("<IBIIQIIdIQ")
 
 
@@ -421,7 +425,7 @@ def rebuild_tree(tree: Tree) -> Tree:
 def save_forest(trees: Sequence[Tree], path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(FOREST_MAGIC)
-        fh.write(struct.pack("<I", len(trees)))
+        fh.write(_U32.pack(len(trees)))
         for tree in trees:
             mats = (tree.enc1, tree.enc2) if tree.encrypted else (tree.nodes,)
             probe = tree.probe if tree.probe is not None else np.zeros(0)
@@ -440,33 +444,23 @@ def save_forest(trees: Sequence[Tree], path: str | Path) -> None:
                     tree.size_at_build,
                 )
             )
-            fh.write(np.ascontiguousarray(probe, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(tree.doc_ids, dtype="<i8").tobytes())
+            fh.write(np.ascontiguousarray(probe, dtype="<f8"))
+            fh.write(np.ascontiguousarray(tree.doc_ids, dtype="<i8"))
             for mat in mats:
-                fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(mat, dtype="<f8"))
 
 
 def load_forest(path: str | Path) -> list[Tree]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != FOREST_MAGIC:
-        raise ForestError(f"{path}: not a forest file (bad magic)")
-    off = 8
-
-    def take(dtype: str, count: int) -> np.ndarray:
-        nonlocal off
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off).copy()
-        off += arr.nbytes
-        return arr
-
     trees = []
-    try:
-        for _ in range(struct.unpack_from("<I", raw, 4)[0]):
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, path, "forest file", ForestError)
+        reader.magic((FOREST_MAGIC,))
+        for _ in range(reader.unpack(_U32)[0]):
             (partition, encrypted, dim, probe_len, n_nodes,
-             count, kpp, zipf_a, seed, size_at_build) = _TREE_HEADER.unpack_from(raw, off)
-            off += _TREE_HEADER.size
-            probe = take("<f8", probe_len)
-            doc_ids = take("<i8", n_nodes)
-            mats = [take("<f8", n_nodes * dim).reshape(n_nodes, dim) for _ in range(1 + encrypted)]
+             count, kpp, zipf_a, seed, size_at_build) = reader.unpack(_TREE_HEADER)
+            probe = reader.array("<f8", (probe_len,))
+            doc_ids = reader.array("<i8", (n_nodes,))
+            mats = [reader.array("<f8", (n_nodes, dim)) for _ in range(1 + encrypted)]
             tree = Tree(
                 partition,
                 doc_ids,
@@ -479,6 +473,5 @@ def load_forest(path: str | Path) -> list[Tree]:
             else:
                 tree.nodes = mats[0]
             trees.append(tree)
-    except (struct.error, ValueError) as exc:
-        raise ForestError(f"{path}: truncated forest file") from exc
+        reader.end()
     return trees

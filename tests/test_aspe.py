@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from encsearch.aspe import (
     PartitionKey,
+    SecretKey,
     Trapdoor,
     encrypt_matrix,
     encrypt_vector,
@@ -280,15 +282,46 @@ class TestTrapdoorValidation:
 
 class TestKeyFile:
     def test_round_trip(self, tmp_path):
-        key = keygen([3, 6], seed=8)
+        """Every stored array comes back bitwise, a seeded trapdoor from the
+        loaded key equals the in-memory one, and saving the loaded key
+        rewrites the file byte for byte."""
+        key = keygen([3, 6, 40], seed=8)
         path = tmp_path / "keys.bin"
         save_key(key, path)
         loaded = load_key(path)
-        assert len(loaded) == 2
+        assert len(loaded) == 3
         for a, b in zip(key.partitions, loaded.partitions):
             np.testing.assert_array_equal(a.indicator, b.indicator)
+            assert a.indicator.dtype == b.indicator.dtype
             for attr in ("m1", "m2", "m1_inv", "m2_inv"):
                 np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+            for cols_a, cols_b in zip(a._inv_columns, b._inv_columns):
+                assert cols_a.dtype == cols_b.dtype and cols_b.flags.c_contiguous
+                np.testing.assert_array_equal(cols_a, cols_b)
+            q = np.abs(np.random.default_rng(b.dim).normal(size=b.dim))
+            q[::3] = 0.0
+            want = make_trapdoor(q, a, np.random.default_rng(11))
+            got = make_trapdoor(q, b, np.random.default_rng(11))
+            np.testing.assert_array_equal(got.t1, want.t1)
+            np.testing.assert_array_equal(got.t2, want.t2)
+        again = tmp_path / "again.bin"
+        save_key(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_file_stores_inverses_in_trapdoor_column_order(self, tmp_path):
+        pk = keygen([5], seed=2)[0]
+        path = tmp_path / "keys.bin"
+        save_key(SecretKey([pk]), path)
+        raw = path.read_bytes()
+        header = b"ESK2" + struct.pack("<II", 1, 5) + pk.indicator.tobytes()
+        mats = [pk.m1, pk.m2, pk.m1_inv.T[pk._split], pk.m2_inv.T[pk._split]]
+        assert raw == header + b"".join(m.astype("<f8").tobytes() for m in mats)
+
+    def test_oversized_dimension_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "keys.bin"
+        path.write_bytes(b"ESK2" + struct.pack("<II", 1, 2**32 - 1) + b"\0" * 64)
+        with pytest.raises(AspeError, match="truncated"):
+            load_key(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "keys.bin"

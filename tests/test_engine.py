@@ -455,6 +455,53 @@ class TestPersistence:
         with pytest.raises(EncSearchError, match="unknown config keys \\['depth'\\]"):
             Pipeline.load(tmp_path / "run")
 
+    @pytest.mark.parametrize("name", ["keys.bin", "forest_plain.bin", "forest_enc.bin"])
+    @pytest.mark.parametrize("cut", ["3", "10", "half", "len-1", "+2 bytes"])
+    def test_damaged_file_fails_load(self, tmp_path, multi, name, cut):
+        """A file shorter or longer than its headers say fails with the
+        package's error, not a struct or numpy one."""
+        multi.save(tmp_path / "run")
+        path = tmp_path / "run" / name
+        raw = path.read_bytes()
+        cuts = {"3": 3, "10": 10, "half": len(raw) // 2, "len-1": len(raw) - 1}
+        path.write_bytes(raw[: cuts[cut]] if cut in cuts else raw + b"\0\0")
+        with pytest.raises(EncSearchError, match="truncated|magic|after the last record"):
+            Pipeline.load(tmp_path / "run")
+
+    def test_save_load_save_byte_identical(self, tmp_path, multi):
+        multi.save(tmp_path / "a")
+        Pipeline.load(tmp_path / "a").save(tmp_path / "b")
+        names = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "b").iterdir())
+        assert {"keys.bin", "forest_plain.bin", "forest_enc.bin"} <= set(names)
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_loads_run_directory_with_esk1_keys(self, tmp_path):
+        """tests/data/esk1_run was written (synthetic_corpus(20, 40, 3, seed=1),
+        PipelineConfig(s=2, seed=1)) by the code that stored keys.bin as ESK1,
+        with the square inverses row-major; esk1_queries.json holds that
+        code's answers to queries with seeded trapdoors.  Loaded now, and once
+        saved again as ESK2, the run answers them the same, and only keys.bin
+        changes, at the same size."""
+        data = Path(__file__).parent / "data"
+        run = data / "esk1_run"
+        assert (run / "keys.bin").read_bytes()[:4] == b"ESK1"
+        golden = json.loads((data / "esk1_queries.json").read_text())
+        Pipeline.load(run).save(tmp_path / "run")
+        for f in run.iterdir():
+            rewritten = (tmp_path / "run" / f.name).read_bytes()
+            if f.name == "keys.bin":
+                assert rewritten[:4] == b"ESK2" and len(rewritten) == f.stat().st_size
+            else:
+                assert rewritten == f.read_bytes(), f.name
+        for pipe in (Pipeline.load(run), Pipeline.load(tmp_path / "run")):
+            for entry in golden:
+                pipe._query_rng = np.random.default_rng(entry["rng_seed"])
+                res = pipe.query(entry["keywords"], k=entry["k"], t=entry["t"])
+                assert [[d, sc] for d, sc in res.results] == entry["results"]
+                assert {str(p): v for p, v in res.visited.items()} == entry["visited"]
+
     def test_load_rejects_forest_of_other_members(self, tmp_path, multi):
         multi.save(tmp_path / "run")
         path = tmp_path / "run" / "forest_plain.bin"

@@ -404,6 +404,27 @@ class TestForestFile:
         with pytest.raises(ForestError, match="truncated"):
             load_forest(path)
 
+    def test_oversized_node_count_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "forest.bin"
+        save_forest([build_tree(random_entries(5, 3))], path)
+        raw = bytearray(path.read_bytes())
+        raw[8 + 13 : 8 + 21] = (2**62).to_bytes(8, "little")  # the node count
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ForestError, match="truncated"):
+            load_forest(path)
+
+    def test_loaded_arrays_writable_and_updatable(self, tmp_path):
+        """Updates write into a loaded tree's node matrix in place."""
+        tree = build_tree(random_entries(9, 4, seed=2))
+        path = tmp_path / "forest.bin"
+        save_forest([tree], path)
+        loaded = load_forest(path)[0]
+        for arr in (loaded.doc_ids, loaded.nodes):
+            assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
+        assert delete_leaf(loaded, 4) == delete_leaf(tree, 4)
+        np.testing.assert_array_equal(loaded.nodes, tree.nodes)
+        np.testing.assert_array_equal(loaded.doc_ids, tree.doc_ids)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "forest.bin"
         path.write_bytes(b"XXXX1234")

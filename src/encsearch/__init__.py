@@ -13,7 +13,6 @@ from .corpus import (
     build_binary_indexes,
     build_dictionary,
     load_corpus,
-    save_corpus,
     synthetic_corpus,
 )
 from .engine import Pipeline, PipelineConfig, QuerySpec, SearchResult, Server, UserGrant
@@ -76,7 +75,6 @@ __all__ = [
     "optimize_noise",
     "precision",
     "rank_privacy",
-    "save_corpus",
     "save_forest",
     "save_key",
     "score",

@@ -204,13 +204,14 @@ def keygen(dims: Sequence[int], seed: int = 0) -> SecretKey:
 
 
 def _split_index(values: np.ndarray, key: PartitionKey, rng: np.random.Generator):
-    """Index-side split: copy where S=0, random split where S=1."""
+    """Index-side split: copy where S=0, random split where S=1.  The
+    random draw fills ``v1`` in place, so the split allocates its two
+    outputs and nothing else."""
     ones = key.indicator.astype(bool)
-    v1 = values.copy()
-    r = rng.uniform(0.0, 1.0, size=values.shape)
-    v1[..., ones] = r[..., ones]
+    v1 = rng.uniform(0.0, 1.0, size=values.shape)
     v2 = values.copy()
-    v2[..., ones] = values[..., ones] - r[..., ones]
+    np.subtract(values, v1, out=v2, where=ones)
+    np.copyto(v1, values, where=~ones)
     return v1, v2
 
 
@@ -229,8 +230,10 @@ def encrypt_matrix(
     """Batch row-wise encryption: returns (C1, C2), one row per input row."""
     if values.ndim != 2 or values.shape[1] != key.dim:
         raise AspeError(f"matrix shape {values.shape} does not match key dim {key.dim}")
-    v1, v2 = _split_index(values.astype(np.float64), key, rng)
-    return v1 @ key.m1, v2 @ key.m2
+    v1, v2 = _split_index(values.astype(np.float64, copy=False), key, rng)
+    c1 = v1 @ key.m1
+    del v1  # free one split half before the second product allocates
+    return c1, v2 @ key.m2
 
 
 def make_trapdoor(

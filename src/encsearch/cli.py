@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import benchmarks, padding
-from .corpus import Document, load_corpus, save_corpus, synthetic_corpus
+from .corpus import Document, load_corpus, synthetic_corpus
 from .engine import Pipeline, PipelineConfig
 from .errors import EncSearchError
 
@@ -66,7 +66,7 @@ def cmd_build(args) -> int:
         return 2
     pipeline = Pipeline.build(docs, _config_from(args))
     pipeline.save(args.out)
-    print(f"built {pipeline.s} partition(s) over {len(pipeline.docs_by_id)} docs, "
+    print(f"built {pipeline.s} partition(s) over {len(pipeline.pset.assignments)} docs, "
           f"dictionary size {len(pipeline.dictionary)}; artifacts in {args.out}/")
     return 0
 
@@ -147,7 +147,7 @@ def cmd_update(args) -> int:
 def cmd_inspect(args) -> int:
     pipeline = Pipeline.load(args.run)
     info = {
-        "documents": len(pipeline.docs_by_id),
+        "documents": len(pipeline.pset.assignments),
         "dictionary": len(pipeline.dictionary),
         "partitions": pipeline.s,
         "sub_dictionary_sizes": pipeline.pset.sizes,

@@ -147,16 +147,6 @@ def load_corpus(path: str | Path) -> list[Document]:
     return docs
 
 
-def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for d in docs:
-            terms = []
-            for w, c in sorted(d.counts.items()):
-                terms.extend([w] * c)
-            fh.write(json.dumps({"doc_id": d.doc_id, "owner_id": d.owner_id, "terms": terms}))
-            fh.write("\n")
-
-
 def save_dictionary(dictionary: KeywordDictionary, path: str | Path) -> None:
     """One word per line; line number (0-based) is the dimension index."""
     with open(path, "w") as fh:

@@ -9,7 +9,10 @@ trapdoor searches; users reach it through a per-partition grant check.
 from __future__ import annotations
 
 import json
+import os
 import re
+import shutil
+import tempfile
 import time
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
@@ -24,9 +27,7 @@ from .corpus import (
     KeywordDictionary,
     build_binary_indexes,
     build_dictionary,
-    load_corpus,
     load_dictionary,
-    save_corpus,
     save_dictionary,
 )
 from .errors import AccessError, EncSearchError, ForestError
@@ -112,11 +113,15 @@ def authorize(grant: UserGrant, partitions: Sequence[int]) -> bool:
 
 
 class Pipeline:
-    """The built search system plus all intermediate artifacts."""
+    """The built search system plus all intermediate artifacts.
+
+    The owners' documents are read only while building: their term counts
+    weight the index, and afterwards each document lives on as its id and
+    owner in ``pset.assignments`` and ``pset.members`` and as its padded row.
+    """
 
     def __init__(self):
         self.config: PipelineConfig = PipelineConfig()
-        self.docs_by_id: dict[int, Document] = {}
         self.dictionary: KeywordDictionary | None = None
         self.pset: partitioning.PartitionSet | None = None
         self.correlativity: list[np.ndarray] = []
@@ -135,7 +140,6 @@ class Pipeline:
     def build(cls, docs: Sequence[Document], config: PipelineConfig) -> "Pipeline":
         self = cls()
         self.config = config
-        self.docs_by_id = {d.doc_id: d for d in docs}
         self.dictionary = build_dictionary(list(docs))
         indexes = build_binary_indexes(list(docs), self.dictionary)
 
@@ -145,7 +149,7 @@ class Pipeline:
         self.pset = partitioning.cluster_indexes(
             indexes, self.dictionary, s, seed=_derive_seed(config.seed, "cluster")
         )
-        weighted = self._build_weights()
+        weighted = self._build_weights(docs)
         self._build_noise(config.sigma)
         self._pad(weighted)
         self._build_forest()
@@ -156,15 +160,17 @@ class Pipeline:
         self._encrypt_forest(tag="build")
         return self
 
-    def _build_weights(self) -> list[np.ndarray]:
-        """Correlativity and owner weights of every partition; returns each
-        partition's weighted (M_i, N_i) rows."""
+    def _build_weights(self, docs: Sequence[Document]) -> list[np.ndarray]:
+        """Correlativity and owner weights of every partition from the
+        documents' term counts; returns each partition's weighted (M_i, N_i)
+        rows."""
+        docs_by_id = {d.doc_id: d for d in docs}
         self.correlativity, self.weights, self.w_max = [], [], []
         weighted_mats = []
         for p in range(self.pset.s):
             corr = weighting.build_correlativity(self.pset.compressed[p])
             w, wmax = weighting.compute_weights(
-                self.docs_by_id, self.pset.members[p], self.pset.sub_positions[p], corr
+                docs_by_id, self.pset.members[p], self.pset.sub_positions[p], corr
             )
             weighted = weighting.weight_indexes(
                 self.pset.members[p], self.pset.compressed[p], w, p
@@ -437,14 +443,13 @@ class Pipeline:
     def insert_document(self, doc: Document, partition: int | None = None) -> UpdateReport:
         """Add one document: only its partition's tree is touched; the proxy
         re-encrypts and pushes that single tree."""
-        if doc.doc_id in self.docs_by_id:
+        if doc.doc_id in self.pset.assignments:
             raise EncSearchError(f"doc_id {doc.doc_id} already exists")
         p = partition if partition is not None else self._partition_for(doc)
         if not 0 <= p < self.s:
             raise ForestError(f"unknown partition {p}")
         vec = self._secure_vector_for(doc, p)
 
-        self.docs_by_id[doc.doc_id] = doc
         self.pset.assignments[doc.doc_id] = p
         self.pset.members[p].append((doc.doc_id, doc.owner_id))
         n_real = len(self.pset.sub_dictionaries[p])
@@ -459,7 +464,7 @@ class Pipeline:
         return UpdateReport(doc.doc_id, p, touched, needs_rebuild)
 
     def delete_document(self, doc_id: int) -> UpdateReport:
-        if doc_id not in self.docs_by_id:
+        if doc_id not in self.pset.assignments:
             raise EncSearchError(f"unknown doc_id {doc_id}")
         p = self.pset.assignments.pop(doc_id)
         row = next(
@@ -470,7 +475,6 @@ class Pipeline:
         keep[row] = False
         self.pset.compressed[p] = self.pset.compressed[p][keep]
         self.secure_mats[p] = self.secure_mats[p][keep]
-        del self.docs_by_id[doc_id]
 
         touched, needs_rebuild = forest_mod.delete_leaf(self.trees[p], doc_id)
         if needs_rebuild:
@@ -481,12 +485,33 @@ class Pipeline:
     # -- persistence --------------------------------------------------------
 
     def save(self, out_dir: str | Path) -> None:
+        """Write the run directory ``out_dir`` atomically.
+
+        The files go into a fresh sibling directory, which then replaces
+        ``out_dir`` whole: an existing directory is moved aside, the new one
+        renamed into its place and the old one removed.  A save that fails
+        leaves ``out_dir`` as it was, and a save over an earlier run leaves
+        none of its files behind.  The owners' documents are not saved."""
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        if out.exists() and not out.is_dir():
+            raise EncSearchError(f"{out} exists and is not a directory")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+        try:
+            self._write(tmp)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
+        if out.exists():
+            old = tmp.with_name(tmp.name + ".old")
+            os.replace(out, old)
+            os.replace(tmp, out)
+            shutil.rmtree(old)
+        else:
+            os.replace(tmp, out)
+
+    def _write(self, out: Path) -> None:
         (out / "config.json").write_text(json.dumps(asdict(self.config)))
-        save_corpus(
-            sorted(self.docs_by_id.values(), key=lambda d: d.doc_id), out / "corpus.jsonl"
-        )
         save_dictionary(self.dictionary, out / "dictionary.txt")
         partitioning.save_partition_set(self.pset, out / "partitions.json")
         (out / "noise.json").write_text(
@@ -511,11 +536,12 @@ class Pipeline:
 
     @classmethod
     def load(cls, out_dir: str | Path) -> "Pipeline":
+        """Read a run directory written by ``save``.  The ``corpus.jsonl`` of
+        a directory written before documents stopped being saved is not
+        read."""
         out = Path(out_dir)
         self = cls()
         self.config = _load_config(out / "config.json")
-        docs = load_corpus(out / "corpus.jsonl")
-        self.docs_by_id = {d.doc_id: d for d in docs}
         self.dictionary = load_dictionary(out / "dictionary.txt")
         self.pset = partitioning.load_partition_set(out / "partitions.json")
         noise_spec = json.loads((out / "noise.json").read_text())

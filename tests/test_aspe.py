@@ -254,6 +254,38 @@ class TestEncryptMatrix:
             got = float(c1[i] @ trap.t1 + c2[i] @ trap.t2)
             assert got == pytest.approx(float(mat[i] @ q), abs=1e-8)
 
+    @pytest.mark.parametrize("indicator", ["random", "zeros", "ones"])
+    def test_matches_copying_split_bit_for_bit(self, indicator):
+        """The in-place split draws the same randomness and does the same
+        arithmetic as the copy-and-index form it replaced, and leaves its
+        input alone."""
+        dim = 40
+        base = keygen([dim], seed=3)[0]
+        s = {
+            "random": base.indicator,
+            "zeros": np.zeros(dim, dtype=np.uint8),
+            "ones": np.ones(dim, dtype=np.uint8),
+        }[indicator]
+        assert indicator != "random" or 0 < s.sum() < dim
+        key = PartitionKey(s, base.m1, base.m2, base.m1_inv, base.m2_inv)
+        values = np.random.default_rng(4).uniform(size=(25, dim))
+        original = values.copy()
+
+        ones = s.astype(bool)
+        rng = np.random.default_rng(5)
+        v1 = values.copy()
+        r = rng.uniform(0.0, 1.0, size=values.shape)
+        v1[..., ones] = r[..., ones]
+        v2 = values.copy()
+        v2[..., ones] = values[..., ones] - r[..., ones]
+        want = (v1 @ key.m1, v2 @ key.m2)
+
+        got = encrypt_matrix(values, key, np.random.default_rng(5))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert values.tobytes() == original.tobytes()
+
     def test_shape_errors(self):
         key = keygen([4], seed=0)[0]
         rng = np.random.default_rng(0)

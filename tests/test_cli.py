@@ -22,9 +22,10 @@ def test_parse_grid():
 
 
 def test_build_writes_artifacts(run_dir):
-    for name in ("config.json", "corpus.jsonl", "dictionary.txt", "partitions.json",
-                 "partitions.npz", "forest_plain.bin", "forest_enc.bin", "keys.bin"):
+    for name in ("config.json", "dictionary.txt", "partitions.json", "partitions.npz",
+                 "forest_plain.bin", "forest_enc.bin", "keys.bin"):
         assert (run_dir / name).exists()
+    assert not (run_dir / "corpus.jsonl").exists()
 
 
 def test_build_requires_corpus_source(capsys):

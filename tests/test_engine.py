@@ -1,14 +1,15 @@
 import gc
 import hashlib
 import json
+import shutil
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from encsearch import padding
-from encsearch.corpus import Document, synthetic_corpus
+from encsearch import forest as forest_mod, padding
+from encsearch.corpus import Document, load_corpus, synthetic_corpus
 from encsearch.engine import (
     Pipeline,
     PipelineConfig,
@@ -347,7 +348,7 @@ class TestUpdates:
         assert report.doc_id == victim
         res = pipe.query([word], k=14, quota=14)
         assert victim not in {d for d, _ in res.results}
-        assert victim not in pipe.docs_by_id
+        assert victim not in pipe.pset.assignments
         with pytest.raises(EncSearchError, match="unknown doc_id"):
             pipe.delete_document(victim)
 
@@ -356,7 +357,7 @@ class TestUpdates:
         pipe = Pipeline.build(docs, toy_config(seed=12))
         q = pipe.sample_queries(1, n_keywords=4, seed=0)[0]
         before = pipe.run_query(q, k=12)
-        doc = pipe.docs_by_id[3]
+        doc = next(d for d in docs if d.doc_id == 3)
         p = pipe.pset.assignments[3]
         pipe.delete_document(3)
         pipe.insert_document(doc, partition=p)
@@ -407,7 +408,7 @@ class TestPersistence:
         pipe = Pipeline.build(docs, PipelineConfig(s=3, probe_count=50, seed=3))
         for i, d in enumerate(synthetic_corpus(12, 160, 5, seed=21)):
             pipe.insert_document(Document(1000 + i, d.owner_id, d.counts))
-        back = pipe.docs_by_id[17]
+        back = next(d for d in docs if d.doc_id == 17)
         for doc_id in (4, 17, 33, 1003, 1007):
             pipe.delete_document(doc_id)
         pipe.insert_document(back)  # members out of doc id order
@@ -489,18 +490,84 @@ class TestPersistence:
         assert (run / "keys.bin").read_bytes()[:4] == b"ESK1"
         golden = json.loads((data / "esk1_queries.json").read_text())
         Pipeline.load(run).save(tmp_path / "run")
-        for f in run.iterdir():
-            rewritten = (tmp_path / "run" / f.name).read_bytes()
-            if f.name == "keys.bin":
-                assert rewritten[:4] == b"ESK2" and len(rewritten) == f.stat().st_size
+        names = {f.name for f in (tmp_path / "run").iterdir()}
+        assert names == {f.name for f in run.iterdir()} - {"corpus.jsonl"}
+        for name in names:
+            rewritten = (tmp_path / "run" / name).read_bytes()
+            if name == "keys.bin":
+                assert rewritten[:4] == b"ESK2" and len(rewritten) == (run / name).stat().st_size
             else:
-                assert rewritten == f.read_bytes(), f.name
+                assert rewritten == (run / name).read_bytes(), name
         for pipe in (Pipeline.load(run), Pipeline.load(tmp_path / "run")):
             for entry in golden:
                 pipe._query_rng = np.random.default_rng(entry["rng_seed"])
                 res = pipe.query(entry["keywords"], k=entry["k"], t=entry["t"])
                 assert [[d, sc] for d, sc in res.results] == entry["results"]
                 assert {str(p): v for p, v in res.visited.items()} == entry["visited"]
+
+    def test_save_writes_no_corpus_and_load_keeps_assignments(self, tmp_path, multi):
+        multi.save(tmp_path / "run")
+        assert not (tmp_path / "run" / "corpus.jsonl").exists()
+        loaded = Pipeline.load(tmp_path / "run")
+        assert loaded.pset.assignments == multi.pset.assignments
+        assert loaded.pset.members == multi.pset.members
+
+    def test_older_run_directory_loads_without_reading_its_corpus(self, tmp_path):
+        """tests/data/esk1_run still holds the corpus.jsonl older code saved:
+        the documents it lists are the loaded members, and the file is not
+        read, so a damaged one changes nothing."""
+        run = Path(__file__).parent / "data" / "esk1_run"
+        ids = sorted(d.doc_id for d in load_corpus(run / "corpus.jsonl"))
+        pipe = Pipeline.load(run)
+        assert sorted(pipe.pset.assignments) == ids
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        (copy / "corpus.jsonl").write_text("not json\n")
+        assert Pipeline.load(copy).pset.assignments == pipe.pset.assignments
+
+    def test_save_over_encrypted_run_leaves_no_stale_files(self, tmp_path):
+        """An unencrypted pipeline saved over an encrypted run leaves no old
+        keys.bin or forest_enc.bin for load to pair with its partitions."""
+        out = tmp_path / "run"
+        docs = synthetic_corpus(60, 120, 4, seed=5)
+        Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=5)).save(out)
+        plain = Pipeline.build(docs[:40], PipelineConfig(s=2, probe_count=50, seed=5, encrypt=False))
+        plain.save(out)
+        assert not (out / "keys.bin").exists() and not (out / "forest_enc.bin").exists()
+        loaded = Pipeline.load(out)
+        assert loaded.key is None and loaded.server is None
+        assert sorted(loaded.pset.assignments) == list(range(40))
+        with pytest.raises(EncSearchError, match="without encryption"):
+            loaded.query(["kw000"], k=5)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run"]
+
+    def test_failed_save_keeps_old_run_directory(self, tmp_path, multi, monkeypatch):
+        """A save that fails part-way leaves the run directory it would have
+        replaced as it was, and no temporary directory behind."""
+        out = tmp_path / "run"
+        multi.save(out)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        q = multi.sample_queries(1, n_keywords=5, seed=6)[0]
+        want = Pipeline.load(out).run_query(q, k=8)
+        pipe = Pipeline.build(synthetic_corpus(30, 60, 3, seed=7), PipelineConfig(s=2, probe_count=50))
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(forest_mod, "save_forest", fail)
+        with pytest.raises(OSError, match="disk full"):
+            pipe.save(out)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run"]
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        assert Pipeline.load(out).run_query(q, k=8) == want
+
+    def test_save_over_a_file_fails_and_keeps_it(self, tmp_path, multi):
+        path = tmp_path / "run"
+        path.write_text("not a run directory")
+        with pytest.raises(EncSearchError, match="not a directory"):
+            multi.save(path)
+        assert path.read_text() == "not a run directory"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run"]
 
     def test_load_rejects_forest_of_other_members(self, tmp_path, multi):
         multi.save(tmp_path / "run")

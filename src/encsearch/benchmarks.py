@@ -118,7 +118,7 @@ def bench_tree_orders(
 
     dictionary = build_dictionary(docs)
     indexes = build_binary_indexes(docs, dictionary)
-    grouped_pset = partitioning.cluster_indexes(
+    grouped_pset, _ = partitioning.cluster_indexes(
         indexes, dictionary, min(groups, config.n_docs), seed=config.seed + 2
     )
     grouped = sorted(entries, key=lambda e: (grouped_pset.assignments[e[0]], e[0]))

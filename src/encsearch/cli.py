@@ -67,7 +67,7 @@ def cmd_build(args) -> int:
     pipeline = Pipeline.build(docs, _config_from(args))
     pipeline.save(args.out)
     print(f"built {pipeline.s} partition(s) over {len(pipeline.pset.assignments)} docs, "
-          f"dictionary size {len(pipeline.dictionary)}; artifacts in {args.out}/")
+          f"dictionary size {len(pipeline.pset.home)}; artifacts in {args.out}/")
     return 0
 
 
@@ -87,7 +87,8 @@ def cmd_tune(args) -> int:
     grid = _parse_grid(args.grid)
     queries = pipeline.sample_queries(args.queries, seed=args.seed)
     report = padding.optimize_noise(pipeline, grid, args.k, queries)
-    out = Path(args.out or args.run)
+    # Beside the run directory, not in it: the next save replaces that whole.
+    out = Path(args.out) if args.out else Path(args.run).resolve().parent
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "fig3_equilibrium.csv")
     print(f"sigma*={report.sigma_star:g} f={report.best_f:.2f} "
@@ -148,7 +149,7 @@ def cmd_inspect(args) -> int:
     pipeline = Pipeline.load(args.run)
     info = {
         "documents": len(pipeline.pset.assignments),
-        "dictionary": len(pipeline.dictionary),
+        "dictionary": len(pipeline.pset.home),
         "partitions": pipeline.s,
         "sub_dictionary_sizes": pipeline.pset.sizes,
         "pseudo_dims": [m.pseudo_count for m in pipeline.noise],
@@ -187,7 +188,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None,
+                   help="directory for fig3_equilibrium.csv (default: the run directory's parent)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("bench", help="search/update benchmarks -> CSV")

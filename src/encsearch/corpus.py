@@ -38,6 +38,12 @@ class Document:
     def __post_init__(self):
         if not self.counts:
             raise CorpusError(f"document {self.doc_id} has no terms")
+        # A term's weight is positive exactly when it occurs, which the
+        # derived keyword incidence relies on.
+        counts = self.counts.values()
+        kinds = set(map(type, counts))
+        if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds) or min(counts) < 1:
+            raise CorpusError(f"document {self.doc_id} has a term count that is not a positive integer")
 
     @classmethod
     def from_text(cls, doc_id: int, owner_id: int, text: str) -> "Document":
@@ -145,19 +151,6 @@ def load_corpus(path: str | Path) -> list[Document]:
         raise CorpusError(f"{path}: empty corpus")
     _check_unique_ids(docs)
     return docs
-
-
-def save_dictionary(dictionary: KeywordDictionary, path: str | Path) -> None:
-    """One word per line; line number (0-based) is the dimension index."""
-    with open(path, "w") as fh:
-        for w in dictionary.words:
-            fh.write(w + "\n")
-
-
-def load_dictionary(path: str | Path) -> KeywordDictionary:
-    with open(path) as fh:
-        words = [line.rstrip("\n") for line in fh if line.strip()]
-    return KeywordDictionary.from_words(words)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import aspe, forest as forest_mod, padding, partitioning, weighting
-from .corpus import (
-    Document,
-    KeywordDictionary,
-    build_binary_indexes,
-    build_dictionary,
-    load_dictionary,
-    save_dictionary,
-)
+from .corpus import Document, build_binary_indexes, build_dictionary
 from .errors import AccessError, EncSearchError, ForestError
 from .forest import ProbeConfig, Tree
 
@@ -115,14 +108,14 @@ def authorize(grant: UserGrant, partitions: Sequence[int]) -> bool:
 class Pipeline:
     """The built search system plus all intermediate artifacts.
 
-    The owners' documents are read only while building: their term counts
-    weight the index, and afterwards each document lives on as its id and
-    owner in ``pset.assignments`` and ``pset.members`` and as its padded row.
+    The owners' documents and their 0/1 keyword incidence are read only while
+    building: their term counts weight the index, and afterwards each
+    document lives on as its id and owner in ``pset.members`` and as its
+    padded row, whose positive real entries mark its weighted keywords.
     """
 
     def __init__(self):
         self.config: PipelineConfig = PipelineConfig()
-        self.dictionary: KeywordDictionary | None = None
         self.pset: partitioning.PartitionSet | None = None
         self.correlativity: list[np.ndarray] = []
         self.weights: list[dict[int, np.ndarray]] = []  # owner -> normalized weights
@@ -140,17 +133,17 @@ class Pipeline:
     def build(cls, docs: Sequence[Document], config: PipelineConfig) -> "Pipeline":
         self = cls()
         self.config = config
-        self.dictionary = build_dictionary(list(docs))
-        indexes = build_binary_indexes(list(docs), self.dictionary)
+        dictionary = build_dictionary(list(docs))
+        indexes = build_binary_indexes(list(docs), dictionary)
 
-        s = config.resolve_s(len(self.dictionary))
+        s = config.resolve_s(len(dictionary))
         if s > len(docs):
             raise EncSearchError(f"s={s} exceeds the number of documents {len(docs)}")
-        self.pset = partitioning.cluster_indexes(
-            indexes, self.dictionary, s, seed=_derive_seed(config.seed, "cluster")
+        self.pset, compressed = partitioning.cluster_indexes(
+            indexes, dictionary, s, seed=_derive_seed(config.seed, "cluster")
         )
-        weighted = self._build_weights(docs)
-        self._build_noise(config.sigma)
+        weighted = self._build_weights(docs, compressed)
+        self._build_noise()
         self._pad(weighted)
         self._build_forest()
         if config.encrypt:
@@ -160,20 +153,22 @@ class Pipeline:
         self._encrypt_forest(tag="build")
         return self
 
-    def _build_weights(self, docs: Sequence[Document]) -> list[np.ndarray]:
+    def _build_weights(
+        self, docs: Sequence[Document], compressed: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
         """Correlativity and owner weights of every partition from the
-        documents' term counts; returns each partition's weighted (M_i, N_i)
-        rows."""
+        documents' term counts and each partition's (M_i, N_i) 0/1
+        incidence; returns each partition's weighted (M_i, N_i) rows."""
         docs_by_id = {d.doc_id: d for d in docs}
         self.correlativity, self.weights, self.w_max = [], [], []
         weighted_mats = []
         for p in range(self.pset.s):
-            corr = weighting.build_correlativity(self.pset.compressed[p])
+            corr = weighting.build_correlativity(compressed[p])
             w, wmax = weighting.compute_weights(
                 docs_by_id, self.pset.members[p], self.pset.sub_positions[p], corr
             )
             weighted = weighting.weight_indexes(
-                self.pset.members[p], self.pset.compressed[p], w, p
+                self.pset.members[p], compressed[p], w, p
             )
             self.correlativity.append(corr)
             self.weights.append(w)
@@ -181,7 +176,7 @@ class Pipeline:
             weighted_mats.append(weighting.weighted_matrix(weighted))
         return weighted_mats
 
-    def _build_noise(self, sigma: float) -> None:
+    def _build_noise(self) -> None:
         self.noise = []
         for p in range(self.pset.s):
             n_real = len(self.pset.sub_dictionaries[p])
@@ -191,7 +186,9 @@ class Pipeline:
             omega = self.config.omega if self.config.omega is not None else -(-u // 2)
             omega = min(omega, u)
             self.noise.append(
-                padding.NoiseModel(u, sigma, omega, seed=_derive_seed(self.config.seed, f"pad{p}"))
+                padding.NoiseModel(
+                    u, self.config.sigma, omega, seed=_derive_seed(self.config.seed, f"pad{p}")
+                )
             )
 
     def _pad(self, weighted: Sequence[np.ndarray]) -> None:
@@ -204,12 +201,17 @@ class Pipeline:
         columns, which ``pad_matrix`` appends after the real ones."""
         return self.secure_mats[p][:, : len(self.pset.sub_dictionaries[p])]
 
+    def _keyword_counts(self, p: int) -> np.ndarray:
+        """Per keyword of partition p, the number of its documents holding
+        it: the positive entries of each real column."""
+        return np.count_nonzero(self._real_rows(p) > 0, axis=0).astype(np.float64)
+
     def _build_forest(self) -> None:
         self.trees = []
         for p in range(self.pset.s):
             n_real = len(self.pset.sub_dictionaries[p])
             total = self.secure_mats[p].shape[1]
-            popularity = self.pset.compressed[p].sum(axis=0).astype(np.float64)
+            popularity = self._keyword_counts(p)
             cfg = ProbeConfig(
                 count=self.config.probe_count,
                 zipf_a=self.config.zipf_a,
@@ -362,9 +364,11 @@ class Pipeline:
 
     def set_sigma(self, sigma: float) -> None:
         """Re-pad with the same noise pattern scaled to ``sigma``, rebuild the
-        forest ordering and re-encrypt.  Keys and dimensions are unchanged."""
+        forest ordering and re-encrypt.  Keys and dimensions are unchanged;
+        ``config.sigma`` records ``sigma`` for ``save``."""
+        self.config = replace(self.config, sigma=sigma)
         weighted = [self._real_rows(p) for p in range(self.s)]
-        self._build_noise(sigma)
+        self._build_noise()
         self._pad(weighted)
         self._build_forest()
         self._encrypt_forest(tag=f"sigma:{sigma}")
@@ -387,16 +391,12 @@ class Pipeline:
         (cluster-coherent workload)."""
         rng = np.random.default_rng(seed)
         if partition is None:
-            words = list(self.dictionary.words)
-            df = np.zeros(len(words))
-            for p in range(self.s):
-                for w in self.pset.sub_dictionaries[p]:
-                    df[self.dictionary.position[w]] = self.pset.compressed[p][
-                        :, self.pset.sub_positions[p][w]
-                    ].sum()
+            words = sorted(self.pset.home)
+            counts = [self._keyword_counts(p) for p in range(self.s)]
+            df = np.array([counts[p][dim] for p, dim in map(self.pset.home.get, words)])
         else:
             words = list(self.pset.sub_dictionaries[partition])
-            df = self.pset.compressed[partition].sum(axis=0).astype(np.float64)
+            df = self._keyword_counts(partition)
         if not words:
             raise EncSearchError(
                 f"cannot sample queries: partition {partition} has an empty sub-dictionary"
@@ -452,9 +452,6 @@ class Pipeline:
 
         self.pset.assignments[doc.doc_id] = p
         self.pset.members[p].append((doc.doc_id, doc.owner_id))
-        n_real = len(self.pset.sub_dictionaries[p])
-        bits = (vec[:n_real] > 0).astype(np.uint8)
-        self.pset.compressed[p] = np.vstack([self.pset.compressed[p], bits])
         self.secure_mats[p] = np.vstack([self.secure_mats[p], vec])
 
         touched, needs_rebuild = forest_mod.insert_leaf(self.trees[p], doc.doc_id, vec)
@@ -471,10 +468,7 @@ class Pipeline:
             i for i, (d, _o) in enumerate(self.pset.members[p]) if d == doc_id
         )
         del self.pset.members[p][row]
-        keep = np.ones(self.pset.compressed[p].shape[0], dtype=bool)
-        keep[row] = False
-        self.pset.compressed[p] = self.pset.compressed[p][keep]
-        self.secure_mats[p] = self.secure_mats[p][keep]
+        self.secure_mats[p] = np.delete(self.secure_mats[p], row, axis=0)
 
         touched, needs_rebuild = forest_mod.delete_leaf(self.trees[p], doc_id)
         if needs_rebuild:
@@ -491,7 +485,10 @@ class Pipeline:
         ``out_dir`` whole: an existing directory is moved aside, the new one
         renamed into its place and the old one removed.  A save that fails
         leaves ``out_dir`` as it was, and a save over an earlier run leaves
-        none of its files behind.  The owners' documents are not saved."""
+        none of its files behind.  It holds ``config.json``,
+        ``partitions.json``, ``arrays.npz``, ``forest_plain.bin`` and, if
+        encrypted, ``keys.bin`` and ``forest_enc.bin``: not the owners'
+        documents, nor anything ``load`` derives."""
         out = Path(out_dir)
         if out.exists() and not out.is_dir():
             raise EncSearchError(f"{out} exists and is not a directory")
@@ -512,16 +509,7 @@ class Pipeline:
 
     def _write(self, out: Path) -> None:
         (out / "config.json").write_text(json.dumps(asdict(self.config)))
-        save_dictionary(self.dictionary, out / "dictionary.txt")
         partitioning.save_partition_set(self.pset, out / "partitions.json")
-        (out / "noise.json").write_text(
-            json.dumps(
-                [
-                    {"pseudo_count": m.pseudo_count, "sigma": m.sigma, "omega": m.omega, "seed": m.seed}
-                    for m in self.noise
-                ]
-            )
-        )
         arrays = {}
         for p in range(self.s):
             arrays[f"corr{p}"] = self.correlativity[p]
@@ -536,16 +524,15 @@ class Pipeline:
 
     @classmethod
     def load(cls, out_dir: str | Path) -> "Pipeline":
-        """Read a run directory written by ``save``.  The ``corpus.jsonl`` of
-        a directory written before documents stopped being saved is not
-        read."""
+        """Read a run directory written by ``save``; the noise models follow
+        from the config.  Files older versions also saved (``corpus.jsonl``,
+        ``dictionary.txt``, ``noise.json``, ``partitions.npz``) are not read.
+        Malformed JSON files raise EncSearchError."""
         out = Path(out_dir)
         self = cls()
         self.config = _load_config(out / "config.json")
-        self.dictionary = load_dictionary(out / "dictionary.txt")
         self.pset = partitioning.load_partition_set(out / "partitions.json")
-        noise_spec = json.loads((out / "noise.json").read_text())
-        self.noise = [padding.NoiseModel(**m) for m in noise_spec]
+        self._build_noise()
         arrays = np.load(out / "arrays.npz")
         self.correlativity = [arrays[f"corr{p}"] for p in range(self.pset.s)]
         self.w_max = [arrays[f"wmax{p}"] for p in range(self.pset.s)]
@@ -566,7 +553,12 @@ class Pipeline:
 
 
 def _load_config(path: Path) -> PipelineConfig:
-    raw = json.loads(path.read_text())
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise EncSearchError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise EncSearchError(f"{path}: not a JSON object")
     # Former fields, now constants; older files hold them at those values.
     for key in ("probe_keywords", "cond_cap"):
         raw.pop(key, None)

@@ -6,7 +6,9 @@ all initial clusters into ``s`` final partitions with L1 k-means using
 component-wise median centroids.  The dictionary is then segmented: every
 keyword goes to the single partition where its document frequency is maximal,
 and each partition's index vectors are compressed down to its own sub-dictionary
-dimensions (dropping dimensions that are zero partition-wide).
+dimensions (dropping dimensions that are zero partition-wide).  The compressed
+0/1 matrices go to the build beside the partition set, not into it: the
+build's padded rows are positive exactly where they hold a 1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .corpus import BinaryIndex, KeywordDictionary
 from .errors import PartitioningError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -34,15 +36,31 @@ class InitialPartition:
 
 @dataclass
 class PartitionSet:
-    """Final partitions, disjoint sub-dictionaries and compressed indexes."""
+    """Final partitions and their disjoint sub-dictionaries.  The other
+    fields index ``sub_dictionaries`` and ``members``; the sorted keys of
+    ``home`` are the global dictionary."""
 
     s: int
     assignments: dict[int, int]             # doc_id -> partition id (0-based)
     sub_dictionaries: list[list[str]]       # words of partition i, global dict order
     sub_positions: list[dict[str, int]]     # word -> local dimension, per partition
     members: list[list[tuple[int, int]]]    # (doc_id, owner_id) per partition
-    compressed: list[np.ndarray]            # (M_i, N_i) uint8 matrix per partition
     home: dict[str, tuple[int, int]]        # word -> (partition, local dimension)
+
+    @classmethod
+    def from_members(
+        cls, sub_dictionaries: list[list[str]], members: list[list[tuple[int, int]]]
+    ) -> "PartitionSet":
+        """The partition set of these facts, with their lookups built."""
+        sub_positions = [{w: i for i, w in enumerate(d)} for d in sub_dictionaries]
+        return cls(
+            s=len(members),
+            assignments={d: part for part, group in enumerate(members) for d, _owner in group},
+            sub_dictionaries=sub_dictionaries,
+            sub_positions=sub_positions,
+            members=members,
+            home={w: (part, i) for part, pos in enumerate(sub_positions) for w, i in pos.items()},
+        )
 
     @property
     def sizes(self) -> list[int]:
@@ -176,12 +194,14 @@ def segment_dictionary(
     binary_indexes: Sequence[BinaryIndex],
     dictionary: KeywordDictionary,
     s: int,
-) -> PartitionSet:
+) -> tuple[PartitionSet, list[np.ndarray]]:
     """Build sub-dictionaries and compressed per-partition index matrices.
 
     A keyword is assigned to the partition where its document frequency is
     maximal (ties break toward the lowest partition id); its dimensions in all
     other partitions are dropped along with partition-wide zero dimensions.
+    Returns the partition set and each partition's (M_i, N_i) uint8 matrix,
+    rows in ``members`` order.
     """
     by_id = {ix.doc_id: ix for ix in binary_indexes}
     for doc_id in by_id:
@@ -200,16 +220,10 @@ def segment_dictionary(
 
     home_part = df.argmax(axis=0)  # argmax ties -> lowest partition id
     sub_dictionaries: list[list[str]] = [[] for _ in range(s)]
-    sub_positions: list[dict[str, int]] = [{} for _ in range(s)]
-    home: dict[str, tuple[int, int]] = {}
     for j, word in enumerate(dictionary.words):
         part = int(home_part[j])
-        if df[part, j] == 0:
-            continue  # keyword absent from the corpus slice; drop it
-        local = len(sub_dictionaries[part])
-        sub_dictionaries[part].append(word)
-        sub_positions[part][word] = local
-        home[word] = (part, local)
+        if df[part, j] > 0:  # else absent from the corpus slice; drop it
+            sub_dictionaries[part].append(word)
 
     compressed = []
     for part in range(s):
@@ -220,15 +234,7 @@ def segment_dictionary(
             mat = np.zeros((0, len(dims)), dtype=np.uint8)
         compressed.append(mat.astype(np.uint8))
 
-    return PartitionSet(
-        s=s,
-        assignments=dict(assignments),
-        sub_dictionaries=sub_dictionaries,
-        sub_positions=sub_positions,
-        members=members,
-        compressed=compressed,
-        home=home,
-    )
+    return PartitionSet.from_members(sub_dictionaries, members), compressed
 
 
 def default_partition_count(dictionary_size: int, target_dim: int = 1000) -> int:
@@ -251,8 +257,9 @@ def cluster_indexes(
     s: int,
     seed: int = 0,
     splitter: Callable[[Sequence[BinaryIndex]], list[InitialPartition]] = local_split,
-) -> PartitionSet:
-    """Full pipeline: per-owner local split, global clustering, segmentation."""
+) -> tuple[PartitionSet, list[np.ndarray]]:
+    """Full pipeline: per-owner local split, global clustering, segmentation.
+    Returns what ``segment_dictionary`` returns."""
     by_owner = partition_owners(binary_indexes)
     initials: list[InitialPartition] = []
     for owner in sorted(by_owner):
@@ -262,53 +269,39 @@ def cluster_indexes(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: a versioned JSON record for the metadata, and beside it an
-# npz archive (same name, suffix ``.npz``) holding the compressed matrices as
-# uint8 arrays ``compressed0`` .. ``compressed{s-1}``.
-
-def _matrices_path(path: str | Path) -> Path:
-    return Path(path).with_suffix(".npz")
-
+# Serialization: a versioned JSON record of the members and sub-dictionaries.
+# The rest of a PartitionSet indexes them and is rebuilt on load.  Version 2
+# also held the doc id -> partition map, which is not read.
 
 def save_partition_set(pset: PartitionSet, path: str | Path) -> None:
-    """Write ``path`` (JSON metadata) and its ``.npz`` sibling (matrices)."""
     payload = {
         "version": FORMAT_VERSION,
         "s": pset.s,
-        "assignments": {str(k): v for k, v in pset.assignments.items()},
         "sub_dictionaries": pset.sub_dictionaries,
         "members": pset.members,
     }
     Path(path).write_text(json.dumps(payload))
-    np.savez(
-        _matrices_path(path),
-        **{f"compressed{i}": mat for i, mat in enumerate(pset.compressed)},
-    )
 
 
 def load_partition_set(path: str | Path) -> PartitionSet:
-    """Read a partition set written by ``save_partition_set``."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != FORMAT_VERSION:
+    """Read a partition set written by ``save_partition_set``, of this or
+    the previous version.  A record that is not valid JSON, lacks a key,
+    does not hold ``s`` partitions or lists a doc id twice raises
+    PartitioningError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise PartitioningError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict) or payload.get("version") not in (2, FORMAT_VERSION):
         raise PartitioningError(f"unsupported partition-set version in {path}")
-    sub_dictionaries = payload["sub_dictionaries"]
+    missing = sorted({"s", "sub_dictionaries", "members"} - set(payload))
+    if missing:
+        raise PartitioningError(f"{path}: missing keys {missing}")
+    s, sub_dictionaries = payload["s"], payload["sub_dictionaries"]
     members = [[tuple(t) for t in group] for group in payload["members"]]
-    with np.load(_matrices_path(path)) as arrays:
-        compressed = [arrays[f"compressed{i}"] for i in range(payload["s"])]
-    for mat, words, group in zip(compressed, sub_dictionaries, members):
-        if mat.dtype != np.uint8 or mat.shape != (len(group), len(words)):
-            raise PartitioningError(f"compressed matrix does not match its partition in {path}")
-    sub_positions = [{w: i for i, w in enumerate(d)} for d in sub_dictionaries]
-    home = {}
-    for part, words in enumerate(sub_dictionaries):
-        for local, w in enumerate(words):
-            home[w] = (part, local)
-    return PartitionSet(
-        s=payload["s"],
-        assignments={int(k): v for k, v in payload["assignments"].items()},
-        sub_dictionaries=sub_dictionaries,
-        sub_positions=sub_positions,
-        members=members,
-        compressed=compressed,
-        home=home,
-    )
+    if len(sub_dictionaries) != s or len(members) != s:
+        raise PartitioningError(f"{path}: does not hold s={s} partitions")
+    ids = [doc_id for group in members for doc_id, _owner in group]
+    if len(set(ids)) != len(ids):
+        raise PartitioningError(f"{path}: a doc id is listed twice")
+    return PartitionSet.from_members(sub_dictionaries, members)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -22,10 +23,10 @@ def test_parse_grid():
 
 
 def test_build_writes_artifacts(run_dir):
-    for name in ("config.json", "dictionary.txt", "partitions.json", "partitions.npz",
-                 "forest_plain.bin", "forest_enc.bin", "keys.bin"):
-        assert (run_dir / name).exists()
-    assert not (run_dir / "corpus.jsonl").exists()
+    assert sorted(f.name for f in run_dir.iterdir()) == [
+        "arrays.npz", "config.json", "forest_enc.bin", "forest_plain.bin", "keys.bin",
+        "partitions.json",
+    ]
 
 
 def test_build_requires_corpus_source(capsys):
@@ -58,6 +59,16 @@ def test_inspect(run_dir, capsys):
     assert len(info["tree_depths"]) == 2
 
 
+@pytest.mark.parametrize("name", ["config.json", "partitions.json"])
+def test_inspect_damaged_run_prints_error(run_dir, tmp_path, capsys, name):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    text = (copy / name).read_text()
+    (copy / name).write_text(text[: len(text) // 2])
+    assert main(["inspect", "--run", str(copy)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {copy / name}")
+
+
 def test_update_insert_and_delete(run_dir, tmp_path, capsys):
     rec = tmp_path / "doc.json"
     rec.write_text(json.dumps({"doc_id": 900, "owner_id": 1, "terms": ["kw00", "kw01"]}))
@@ -71,10 +82,23 @@ def test_tune_writes_csv(run_dir, capsys):
     rc = main(["tune", "--run", str(run_dir), "--grid", "0.0:0.1:0.1",
                "--k", "5", "--queries", "3"])
     assert rc == 0
-    assert "sigma*=" in capsys.readouterr().out
-    lines = (run_dir / "fig3_equilibrium.csv").read_text().strip().splitlines()
+    csv = run_dir.parent / "fig3_equilibrium.csv"
+    out = capsys.readouterr().out
+    assert "sigma*=" in out and f"wrote {csv}" in out
+    lines = csv.read_text().strip().splitlines()
     assert lines[0].startswith("sigma,")
     assert len(lines) == 3
+
+
+def test_tune_csv_survives_update(tmp_path, capsys):
+    """tune writes beside the run directory, which the next save replaces."""
+    run = tmp_path / "run"
+    assert main(["build", "--synthetic", "30:60:3", "--s", "2", "--R", "50", "--out", str(run)]) == 0
+    assert main(["tune", "--run", str(run), "--grid", "0.05:0.05:0.05", "--k", "5",
+                 "--queries", "3"]) == 0
+    assert main(["update", "--run", str(run), "--delete", "3"]) == 0
+    assert (tmp_path / "fig3_equilibrium.csv").read_text().startswith("sigma,")
+    assert not (run / "fig3_equilibrium.csv").exists()
 
 
 def test_bench_orders(tmp_path, capsys):

@@ -8,8 +8,6 @@ from encsearch.corpus import (
     build_binary_indexes,
     build_dictionary,
     load_corpus,
-    load_dictionary,
-    save_dictionary,
     synthetic_corpus,
     tokenize,
 )
@@ -32,6 +30,15 @@ class TestDocument:
     def test_empty_rejected(self):
         with pytest.raises(CorpusError):
             Document(1, 1, {})
+
+    @pytest.mark.parametrize("count", [0, -2, 1.0, 2.5, True, "3", None])
+    def test_count_not_positive_integer_rejected(self, count):
+        # A zero count would set a keyword's incidence bit with weight 0.
+        with pytest.raises(CorpusError, match="not a positive integer"):
+            Document(0, 0, {"a": 1, "b": count})
+
+    def test_numpy_integer_count_accepted(self):
+        assert Document(0, 0, {"a": np.int64(3)}).counts == {"a": 3}
 
     def test_counts_retained(self):
         d = Document.from_text(1, 2, "cat cat dog")
@@ -153,10 +160,3 @@ class TestIo:
         path.write_text("\n")
         with pytest.raises(CorpusError, match="empty"):
             load_corpus(path)
-
-    def test_dictionary_round_trip(self, tmp_path):
-        d = KeywordDictionary.from_words(["alpha", "beta", "gamma"])
-        path = tmp_path / "dict.txt"
-        save_dictionary(d, path)
-        assert path.read_text() == "alpha\nbeta\ngamma\n"
-        assert load_dictionary(path).words == d.words

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from encsearch import forest as forest_mod, padding
-from encsearch.corpus import Document, load_corpus, synthetic_corpus
+from encsearch.corpus import Document, build_dictionary, load_corpus, synthetic_corpus
 from encsearch.engine import (
     Pipeline,
     PipelineConfig,
@@ -19,6 +21,12 @@ from encsearch.engine import (
 )
 from encsearch.errors import AccessError, EncSearchError, ForestError
 from encsearch.forest import load_forest, round_score, save_forest
+
+RUN_FILES = {"config.json", "partitions.json", "arrays.npz", "forest_plain.bin",
+             "keys.bin", "forest_enc.bin"}
+# Saved by older versions and no longer read: load derives what they held.
+OLDER_FILES = {"corpus.jsonl", "dictionary.txt", "noise.json", "partitions.npz"}
+DATA = Path(__file__).parent / "data"
 
 
 def brute_force(pipe, query, k):
@@ -46,6 +54,16 @@ def empty_smallest_partition(pipe):
     for doc_id, _owner in list(pipe.pset.members[p]):
         pipe.delete_document(doc_id)
     return p
+
+
+def assert_answers_esk1_queries(pipe):
+    """The answers tests/data/esk1_queries.json recorded for
+    tests/data/esk1_run, with the same seeded trapdoors."""
+    for entry in json.loads((DATA / "esk1_queries.json").read_text()):
+        pipe._query_rng = np.random.default_rng(entry["rng_seed"])
+        res = pipe.query(entry["keywords"], k=entry["k"], t=entry["t"])
+        assert [[d, sc] for d, sc in res.results] == entry["results"]
+        assert {str(p): v for p, v in res.visited.items()} == entry["visited"]
 
 
 def toy_config(**overrides):
@@ -93,6 +111,10 @@ def row_digest(row):
 
 
 class TestBuild:
+    def test_home_keys_are_the_dictionary(self, multi):
+        docs = synthetic_corpus(80, 160, n_owners=5, seed=2)
+        assert sorted(multi.pset.home) == list(build_dictionary(docs).words)
+
     def test_s_exceeds_docs(self):
         docs = synthetic_corpus(3, 10, 2, seed=0)
         with pytest.raises(EncSearchError, match="exceeds"):
@@ -315,6 +337,68 @@ class TestPartitionWithoutKeywords:
         assert [m.pseudo_count for m in pipe.noise] == [1, 0]
 
 
+def expected_incidence(pipe, doc, p):
+    """Where ``doc``'s padded row in partition p must be positive: at the
+    sub-dictionary words it holds, unless its owner's weight there is 0.  A
+    build document's owner always weighs its own words above 0; an owner the
+    partition does not know is weighted through the correlativity, whose unit
+    diagonal keeps every word it holds above 0."""
+    bits = np.array([w in doc.counts for w in pipe.pset.sub_dictionaries[p]], dtype=bool)
+    owner_weights = pipe.weights[p].get(doc.owner_id)
+    return bits if owner_weights is None else bits & (owner_weights > 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    n_docs=st.integers(6, 30),
+    s=st.integers(1, 4),
+    inserts=st.lists(
+        st.tuples(st.integers(0, 5), st.booleans(), st.integers(0, 10_000)), max_size=8
+    ),
+    delete_seed=st.integers(0, 10_000),
+)
+def test_padded_rows_carry_the_incidence(corpus_seed, n_docs, s, inserts, delete_seed):
+    """At build, the positive real entries of each padded row are its
+    document's keyword incidence over the partition's sub-dictionary, and
+    an inserted row's are that incidence where its weight is positive.  So
+    sampled queries drawn from keyword counts of the rows match those drawn
+    from a per-document recount, through random inserts (owners 3-5 unknown
+    to the build) and deletes."""
+    docs = synthetic_corpus(n_docs, 40, 3, seed=corpus_seed)
+    pipe = Pipeline.build(docs, PipelineConfig(s=s, probe_count=20, seed=corpus_seed, encrypt=False))
+    for p in range(pipe.s):
+        for row, (doc_id, _owner) in enumerate(pipe.pset.members[p]):
+            bits = [w in docs[doc_id].counts for w in pipe.pset.sub_dictionaries[p]]
+            np.testing.assert_array_equal(pipe._real_rows(p)[row] > 0, bits)
+    live = {d.doc_id: d for d in docs}
+    for i, (owner, pick, seed) in enumerate(inserts):
+        new = synthetic_corpus(1, 40, 1, seed=seed)[0]
+        doc = Document(1000 + i, owner, new.counts)
+        pipe.insert_document(doc, partition=seed % pipe.s if pick else None)
+        live[doc.doc_id] = doc
+    rng = np.random.default_rng(delete_seed)
+    for doc_id in rng.choice(sorted(live), size=len(live) // 3, replace=False).tolist():
+        pipe.delete_document(doc_id)
+        del live[doc_id]
+
+    recount = [np.zeros(len(words)) for words in pipe.pset.sub_dictionaries]
+    for p in range(pipe.s):
+        for row, (doc_id, _owner) in enumerate(pipe.pset.members[p]):
+            want = expected_incidence(pipe, live[doc_id], p)
+            np.testing.assert_array_equal(pipe._real_rows(p)[row] > 0, want)
+            recount[p] += want
+
+    def sampled_keywords():
+        parts = [None] + [p for p in range(pipe.s) if pipe.pset.sub_dictionaries[p]]
+        return [[q.keywords for q in pipe.sample_queries(3, 4, seed=7, partition=p)]
+                for p in parts]
+
+    got = sampled_keywords()
+    pipe._keyword_counts = lambda p: recount[p]
+    assert got == sampled_keywords()
+
+
 class TestUpdates:
     def test_insert_then_searchable(self, ):
         docs = synthetic_corpus(20, 40, 3, seed=8)
@@ -485,38 +569,90 @@ class TestPersistence:
         code's answers to queries with seeded trapdoors.  Loaded now, and once
         saved again as ESK2, the run answers them the same, and only keys.bin
         changes, at the same size."""
-        data = Path(__file__).parent / "data"
-        run = data / "esk1_run"
+        run = DATA / "esk1_run"
         assert (run / "keys.bin").read_bytes()[:4] == b"ESK1"
-        golden = json.loads((data / "esk1_queries.json").read_text())
         Pipeline.load(run).save(tmp_path / "run")
         names = {f.name for f in (tmp_path / "run").iterdir()}
-        assert names == {f.name for f in run.iterdir()} - {"corpus.jsonl"}
+        assert names == {f.name for f in run.iterdir()} - OLDER_FILES
         for name in names:
             rewritten = (tmp_path / "run" / name).read_bytes()
             if name == "keys.bin":
                 assert rewritten[:4] == b"ESK2" and len(rewritten) == (run / name).stat().st_size
+            elif name == "partitions.json":  # version 2 -> 3: no assignments
+                old = json.loads((run / name).read_text())
+                del old["assignments"]
+                assert json.loads(rewritten) == {**old, "version": 3}
             else:
                 assert rewritten == (run / name).read_bytes(), name
         for pipe in (Pipeline.load(run), Pipeline.load(tmp_path / "run")):
-            for entry in golden:
-                pipe._query_rng = np.random.default_rng(entry["rng_seed"])
-                res = pipe.query(entry["keywords"], k=entry["k"], t=entry["t"])
-                assert [[d, sc] for d, sc in res.results] == entry["results"]
-                assert {str(p): v for p, v in res.visited.items()} == entry["visited"]
+            assert_answers_esk1_queries(pipe)
+
+    @pytest.mark.parametrize("how", ["deleted", "damaged"])
+    def test_older_run_directory_answers_without_its_derived_files(self, tmp_path, how):
+        """The dictionary.txt, noise.json and partitions.npz of
+        tests/data/esk1_run are not read: deleted or damaged in a copy, the
+        run answers esk1_queries.json as before."""
+        copy = tmp_path / "run"
+        shutil.copytree(DATA / "esk1_run", copy)
+        for name in ("dictionary.txt", "noise.json", "partitions.npz"):
+            if how == "deleted":
+                (copy / name).unlink()
+            else:
+                (copy / name).write_bytes(b"\0not what it was")
+        assert_answers_esk1_queries(Pipeline.load(copy))
 
     def test_save_writes_no_corpus_and_load_keeps_assignments(self, tmp_path, multi):
+        """The run directory holds the six files load cannot derive; the doc
+        id map, noise models and dictionary come back all the same."""
         multi.save(tmp_path / "run")
-        assert not (tmp_path / "run" / "corpus.jsonl").exists()
+        assert {f.name for f in (tmp_path / "run").iterdir()} == RUN_FILES
         loaded = Pipeline.load(tmp_path / "run")
         assert loaded.pset.assignments == multi.pset.assignments
         assert loaded.pset.members == multi.pset.members
+        assert loaded.pset == multi.pset
+        assert loaded.noise == multi.noise
+
+    def test_set_sigma_recorded_for_load(self, tmp_path):
+        docs = synthetic_corpus(80, 160, 5, seed=2)
+        config = PipelineConfig(s=3, probe_count=50, seed=3)
+        pipe = Pipeline.build(docs, config)
+        pipe.set_sigma(0.2)
+        assert config.sigma == 0.05 and pipe.config.sigma == 0.2
+        pipe.save(tmp_path / "run")
+        loaded = Pipeline.load(tmp_path / "run")
+        assert loaded.noise == pipe.noise
+        doc = Document(1000, 9, docs[0].counts)
+        for p in range(pipe.s):
+            np.testing.assert_array_equal(
+                loaded._secure_vector_for(doc, p), pipe._secure_vector_for(doc, p)
+            )
+
+    @pytest.mark.parametrize("name, damage", [
+        ("config.json", "truncated"),
+        ("config.json", "not JSON"),
+        ("config.json", "not an object"),
+        ("partitions.json", "truncated"),
+        ("partitions.json", "missing key"),
+    ])
+    def test_malformed_json_fails_load(self, tmp_path, multi, name, damage):
+        multi.save(tmp_path / "run")
+        path = tmp_path / "run" / name
+        text = path.read_text()
+        lacking = {k: v for k, v in json.loads(text).items() if k != "sub_dictionaries"}
+        path.write_text({
+            "truncated": text[: len(text) // 2],
+            "not JSON": "s=3\n",
+            "not an object": "[]",
+            "missing key": json.dumps(lacking),
+        }[damage])
+        with pytest.raises(EncSearchError):
+            Pipeline.load(tmp_path / "run")
 
     def test_older_run_directory_loads_without_reading_its_corpus(self, tmp_path):
         """tests/data/esk1_run still holds the corpus.jsonl older code saved:
         the documents it lists are the loaded members, and the file is not
         read, so a damaged one changes nothing."""
-        run = Path(__file__).parent / "data" / "esk1_run"
+        run = DATA / "esk1_run"
         ids = sorted(d.doc_id for d in load_corpus(run / "corpus.jsonl"))
         pipe = Pipeline.load(run)
         assert sorted(pipe.pset.assignments) == ids
@@ -533,7 +669,7 @@ class TestPersistence:
         Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=5)).save(out)
         plain = Pipeline.build(docs[:40], PipelineConfig(s=2, probe_count=50, seed=5, encrypt=False))
         plain.save(out)
-        assert not (out / "keys.bin").exists() and not (out / "forest_enc.bin").exists()
+        assert {f.name for f in out.iterdir()} == RUN_FILES - {"keys.bin", "forest_enc.bin"}
         loaded = Pipeline.load(out)
         assert loaded.key is None and loaded.server is None
         assert sorted(loaded.pset.assignments) == list(range(40))
@@ -601,6 +737,5 @@ def test_empty_subdictionary_query_sampling_error():
     docs = synthetic_corpus(8, 16, 2, seed=14)
     pipe = Pipeline.build(docs, toy_config(seed=14))
     pipe.pset.sub_dictionaries[0] = []
-    pipe.pset.compressed[0] = np.zeros((0, 0), dtype=np.uint8)
     with pytest.raises(EncSearchError, match="empty sub-dictionary"):
         pipe.sample_queries(1, partition=0)

@@ -176,9 +176,9 @@ class TestSegmentDictionary:
     def test_one_partition_keeps_occurring_words(self):
         docs_bits = [bi(1, 1, (1, 0, 1)), bi(2, 1, (1, 0, 0))]
         d = KeywordDictionary.from_words(["a", "b", "c"])
-        pset = segment_dictionary({1: 0, 2: 0}, docs_bits, d, 1)
+        pset, compressed = segment_dictionary({1: 0, 2: 0}, docs_bits, d, 1)
         assert pset.sub_dictionaries == [["a", "c"]]  # "b" never occurs
-        assert pset.compressed[0].tolist() == [[1, 1], [1, 0]]
+        assert compressed[0].tolist() == [[1, 1], [1, 0]]
 
     def test_max_frequency_assignment(self):
         # "w" appears 3x in partition 0, 1x in partition 1 -> home partition 0,
@@ -190,7 +190,7 @@ class TestSegmentDictionary:
             bi(3, 1, (0, 1)),
             bi(4, 2, (1, 1)),
         ]
-        pset = segment_dictionary({1: 0, 2: 0, 3: 0, 4: 1}, indexes, d, 2)
+        pset, _ = segment_dictionary({1: 0, 2: 0, 3: 0, 4: 1}, indexes, d, 2)
         assert pset.home["w"] == (0, 0)
         assert "w" not in pset.sub_positions[1]
         assert pset.sub_dictionaries[1] == ["v"]
@@ -198,7 +198,7 @@ class TestSegmentDictionary:
     def test_tie_goes_to_lowest_partition(self):
         d = KeywordDictionary.from_words(["w"])
         indexes = [bi(1, 1, (1,)), bi(2, 2, (1,))]
-        pset = segment_dictionary({1: 1, 2: 0}, indexes, d, 2)
+        pset, _ = segment_dictionary({1: 1, 2: 0}, indexes, d, 2)
         assert pset.home["w"][0] == 0
 
     def test_reconstruction(self):
@@ -207,13 +207,13 @@ class TestSegmentDictionary:
         docs = synthetic_corpus(40, 80, 4, seed=5)
         dictionary = build_dictionary(docs)
         indexes = build_binary_indexes(docs, dictionary)
-        pset = cluster_indexes(indexes, dictionary, 3, seed=1)
+        pset, compressed = cluster_indexes(indexes, dictionary, 3, seed=1)
         by_id = {ix.doc_id: ix for ix in indexes}
         for p in range(pset.s):
             dims = [dictionary.position[w] for w in pset.sub_dictionaries[p]]
             for row, (doc_id, _owner) in enumerate(pset.members[p]):
                 np.testing.assert_array_equal(
-                    pset.compressed[p][row], by_id[doc_id].bits[dims]
+                    compressed[p][row], by_id[doc_id].bits[dims]
                 )
 
     def test_missing_assignment_error(self):
@@ -227,26 +227,27 @@ def pset():
     docs = synthetic_corpus(60, 150, 6, seed=2)
     dictionary = build_dictionary(docs)
     indexes = build_binary_indexes(docs, dictionary)
-    return cluster_indexes(indexes, dictionary, 4, seed=3), dictionary
+    ps, compressed = cluster_indexes(indexes, dictionary, 4, seed=3)
+    return ps, compressed, dictionary
 
 
 class TestClusterIndexes:
 
     def test_disjoint_sub_dictionaries(self, pset):
-        ps, _ = pset
+        ps, _, _ = pset
         for i in range(ps.s):
             for j in range(i + 1, ps.s):
                 assert not set(ps.sub_dictionaries[i]) & set(ps.sub_dictionaries[j])
 
     def test_compression_soundness(self, pset):
         # No all-zero retained dimension within any non-empty partition.
-        ps, _ = pset
+        ps, compressed, _ = pset
         for p in range(ps.s):
-            if ps.compressed[p].shape[0]:
-                assert (ps.compressed[p].sum(axis=0) > 0).all()
+            if compressed[p].shape[0]:
+                assert (compressed[p].sum(axis=0) > 0).all()
 
     def test_every_doc_assigned_once(self, pset):
-        ps, _ = pset
+        ps, _, _ = pset
         assert sum(len(m) for m in ps.members) == 60
         assert len(ps.assignments) == 60
 
@@ -254,8 +255,8 @@ class TestClusterIndexes:
         docs = synthetic_corpus(30, 70, 3, seed=8)
         dictionary = build_dictionary(docs)
         indexes = build_binary_indexes(docs, dictionary)
-        a = cluster_indexes(indexes, dictionary, 2, seed=4)
-        b = cluster_indexes(indexes, dictionary, 2, seed=4)
+        a, _ = cluster_indexes(indexes, dictionary, 2, seed=4)
+        b, _ = cluster_indexes(indexes, dictionary, 2, seed=4)
         assert a.assignments == b.assignments
         assert a.sub_dictionaries == b.sub_dictionaries
 
@@ -267,12 +268,12 @@ class TestClusterIndexes:
         docs = synthetic_corpus(n_docs, n_words, owners, seed=seed)
         dictionary = build_dictionary(docs)
         indexes = build_binary_indexes(docs, dictionary)
-        ps = cluster_indexes(indexes, dictionary, golden["cluster"]["s"])
+        ps, _ = cluster_indexes(indexes, dictionary, golden["cluster"]["s"])
         assert [ps.assignments[i] for i in range(n_docs)] == golden["cluster"]["assignments"]
 
     def test_owners_grouped_once(self, pset, monkeypatch):
         # One grouping pass over the corpus, then one splitter call per owner.
-        _, dictionary = pset
+        _, _, dictionary = pset
         docs = synthetic_corpus(60, 150, 6, seed=2)
         indexes = build_binary_indexes(docs, dictionary)
         groupings, calls = [], []
@@ -292,19 +293,24 @@ class TestClusterIndexes:
         assert calls == [{owner} for owner in sorted({ix.owner_id for ix in indexes})]
 
     def test_round_trip(self, tmp_path, pset):
-        ps, _ = pset
+        # The file holds the members and sub-dictionaries; the doc id map,
+        # positions and homes are rebuilt from them.
+        ps, _, _ = pset
         path = tmp_path / "partitions.json"
         save_partition_set(ps, path)
-        assert "compressed" not in json.loads(path.read_text())
-        loaded = load_partition_set(path)
-        assert loaded.s == ps.s
-        assert loaded.assignments == ps.assignments
-        assert loaded.sub_dictionaries == ps.sub_dictionaries
-        assert loaded.members == ps.members
-        assert loaded.home == ps.home
-        for a, b in zip(loaded.compressed, ps.compressed):
-            assert a.dtype == np.uint8
-            np.testing.assert_array_equal(a, b)
+        payload = json.loads(path.read_text())
+        assert sorted(payload) == ["members", "s", "sub_dictionaries", "version"]
+        assert payload["version"] == 3
+        assert load_partition_set(path) == ps
+
+    def test_version_2_assignments_ignored(self, tmp_path, pset):
+        ps, _, _ = pset
+        path = tmp_path / "partitions.json"
+        save_partition_set(ps, path)
+        payload = json.loads(path.read_text())
+        wrong = {str(doc_id): 0 for doc_id in ps.assignments}
+        path.write_text(json.dumps({**payload, "version": 2, "assignments": wrong}))
+        assert load_partition_set(path) == ps
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "partitions.json"
@@ -312,13 +318,28 @@ class TestClusterIndexes:
         with pytest.raises(PartitioningError, match="version"):
             load_partition_set(path)
 
-    def test_matrix_mismatch(self, tmp_path, pset):
-        ps, _ = pset
+    @pytest.mark.parametrize("damage", [
+        "truncated", "cut-record", "not-an-object", "missing-key", "wrong-s", "doc-twice",
+    ])
+    def test_malformed_record(self, tmp_path, pset, damage):
+        ps, _, _ = pset
         path = tmp_path / "partitions.json"
         save_partition_set(ps, path)
-        np.savez(tmp_path / "partitions.npz",
-                 **{f"compressed{i}": m[1:] for i, m in enumerate(ps.compressed)})
-        with pytest.raises(PartitioningError, match="does not match"):
+        text = path.read_text()
+        payload = json.loads(text)
+        members = payload["members"]
+        damaged, message = {
+            "truncated": (text[: len(text) // 2], "invalid JSON"),
+            "cut-record": ('{"version": 2, "s": 2', "invalid JSON"),
+            "not-an-object": ("[3]", "version"),
+            "missing-key": (json.dumps({k: v for k, v in payload.items() if k != "members"}),
+                            "missing keys \\['members'\\]"),
+            "wrong-s": (json.dumps({**payload, "s": payload["s"] + 1}), "does not hold s=5"),
+            "doc-twice": (json.dumps({**payload, "members": [members[0] + members[1][:1], *members[1:]]}),
+                          "listed twice"),
+        }[damage]
+        path.write_text(damaged)
+        with pytest.raises(PartitioningError, match=message):
             load_partition_set(path)
 
 

@@ -107,10 +107,10 @@ class TestComputeWeights:
         docs = synthetic_corpus(30, 40, 4, seed=6)
         dictionary = build_dictionary(docs)
         indexes = build_binary_indexes(docs, dictionary)
-        pset = cluster_indexes(indexes, dictionary, 2, seed=0)
+        pset, compressed = cluster_indexes(indexes, dictionary, 2, seed=0)
         by_id = {d.doc_id: d for d in docs}
         for p in range(pset.s):
-            corr = build_correlativity(pset.compressed[p])
+            corr = build_correlativity(compressed[p])
             w, w_max = compute_weights(by_id, pset.members[p], pset.sub_positions[p], corr)
             stacked = np.stack(list(w.values()))
             for t in range(stacked.shape[1]):

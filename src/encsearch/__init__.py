@@ -5,7 +5,7 @@ pseudo-keyword noise padding, inner-product-preserving encryption and a
 likelihood-ordered balanced tree forest with greedy depth-first top-k search.
 """
 
-from .aspe import SecretKey, Trapdoor, keygen, load_key, make_trapdoor, save_key, score
+from .aspe import Trapdoor, keygen, load_key, make_trapdoor, save_key, score
 from .corpus import (
     BinaryIndex,
     Document,
@@ -15,9 +15,8 @@ from .corpus import (
     load_corpus,
     synthetic_corpus,
 )
-from .engine import Pipeline, PipelineConfig, QuerySpec, SearchResult, Server, UserGrant
+from .engine import Pipeline, PipelineConfig, QuerySpec, SearchResult, Server
 from .errors import (
-    AccessError,
     AspeError,
     CorpusError,
     EncSearchError,
@@ -35,7 +34,6 @@ from .weighting import build_correlativity, compute_weights
 __version__ = "1.0.0"
 
 __all__ = [
-    "AccessError",
     "AspeError",
     "BinaryIndex",
     "CorpusError",
@@ -51,11 +49,9 @@ __all__ = [
     "PipelineConfig",
     "QuerySpec",
     "SearchResult",
-    "SecretKey",
     "Server",
     "Trapdoor",
     "Tree",
-    "UserGrant",
     "WeightingError",
     "build_binary_indexes",
     "build_correlativity",

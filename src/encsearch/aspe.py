@@ -32,6 +32,11 @@ _KEY_MAGIC_ESK1 = b"ESK1"
 _U32 = struct.Struct("<I")
 # Largest diagonal block that _unit_lower_inverse hands to np.linalg.inv.
 _TRI_BLOCK = 64
+# random_invertible: unit-triangular factors per matrix, the largest accepted
+# condition number, and the draws made before giving up.
+_FACTORS = 3
+_COND_CAP = 1e6
+_MAX_TRIES = 10
 
 
 def _unit_lower_inverse(t: np.ndarray) -> np.ndarray:
@@ -57,32 +62,24 @@ def _unit_lower_inverse(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_invertible(
-    dim: int,
-    rng: np.random.Generator,
-    factors: int = 3,
-    cond_cap: float = 1e6,
-    max_tries: int = 10,
-) -> tuple[np.ndarray, np.ndarray]:
+def random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random invertible matrix and its inverse.
 
-    Built as a product of ``factors`` unit-triangular matrices (alternating
+    Built as a product of ``_FACTORS`` unit-triangular matrices (alternating
     lower/upper) whose off-diagonal entries lie in [-1, 1], scaled by
     1/sqrt(dim) to keep the product well conditioned.  The inverse is the
     reverse product of the factors' inverses, each found by block recursion
     on its triangle (an upper factor through its transpose), so no dense
     ``dim x dim`` inversion is made.  Invertibility is structural; the
-    condition number (1-norm estimate) is still checked against ``cond_cap``
-    with resampling.
+    condition number (1-norm estimate) is still checked against ``_COND_CAP``,
+    resampling up to ``_MAX_TRIES`` times.
     """
     if dim < 1:
         raise AspeError("matrix dimension must be >= 1")
-    if factors < 1:
-        raise AspeError("need at least one triangular factor")
     scale = 1.0 / np.sqrt(dim)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         m = inv = None
-        for k in range(factors):
+        for k in range(_FACTORS):
             t = np.eye(dim)
             off = rng.uniform(-1.0, 1.0, size=(dim, dim)) * scale
             if k % 2 == 0:
@@ -94,9 +91,9 @@ def random_invertible(
             m = t if m is None else m @ t
             inv = t_inv if inv is None else t_inv @ inv
         cond = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
-        if cond <= cond_cap:
+        if cond <= _COND_CAP:
             return m, inv
-    raise AspeError(f"could not generate a matrix with condition <= {cond_cap:g}")
+    raise AspeError(f"could not generate a matrix with condition <= {_COND_CAP:g}")
 
 
 class PartitionKey:
@@ -109,7 +106,7 @@ class PartitionKey:
     reads the S=0 block and the query's own S=1 columns, about half of each
     matrix.  The constructor takes the square inverses and regroups them;
     ``from_columns`` takes them already in this layout, which is also the key
-    file's.  ``m1_inv`` and ``m2_inv`` rebuild the square inverses.
+    file's.
     """
 
     def __init__(
@@ -149,32 +146,6 @@ class PartitionKey:
     def dim(self) -> int:
         return self.indicator.shape[0]
 
-    @property
-    def m1_inv(self) -> np.ndarray:
-        return self._inverse(0)
-
-    @property
-    def m2_inv(self) -> np.ndarray:
-        return self._inverse(1)
-
-    def _inverse(self, i: int) -> np.ndarray:
-        return self._inv_columns[i][np.argsort(self._split)].T
-
-
-@dataclass
-class SecretKey:
-    partitions: list[PartitionKey]
-
-    def __getitem__(self, i: int) -> PartitionKey:
-        return self.partitions[i]
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    @property
-    def dims(self) -> list[int]:
-        return [pk.dim for pk in self.partitions]
-
 
 @dataclass(frozen=True)
 class EncryptedVector:
@@ -195,12 +166,12 @@ def _partition_key(dim: int, rng: np.random.Generator) -> PartitionKey:
     return PartitionKey(indicator, m1, m2, m1_inv, m2_inv)
 
 
-def keygen(dims: Sequence[int], seed: int = 0) -> SecretKey:
+def keygen(dims: Sequence[int], seed: int = 0) -> list[PartitionKey]:
     """One independent key per partition, dimension V_i each."""
     if any(d < 1 for d in dims):
         raise AspeError("all key dimensions must be >= 1")
     rng = np.random.default_rng(seed)
-    return SecretKey([_partition_key(d, rng) for d in dims])
+    return [_partition_key(d, rng) for d in dims]
 
 
 def _split_index(values: np.ndarray, key: PartitionKey, rng: np.random.Generator):
@@ -271,29 +242,29 @@ def score(encrypted: EncryptedVector, trapdoor: Trapdoor) -> float:
 # ---------------------------------------------------------------------------
 # Key file: versioned binary record, 64-bit little-endian floats.
 
-def save_key(key: SecretKey, path: str | Path) -> None:
+def save_key(keys: Sequence[PartitionKey], path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(KEY_MAGIC)
-        fh.write(_U32.pack(len(key.partitions)))
-        for pk in key.partitions:
+        fh.write(_U32.pack(len(keys)))
+        for pk in keys:
             fh.write(_U32.pack(pk.dim))
             fh.write(np.ascontiguousarray(pk.indicator, dtype=np.uint8))
             for mat in (pk.m1, pk.m2, *pk._inv_columns):
                 fh.write(np.ascontiguousarray(mat, dtype="<f8"))
 
 
-def load_key(path: str | Path) -> SecretKey:
+def load_key(path: str | Path) -> list[PartitionKey]:
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path, "key file", AspeError)
         magic = reader.magic((KEY_MAGIC, _KEY_MAGIC_ESK1))
-        partitions = []
+        keys = []
         for _ in range(reader.unpack(_U32)[0]):
             (dim,) = reader.unpack(_U32)
             indicator = reader.array(np.uint8, (dim,))
             m1, m2, inv1, inv2 = (reader.array("<f8", (dim, dim)) for _ in range(4))
             if magic == KEY_MAGIC:
-                partitions.append(PartitionKey.from_columns(indicator, m1, m2, (inv1, inv2)))
+                keys.append(PartitionKey.from_columns(indicator, m1, m2, (inv1, inv2)))
             else:
-                partitions.append(PartitionKey(indicator, m1, m2, inv1, inv2))
+                keys.append(PartitionKey(indicator, m1, m2, inv1, inv2))
         reader.end()
-    return SecretKey(partitions)
+    return keys

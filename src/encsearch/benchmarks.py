@@ -20,6 +20,9 @@ from . import forest as forest_mod, metrics, partitioning
 from .corpus import Document, build_binary_indexes, build_dictionary, synthetic_corpus
 from .engine import Pipeline, PipelineConfig, QuerySpec
 
+# Index clusters whose leaf order the "grouped" tree of bench_tree_orders uses.
+_ORDER_GROUPS = 4
+
 
 @dataclass
 class BenchmarkConfig:
@@ -102,7 +105,7 @@ def _run_tree(tree, qv: np.ndarray, k: int) -> tuple[int, float]:
 
 
 def bench_tree_orders(
-    config: BenchmarkConfig, out_dir: str | Path | None = None, groups: int = 4
+    config: BenchmarkConfig, out_dir: str | Path | None = None
 ) -> list[VariantStats]:
     """Compare single-tree search under three leaf orders: random, grouped by
     index cluster, and probe-score (maximum likelihood) order."""
@@ -119,7 +122,7 @@ def bench_tree_orders(
     dictionary = build_dictionary(docs)
     indexes = build_binary_indexes(docs, dictionary)
     grouped_pset, _ = partitioning.cluster_indexes(
-        indexes, dictionary, min(groups, config.n_docs), seed=config.seed + 2
+        indexes, dictionary, min(_ORDER_GROUPS, config.n_docs), seed=config.seed + 2
     )
     grouped = sorted(entries, key=lambda e: (grouped_pset.assignments[e[0]], e[0]))
     grouped_tree = forest_mod.build_tree(grouped, 0)
@@ -189,7 +192,7 @@ def bench_forest_speedup(
             for p in selected
         }
         start = time.perf_counter()
-        _, visits = forest_mod.search_forest(forest_pipe.trees, vecs, config.k, selected)
+        _, visits = forest_mod.search_forest(forest_pipe.trees, vecs, config.k)
         f_times.append(time.perf_counter() - start)
         f_visited.append(sum(visits.values()))
 

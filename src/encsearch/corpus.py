@@ -53,10 +53,6 @@ class Document:
     def from_terms(cls, doc_id: int, owner_id: int, terms: Iterable[str]) -> "Document":
         return cls(doc_id, owner_id, dict(Counter(terms)))
 
-    @property
-    def terms(self) -> set[str]:
-        return set(self.counts)
-
 
 @dataclass(frozen=True)
 class KeywordDictionary:

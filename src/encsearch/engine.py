@@ -3,7 +3,7 @@
 Owners contribute documents and binary indexes; the trusted proxy clusters,
 weights, pads and encrypts them into an index forest and turns user requests
 into trapdoors; the server stores only the encrypted forest and answers
-trapdoor searches; users reach it through a per-partition grant check.
+trapdoor searches.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import aspe, forest as forest_mod, padding, partitioning, weighting
 from .corpus import Document, build_binary_indexes, build_dictionary
-from .errors import AccessError, EncSearchError, ForestError
+from .errors import EncSearchError, ForestError
 from .forest import ProbeConfig, Tree
 
 
@@ -54,12 +54,6 @@ class QuerySpec:
     alphas: dict[int, np.ndarray] | None = None
 
 
-@dataclass(frozen=True)
-class UserGrant:
-    user_id: int
-    partitions: frozenset[int]
-
-
 @dataclass
 class SearchResult:
     results: list[tuple[int, float]]
@@ -87,22 +81,12 @@ class Server:
         self.trees = trees
 
     def search(
-        self,
-        trapdoors: Mapping[int, aspe.Trapdoor],
-        k: int,
-        selected: Sequence[int],
-        quota: int | None = None,
+        self, trapdoors: Mapping[int, aspe.Trapdoor], k: int, quota: int | None = None
     ) -> tuple[list[tuple[int, float]], dict[int, int]]:
-        return forest_mod.search_forest(self.trees, trapdoors, k, list(selected), quota)
+        return forest_mod.search_forest(self.trees, trapdoors, k, quota)
 
     def replace_tree(self, partition: int, tree: Tree) -> None:
         self.trees[partition] = tree
-
-
-def authorize(grant: UserGrant, partitions: Sequence[int]) -> bool:
-    """Allow iff every requested partition is granted.  Deny is a value, not
-    an error."""
-    return all(p in grant.partitions for p in partitions)
 
 
 class Pipeline:
@@ -123,7 +107,7 @@ class Pipeline:
         self.noise: list[padding.NoiseModel] = []
         self.secure_mats: list[np.ndarray] = []  # padded rows, pset.members order
         self.trees: list[Tree] = []
-        self.key: aspe.SecretKey | None = None
+        self.key: list[aspe.PartitionKey] | None = None  # one per partition
         self.server: Server | None = None
         self._query_rng: np.random.Generator = np.random.default_rng()
 
@@ -234,8 +218,9 @@ class Pipeline:
         if self.key is None:
             return
         rng = np.random.default_rng(_derive_seed(self.config.seed, f"encsplit:{tag}"))
-        enc = forest_mod.encrypt_forest(self.trees, self.key.partitions, rng)
-        self.server = Server(enc)
+        self.server = Server(
+            [forest_mod.encrypt_tree(tree, key, rng) for tree, key in zip(self.trees, self.key)]
+        )
 
     def _reencrypt_tree(self, partition: int, tag: str) -> None:
         """Proxy pushes one whole re-encrypted tree to the server."""
@@ -319,7 +304,6 @@ class Pipeline:
         t: int | None = None,
         partitions: Sequence[int] | None = None,
         quota: int | None = None,
-        grant: UserGrant | None = None,
         alphas: Mapping[int, np.ndarray] | None = None,
     ) -> SearchResult:
         """Full search: trapdoor generation at the proxy, ranked greedy search
@@ -331,13 +315,9 @@ class Pipeline:
         selected = (
             sorted(partitions) if partitions is not None else self.select_partitions(keywords, t)
         )
-        if not selected:
-            raise ForestError("no index partitions selected")
-        if grant is not None and not authorize(grant, selected):
-            raise AccessError(f"user {grant.user_id} is not granted partitions {selected}")
         start = time.perf_counter()
         trapdoors = self.make_trapdoors(keywords, selected, alphas)
-        results, visited = self.server.search(trapdoors, k, selected, quota)
+        results, visited = self.server.search(trapdoors, k, quota)
         elapsed = time.perf_counter() - start
         return SearchResult(results, visited, list(selected), elapsed)
 
@@ -527,28 +507,42 @@ class Pipeline:
         """Read a run directory written by ``save``; the noise models follow
         from the config.  Files older versions also saved (``corpus.jsonl``,
         ``dictionary.txt``, ``noise.json``, ``partitions.npz``) are not read.
-        Malformed JSON files raise EncSearchError."""
+        Malformed JSON files, a missing array, and tree or key files that do
+        not hold one entry per partition, in partition order and of the
+        partition's width, raise EncSearchError."""
         out = Path(out_dir)
         self = cls()
         self.config = _load_config(out / "config.json")
         self.pset = partitioning.load_partition_set(out / "partitions.json")
+        s = self.pset.s
         self._build_noise()
         arrays = np.load(out / "arrays.npz")
-        self.correlativity = [arrays[f"corr{p}"] for p in range(self.pset.s)]
-        self.w_max = [arrays[f"wmax{p}"] for p in range(self.pset.s)]
+        missing = [f"{n}{p}" for p in range(s) for n in ("corr", "wmax") if f"{n}{p}" not in arrays]
+        if missing:
+            raise EncSearchError(f"{out / 'arrays.npz'}: missing arrays {missing}")
+        self.correlativity = [arrays[f"corr{p}"] for p in range(s)]
+        self.w_max = [arrays[f"wmax{p}"] for p in range(s)]
         # Every saved owner, also one whose documents in the partition were
         # all deleted: its next document is weighted as before the save.
-        self.weights = [{} for _ in range(self.pset.s)]
+        self.weights = [{} for _ in range(s)]
         for name in arrays.files:
             if m := re.fullmatch(r"w(\d+)_(-?\d+)", name):
+                if int(m[1]) >= s:
+                    raise EncSearchError(f"{out / 'arrays.npz'}: {name} is of no partition")
                 self.weights[int(m[1])][int(m[2])] = arrays[name]
+        widths = [len(self.pset.sub_dictionaries[p]) + self.noise[p].pseudo_count for p in range(s)]
         self.trees = forest_mod.load_forest(out / "forest_plain.bin")
         self.secure_mats = [
             _member_rows(tree, members) for tree, members in zip(self.trees, self.pset.members)
         ]
+        _check_trees(out / "forest_plain.bin", self.trees, widths)
         if (out / "keys.bin").exists():
             self.key = aspe.load_key(out / "keys.bin")
+            dims = [pk.dim for pk in self.key]
+            if dims != widths:
+                raise EncSearchError(f"{out / 'keys.bin'}: key dimensions {dims}, not {widths}")
             self.server = Server(forest_mod.load_forest(out / "forest_enc.bin"))
+            _check_trees(out / "forest_enc.bin", self.server.trees, widths)
         return self
 
 
@@ -566,6 +560,16 @@ def _load_config(path: Path) -> PipelineConfig:
     if unknown:
         raise EncSearchError(f"{path}: unknown config keys {unknown}")
     return PipelineConfig(**raw)
+
+
+def _check_trees(path: Path, trees: Sequence[Tree], widths: Sequence[int]) -> None:
+    """Fail unless ``trees``, read from ``path``, are tree p of width
+    ``widths[p]`` for each partition p."""
+    got = [(t.partition, (t.enc1 if t.encrypted else t.nodes).shape[1]) for t in trees]
+    if got != list(enumerate(widths)):
+        raise EncSearchError(
+            f"{path}: holds (partition, width) {got}, not {list(enumerate(widths))}"
+        )
 
 
 def _member_rows(tree: Tree, members: Sequence[tuple[int, int]]) -> np.ndarray:

@@ -27,7 +27,3 @@ class AspeError(EncSearchError):
 
 class ForestError(EncSearchError):
     """Tree/forest misuse: unknown doc or partition, empty selection."""
-
-
-class AccessError(EncSearchError):
-    """Search request denied by the access-control check."""

@@ -240,14 +240,6 @@ def encrypt_tree(tree: Tree, key: PartitionKey, rng: np.random.Generator) -> Tre
     )
 
 
-def encrypt_forest(
-    trees: Sequence[Tree], keys: Sequence[PartitionKey], rng: np.random.Generator
-) -> list[Tree]:
-    if len(trees) != len(keys):
-        raise ForestError("one key per tree required")
-    return [encrypt_tree(tree, key, rng) for tree, key in zip(trees, keys)]
-
-
 # ---------------------------------------------------------------------------
 # Greedy depth-first top-k search.
 
@@ -305,28 +297,25 @@ def gdfs(
 
 def search_forest(
     trees: Sequence[Tree],
-    queries: Sequence | Mapping,
+    queries: Mapping[int, np.ndarray | Trapdoor],
     k: int,
-    selected: Sequence[int] | None = None,
     quota: int | None = None,
 ) -> tuple[list[tuple[int, float]], dict[int, int]]:
-    """Search ``selected`` trees (default: all), merge per-tree candidate
-    lists and return the global top-k plus per-tree visited-node counts.
+    """Search the trees ``queries`` names, merge their candidate lists and
+    return the global top-k plus per-tree visited-node counts.
 
-    ``queries[i]`` is the query vector or trapdoor of tree i.  The per-tree
-    candidate quota defaults to ceil(k/t) for t selected trees.
+    ``queries[i]`` is the query vector or trapdoor of tree i; the trees are
+    searched in ascending i.  The per-tree candidate quota defaults to
+    ceil(k/t) for t searched trees.
     """
     if k < 1:
         raise ForestError("k must be >= 1")
-    if selected is None:
-        selected = list(range(len(trees)))
-    if not selected:
+    if not queries:
         raise ForestError("no index partitions selected")
-    t = len(selected)
-    q = quota if quota is not None else -(-k // t)
+    q = quota if quota is not None else -(-k // len(queries))
     merged: list[tuple[int, float]] = []
     visits: dict[int, int] = {}
-    for i in selected:
+    for i in sorted(queries):
         candidates, visited = gdfs(trees[i], queries[i], q)
         merged.extend(candidates)
         visits[i] = visited

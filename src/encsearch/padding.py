@@ -20,6 +20,12 @@ import numpy as np
 from .errors import PaddingError
 from .metrics import equilibrium, precision, rank_privacy
 
+# The discriminator: gradient-descent epochs, learning rate and the seed of
+# its train/test shuffle.
+_EPOCHS = 400
+_LR = 0.5
+_SHUFFLE_SEED = 0
+
 
 @dataclass
 class NoiseModel:
@@ -65,24 +71,18 @@ def pad_matrix(values: np.ndarray, model: NoiseModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Distinguishability: a from-scratch logistic discriminator on score samples.
 
-def _logistic_fit(x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> tuple[float, float]:
+def _logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     w, b = 0.0, 0.0
-    for _ in range(epochs):
+    for _ in range(_EPOCHS):
         z = np.clip(w * x + b, -30, 30)
         p = 1.0 / (1.0 + np.exp(-z))
         grad = p - y
-        w -= lr * float(grad @ x) / len(x)
-        b -= lr * float(grad.sum()) / len(x)
+        w -= _LR * float(grad @ x) / len(x)
+        b -= _LR * float(grad.sum()) / len(x)
     return w, b
 
 
-def distinguishability(
-    padded_scores: Sequence[float],
-    unpadded_scores: Sequence[float],
-    epochs: int = 400,
-    lr: float = 0.5,
-    seed: int = 0,
-) -> float:
+def distinguishability(padded_scores: Sequence[float], unpadded_scores: Sequence[float]) -> float:
     """Held-out accuracy of a logistic classifier separating the two score
     samples.  Around 0.5 means the padded distribution is indistinguishable."""
     a = np.asarray(padded_scores, dtype=np.float64)
@@ -97,13 +97,13 @@ def distinguishability(
     mu, sd = x.mean(), x.std()
     x = (x - mu) / (sd if sd > 0 else 1.0)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SHUFFLE_SEED)
     order = rng.permutation(x.size)
     x, y = x[order], y[order]
     cut = max(1, int(0.7 * x.size))
     if len(set(y[:cut])) < 2:
         raise PaddingError("degenerate single-class training split")
-    w, bias = _logistic_fit(x[:cut], y[:cut], epochs, lr)
+    w, bias = _logistic_fit(x[:cut], y[:cut])
     pred = (w * x[cut:] + bias) > 0
     return float((pred == (y[cut:] > 0.5)).mean())
 
@@ -165,11 +165,7 @@ class SweepHandle(Protocol):
 
 
 def optimize_noise(
-    handle: SweepHandle,
-    sigma_grid: Sequence[float],
-    k: int,
-    queries: Sequence,
-    discriminator_seed: int = 0,
+    handle: SweepHandle, sigma_grid: Sequence[float], k: int, queries: Sequence
 ) -> EquilibriumReport:
     """Evaluate every sigma on the grid through the full padded pipeline and
     return the grid row maximizing f = x^2/95 + y^2/80."""
@@ -192,8 +188,6 @@ def optimize_noise(
             padded_scores.extend(s for _, s in result)
         x = 100.0 * float(np.mean(precisions))
         y = 100.0 * float(np.mean(privacies))
-        acc = distinguishability(
-            padded_scores, exact_scores, seed=discriminator_seed
-        )
+        acc = distinguishability(padded_scores, exact_scores)
         rows.append(SigmaRow(float(sigma), x / 100.0, y / 100.0, equilibrium(x, y), acc))
     return EquilibriumReport(rows)

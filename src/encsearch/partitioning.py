@@ -24,6 +24,11 @@ from .corpus import BinaryIndex, KeywordDictionary
 from .errors import PartitioningError
 
 FORMAT_VERSION = 3
+# Iteration caps of the local 2-means split and of the global k-means.
+_LOCAL_MAX_ITER = 20
+_GLOBAL_MAX_ITER = 100
+# Keywords per sub-dictionary that the default partition count aims at.
+_KEYWORDS_PER_PARTITION = 1000
 
 
 @dataclass
@@ -89,7 +94,7 @@ def _bit_median(rows: np.ndarray) -> np.ndarray:
     return (np.sign(2.0 * ones - rows.shape[0]) + 1.0) / 2.0
 
 
-def local_split(owner_indexes: Sequence[BinaryIndex], max_iter: int = 20) -> list[InitialPartition]:
+def local_split(owner_indexes: Sequence[BinaryIndex]) -> list[InitialPartition]:
     """Split one owner's index vectors into at most two clusters.
 
     Deterministic: seeds are the pair of vectors at maximal L1 distance.  A
@@ -108,7 +113,7 @@ def local_split(owner_indexes: Sequence[BinaryIndex], max_iter: int = 20) -> lis
     a, b = _farthest_pair(X)
     centers = X[[a, b]]
     labels = None
-    for _it in range(max_iter):
+    for _it in range(_LOCAL_MAX_ITER):
         # Centers hold 0, 1/2 or 1, so the L1 distance of a 0/1 row x to
         # center c is |c| + x.(1 - 2c), exact in float64.
         d = centers.sum(axis=1) + X @ (1.0 - 2.0 * centers).T
@@ -149,10 +154,7 @@ def _kmeans_pp_init(R: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarr
 
 
 def global_cluster(
-    initials: Sequence[InitialPartition],
-    s: int,
-    seed: int = 0,
-    max_iter: int = 100,
+    initials: Sequence[InitialPartition], s: int, seed: int = 0
 ) -> dict[int, int]:
     """Assign every initial cluster (all its members together) to one of ``s``
     final partitions.  L1 k-means with component-wise median centroids.
@@ -169,7 +171,7 @@ def global_cluster(
         rng = np.random.default_rng(seed)
         centers = _kmeans_pp_init(R, s, rng)
         labels = np.full(p, -1, dtype=int)
-        for _ in range(max_iter):
+        for _ in range(_GLOBAL_MAX_ITER):
             d = np.abs(R[:, None, :] - centers[None, :, :]).sum(axis=2)
             new_labels = d.argmin(axis=1)
             # Re-seat empty clusters on the farthest representative.
@@ -237,9 +239,9 @@ def segment_dictionary(
     return PartitionSet.from_members(sub_dictionaries, members), compressed
 
 
-def default_partition_count(dictionary_size: int, target_dim: int = 1000) -> int:
-    """Heuristic: about ``target_dim`` keywords per sub-dictionary."""
-    return max(1, -(-dictionary_size // target_dim))
+def default_partition_count(dictionary_size: int) -> int:
+    """Heuristic: about ``_KEYWORDS_PER_PARTITION`` keywords per sub-dictionary."""
+    return max(1, -(-dictionary_size // _KEYWORDS_PER_PARTITION))
 
 
 def partition_owners(

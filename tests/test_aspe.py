@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from encsearch import aspe
 from encsearch.aspe import (
     PartitionKey,
-    SecretKey,
     Trapdoor,
     encrypt_matrix,
     encrypt_vector,
@@ -36,6 +36,13 @@ def identity_key(dim, ones=None):
     return PartitionKey(s, eye.copy(), eye.copy(), eye.copy(), eye.copy())
 
 
+def inverses(key):
+    """The square inverses of M1 and M2, rebuilt from the column layout the
+    key keeps (row j of ``_inv_columns[i]`` is column ``_split[j]``)."""
+    back = np.argsort(key._split)
+    return tuple(cols[back].T for cols in key._inv_columns)
+
+
 class TestRandomInvertible:
     def test_inverse_exact(self):
         rng = np.random.default_rng(0)
@@ -45,18 +52,18 @@ class TestRandomInvertible:
 
     def test_condition_cap(self):
         rng = np.random.default_rng(0)
-        m, inv = random_invertible(32, rng, cond_cap=1e6)
+        m, inv = random_invertible(32, rng)
         assert np.linalg.norm(m, 1) * np.linalg.norm(inv, 1) <= 1e6
 
     def test_invalid_dim(self):
         with pytest.raises(AspeError):
             random_invertible(0, np.random.default_rng(0))
-        with pytest.raises(AspeError, match="factor"):
-            random_invertible(4, np.random.default_rng(0), factors=0)
 
-    def test_cap_exhausted(self):
+    def test_cap_exhausted(self, monkeypatch):
+        monkeypatch.setattr(aspe, "_COND_CAP", 1.0)
+        monkeypatch.setattr(aspe, "_MAX_TRIES", 2)
         with pytest.raises(AspeError, match="condition"):
-            random_invertible(16, np.random.default_rng(0), cond_cap=1.0, max_tries=2)
+            random_invertible(16, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 129, 300])
@@ -82,20 +89,21 @@ class TestKeygen:
         def digest(mat):
             return hashlib.sha256(np.ascontiguousarray(mat, dtype="<f8").tobytes()).hexdigest()
 
-        assert [digest(pk.m1) for pk in key.partitions] == spec["m1_sha256"]
-        assert [digest(pk.m2) for pk in key.partitions] == spec["m2_sha256"]
-        for pk in key.partitions:
-            np.testing.assert_allclose(pk.m1 @ pk.m1_inv, np.eye(pk.dim), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(pk.m2 @ pk.m2_inv, np.eye(pk.dim), rtol=0, atol=1e-12)
+        assert [digest(pk.m1) for pk in key] == spec["m1_sha256"]
+        assert [digest(pk.m2) for pk in key] == spec["m2_sha256"]
+        for pk in key:
+            m1_inv, m2_inv = inverses(pk)
+            np.testing.assert_allclose(pk.m1 @ m1_inv, np.eye(pk.dim), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pk.m2 @ m2_inv, np.eye(pk.dim), rtol=0, atol=1e-12)
 
     def test_shapes_and_indicator(self):
         key = keygen([4, 7], seed=1)
-        assert len(key) == 2
-        assert key.dims == [4, 7]
-        for pk in key.partitions:
+        assert [pk.dim for pk in key] == [4, 7]
+        for pk in key:
             assert set(np.unique(pk.indicator)) <= {0, 1}
-            np.testing.assert_allclose(pk.m1 @ pk.m1_inv, np.eye(pk.dim), atol=1e-9)
-            np.testing.assert_allclose(pk.m2 @ pk.m2_inv, np.eye(pk.dim), atol=1e-9)
+            m1_inv, m2_inv = inverses(pk)
+            np.testing.assert_allclose(pk.m1 @ m1_inv, np.eye(pk.dim), atol=1e-9)
+            np.testing.assert_allclose(pk.m2 @ m2_inv, np.eye(pk.dim), atol=1e-9)
 
     def test_deterministic(self):
         a, b = keygen([5], seed=3), keygen([5], seed=3)
@@ -211,7 +219,8 @@ class TestTrapdoorColumns:
         r = rng.uniform(0.0, 1.0, size=q.shape)
         q1 = np.where(ones, q, r)
         q2 = np.where(ones, q, q - r)
-        return key.m1_inv @ q1, key.m2_inv @ q2
+        m1_inv, m2_inv = inverses(key)
+        return m1_inv @ q1, m2_inv @ q2
 
     @pytest.mark.parametrize(
         "key",
@@ -238,8 +247,8 @@ class TestTrapdoorColumns:
         indicator = rng.integers(0, 2, size=9).astype(np.uint8)
         a, b = rng.normal(size=(9, 9)), rng.normal(size=(9, 9))
         key = PartitionKey(indicator, np.eye(9), np.eye(9), a, b)
-        np.testing.assert_array_equal(key.m1_inv, a)
-        np.testing.assert_array_equal(key.m2_inv, b)
+        np.testing.assert_array_equal(inverses(key)[0], a)
+        np.testing.assert_array_equal(inverses(key)[1], b)
 
 
 class TestEncryptMatrix:
@@ -267,7 +276,7 @@ class TestEncryptMatrix:
             "ones": np.ones(dim, dtype=np.uint8),
         }[indicator]
         assert indicator != "random" or 0 < s.sum() < dim
-        key = PartitionKey(s, base.m1, base.m2, base.m1_inv, base.m2_inv)
+        key = PartitionKey(s, base.m1, base.m2, *inverses(base))
         values = np.random.default_rng(4).uniform(size=(25, dim))
         original = values.copy()
 
@@ -322,11 +331,11 @@ class TestKeyFile:
         save_key(key, path)
         loaded = load_key(path)
         assert len(loaded) == 3
-        for a, b in zip(key.partitions, loaded.partitions):
+        for a, b in zip(key, loaded):
             np.testing.assert_array_equal(a.indicator, b.indicator)
             assert a.indicator.dtype == b.indicator.dtype
-            for attr in ("m1", "m2", "m1_inv", "m2_inv"):
-                np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+            for mat_a, mat_b in zip((a.m1, a.m2, *inverses(a)), (b.m1, b.m2, *inverses(b))):
+                np.testing.assert_array_equal(mat_a, mat_b)
             for cols_a, cols_b in zip(a._inv_columns, b._inv_columns):
                 assert cols_a.dtype == cols_b.dtype and cols_b.flags.c_contiguous
                 np.testing.assert_array_equal(cols_a, cols_b)
@@ -343,10 +352,11 @@ class TestKeyFile:
     def test_file_stores_inverses_in_trapdoor_column_order(self, tmp_path):
         pk = keygen([5], seed=2)[0]
         path = tmp_path / "keys.bin"
-        save_key(SecretKey([pk]), path)
+        save_key([pk], path)
         raw = path.read_bytes()
         header = b"ESK2" + struct.pack("<II", 1, 5) + pk.indicator.tobytes()
-        mats = [pk.m1, pk.m2, pk.m1_inv.T[pk._split], pk.m2_inv.T[pk._split]]
+        m1_inv, m2_inv = inverses(pk)
+        mats = [pk.m1, pk.m2, m1_inv.T[pk._split], m2_inv.T[pk._split]]
         assert raw == header + b"".join(m.astype("<f8").tobytes() for m in mats)
 
     def test_oversized_dimension_fails_before_allocating(self, tmp_path):

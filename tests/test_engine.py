@@ -12,14 +12,9 @@ from hypothesis import strategies as st
 
 from encsearch import forest as forest_mod, padding
 from encsearch.corpus import Document, build_dictionary, load_corpus, synthetic_corpus
-from encsearch.engine import (
-    Pipeline,
-    PipelineConfig,
-    QuerySpec,
-    UserGrant,
-    authorize,
-)
-from encsearch.errors import AccessError, EncSearchError, ForestError
+from encsearch.aspe import load_key, save_key
+from encsearch.engine import Pipeline, PipelineConfig, QuerySpec
+from encsearch.errors import EncSearchError, ForestError
 from encsearch.forest import load_forest, round_score, save_forest
 
 RUN_FILES = {"config.json", "partitions.json", "arrays.npz", "forest_plain.bin",
@@ -235,22 +230,6 @@ class TestPartitionSelection:
         assert len(selected) == 2 and 2 in selected
 
 
-class TestAuthorization:
-    def test_examples(self):
-        g = UserGrant(1, frozenset({0, 1}))
-        assert authorize(g, [0, 1])
-        assert not authorize(g, [2])
-
-    def test_access_error_on_query(self, multi):
-        pipe = multi
-        grant = UserGrant(7, frozenset({0}))
-        word = pipe.pset.sub_dictionaries[1][0]
-        with pytest.raises(AccessError):
-            pipe.query([word], k=3, grant=grant)
-        ok = pipe.query([pipe.pset.sub_dictionaries[0][0]], k=3, grant=grant)
-        assert ok.partitions == [0]
-
-
 class TestSampleQueries:
     def test_shapes_and_determinism(self, multi):
         pipe = multi
@@ -326,7 +305,7 @@ class TestPartitionWithoutKeywords:
         pipe = Pipeline.build(synthetic_corpus(**self.DOCS), PipelineConfig(s=2, seed=0))
         assert pipe.pset.sizes[0] == 0 and len(pipe.pset.members[0]) > 0
         assert [m.pseudo_count for m in pipe.noise] == [1, 4]
-        assert pipe.key.dims[0] == 1
+        assert pipe.key[0].dim == 1
         for q in pipe.sample_queries(10, n_keywords=5, seed=3):
             assert_same_answer(pipe.run_query(q, k=10), brute_force(pipe, q, 10))
             assert_same_answer(pipe.exact_query(q, k=10), pipe.exact_search(q.keywords, 10))
@@ -712,6 +691,50 @@ class TestPersistence:
         with pytest.raises(ForestError, match="leaves do not match"):
             Pipeline.load(tmp_path / "run")
 
+    @pytest.fixture(scope="class")
+    def small(self):
+        return Pipeline.build(synthetic_corpus(40, 80, 3, seed=1), PipelineConfig(s=3, probe_count=50))
+
+    def test_load_rejects_plain_forest_without_a_tree(self, tmp_path, small):
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "forest_plain.bin"
+        save_forest(load_forest(path)[:2], path)
+        with pytest.raises(EncSearchError, match="forest_plain.bin"):
+            Pipeline.load(tmp_path / "run")
+
+    def test_load_rejects_arrays_without_a_correlativity(self, tmp_path, small):
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "arrays.npz"
+        arrays = dict(np.load(path))
+        del arrays["corr2"]
+        np.savez(path, **arrays)
+        with pytest.raises(EncSearchError, match="corr2"):
+            Pipeline.load(tmp_path / "run")
+
+    def test_load_rejects_weights_of_no_partition(self, tmp_path, small):
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "arrays.npz"
+        arrays = dict(np.load(path))
+        np.savez(path, **arrays, w3_0=arrays["corr0"])
+        with pytest.raises(EncSearchError, match="w3_0"):
+            Pipeline.load(tmp_path / "run")
+
+    def test_load_rejects_swapped_encrypted_trees(self, tmp_path, small):
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "forest_enc.bin"
+        trees = load_forest(path)
+        trees[0], trees[1] = trees[1], trees[0]
+        save_forest(trees, path)
+        with pytest.raises(EncSearchError, match="forest_enc.bin"):
+            Pipeline.load(tmp_path / "run")
+
+    def test_load_rejects_keys_of_other_partitions(self, tmp_path, small):
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "keys.bin"
+        save_key(load_key(path)[:2], path)
+        with pytest.raises(EncSearchError, match="key dimensions"):
+            Pipeline.load(tmp_path / "run")
+
     def test_same_seed_bit_identical_forest_files(self, tmp_path):
         docs = synthetic_corpus(80, 160, 5, seed=2)
         cfg = PipelineConfig(s=2, probe_count=50, seed=13)
@@ -724,7 +747,7 @@ class TestPersistence:
         multi.save(tmp_path / "run")
         first, second = Pipeline.load(tmp_path / "run"), Pipeline.load(tmp_path / "run")
         q = multi.sample_queries(1, n_keywords=5, seed=4)[0]
-        p = int(np.argmax(multi.key.dims))  # a one-dimensional key may split nothing
+        p = int(np.argmax([pk.dim for pk in multi.key]))  # a one-dimensional key may split nothing
         a = first.make_trapdoors(q.keywords, [p], q.alphas)
         b = second.make_trapdoors(q.keywords, [p], q.alphas)
         assert not np.allclose(a[p].t1, b[p].t1)

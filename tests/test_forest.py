@@ -195,7 +195,7 @@ class TestSearchForest:
     def test_merge_matches_global_oracle(self):
         trees, all_entries = self.make_forest()
         query = np.abs(np.random.default_rng(7).normal(size=4))
-        queries = [query] * 3
+        queries = {p: query for p in range(3)}
         got, visits = search_forest(trees, queries, k=8, quota=8)
         assert got == brute_force_topk(all_entries, query, 8)
         assert set(visits) == {0, 1, 2}
@@ -203,26 +203,51 @@ class TestSearchForest:
     def test_selected_subset(self):
         trees, all_entries = self.make_forest()
         query = np.ones(4)
-        queries = [query] * 3
-        got, visits = search_forest(trees, queries, k=5, selected=[1], quota=5)
+        got, visits = search_forest(trees, {1: query}, k=5, quota=5)
         subset = [(d, v) for d, v in all_entries if 100 <= d < 200]
         assert got == brute_force_topk(subset, query, 5)
         assert set(visits) == {1}
 
     def test_default_quota_is_ceil_k_over_t(self):
         trees, _ = self.make_forest()
-        query = np.ones(4)
-        queries = [query] * 3
+        queries = {p: np.ones(4) for p in range(3)}
         got, _ = search_forest(trees, queries, k=7)  # quota ceil(7/3)=3 per tree
         assert len(got) == 7
 
     def test_errors(self):
         trees, _ = self.make_forest()
-        queries = [np.ones(4)] * 3
-        with pytest.raises(ForestError):
+        queries = {p: np.ones(4) for p in range(3)}
+        with pytest.raises(ForestError, match="k must be"):
             search_forest(trees, queries, k=0)
-        with pytest.raises(ForestError):
-            search_forest(trees, queries, k=3, selected=[])
+        with pytest.raises(ForestError, match="no index partitions selected"):
+            search_forest(trees, {}, k=3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_searches_exactly_the_mapped_trees(self, data):
+        """Random small forests with small integer entries, so scores tie
+        often and exactly.  Searching a random non-empty subset of the trees,
+        named in random order, gives the brute-force top-k of each searched
+        tree under the quota ceil(k/t), merged by the doc-id tie rule, and
+        visits exactly those trees in ascending order."""
+        dim = data.draw(st.integers(1, 4), label="dim")
+        cells = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+        trees, entries = [], []
+        for p in range(data.draw(st.integers(1, 4), label="trees")):
+            rows = data.draw(st.lists(cells, min_size=1, max_size=8), label=f"rows{p}")
+            part = [(100 * p + i, np.array(r, dtype=np.float64)) for i, r in enumerate(rows)]
+            trees.append(build_tree(part, partition=p))
+            entries.append(part)
+        chosen = data.draw(
+            st.lists(st.integers(0, len(trees) - 1), min_size=1, unique=True), label="chosen"
+        )
+        queries = {p: np.array(data.draw(cells), dtype=np.float64) for p in chosen}
+        k = data.draw(st.integers(1, 12), label="k")
+        got, visits = search_forest(trees, queries, k)
+        quota = -(-k // len(chosen))
+        merged = [e for p in chosen for e in brute_force_topk(entries[p], queries[p], quota)]
+        assert got == sorted(merged, key=lambda e: (-e[1], e[0]))[:k]
+        assert list(visits) == sorted(chosen)
 
 
 class TestEncryptedTree:
@@ -446,7 +471,7 @@ def test_plaintext_forest_matches_recorded_behaviour():
         out = []
         for q in queries:
             real = pipe.real_query_vectors(q.keywords)
-            vecs = [np.concatenate([real[p], pseudo * q.alphas[p]]) for p in range(pipe.s)]
+            vecs = {p: np.concatenate([real[p], pseudo * q.alphas[p]]) for p in range(pipe.s)}
             res, visits = search_forest(pipe.trees, vecs, k=10)
             out.append({"results": [[d, s] for d, s in res],
                         "visited": {str(p): v for p, v in visits.items()}})

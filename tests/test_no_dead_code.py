@@ -1,10 +1,12 @@
 """Every function, class and method of the package has a caller.
 
-A definition in ``src/encsearch/`` must be referenced, by name or attribute,
-somewhere in the package or in the benchmark (``perfbench/``) outside its own
-body.  Imports and re-exports are not references, and neither are the tests:
-code that only tests reach is code nothing needs.  The allow-listed reference
-code is exempt, but what it references is not kept alive by it.
+A definition in ``src/encsearch/`` must be referenced somewhere in the
+package or in the benchmark (``perfbench/``) outside its own body: a function
+or class by name or attribute, a method or property by attribute only, since
+a bare name that matches one is a local variable or another function.
+Imports and re-exports are not references, and neither are the tests: code
+that only tests reach is code nothing needs.  The allow-listed reference code
+is exempt, but what it references is not kept alive by it.
 ``perfbench/tracing.py`` wraps functions by passing their names as strings,
 so its string constants count as references.
 """
@@ -26,33 +28,35 @@ ALLOWED = {
 }
 
 
-def definitions(tree: ast.Module) -> list[ast.AST]:
-    """Top-level functions and classes, and the methods of those classes;
-    dunder methods are called by the language, not by name."""
+def definitions(tree: ast.Module) -> list[tuple[ast.AST, bool]]:
+    """(node, is_method) of the top-level functions and classes, and of the
+    methods of those classes; dunder methods are called by the language, not
+    by name."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.append(node)
+            out.append((node, False))
         if isinstance(node, ast.ClassDef):
             out.extend(
-                m for m in node.body
+                (m, True) for m in node.body
                 if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (m.name.startswith("__") and m.name.endswith("__"))
             )
     return out
 
 
-def references(tree: ast.Module, strings: bool) -> list[tuple[str, int]]:
-    """(name, line) of every name and attribute read, and with ``strings``
-    of every string constant."""
+def references(tree: ast.Module, strings: bool) -> list[tuple[str, int, bool]]:
+    """(name, line, reaches_methods) of every name and attribute read, and
+    with ``strings`` of every string constant.  Only an attribute or a
+    string can reach a method."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, True))
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.append((node.value, node.lineno))
+            out.append((node.value, node.lineno, True))
     return out
 
 
@@ -64,21 +68,22 @@ def unreferenced(sources: dict[str, str], package: set[str], traced: str) -> lis
     defs = {file: definitions(trees[file]) for file in sorted(package)}
     allowed = {
         (file, node.lineno, node.end_lineno)
-        for file, nodes in defs.items() for node in nodes if node.name in ALLOWED
+        for file, nodes in defs.items() for node, _ in nodes if node.name in ALLOWED
     }
     refs = {
-        (name, ref, line)
+        (name, ref, line, reaches_methods)
         for name, tree in trees.items()
-        for ref, line in references(tree, strings=name == traced)
+        for ref, line, reaches_methods in references(tree, strings=name == traced)
         if not any(name == f and lo <= line <= hi for f, lo, hi in allowed)
     }
     out = []
     for file, nodes in defs.items():
-        for node in nodes:
+        for node, is_method in nodes:
             used = any(
                 ref == node.name
+                and (reaches_methods or not is_method)
                 and not (other == file and node.lineno <= line <= node.end_lineno)
-                for other, ref, line in refs
+                for other, ref, line, reaches_methods in refs
             )
             if not used and node.name not in ALLOWED:
                 out.append(f"{file}:{node.name}")
@@ -96,7 +101,7 @@ def test_allowed_names_are_defined():
     names = {
         node.name
         for f in PACKAGE.glob("*.py")
-        for node in definitions(ast.parse(f.read_text()))
+        for node, _ in definitions(ast.parse(f.read_text()))
     }
     assert set(ALLOWED) <= names
 
@@ -114,16 +119,21 @@ def test_guard_sees_each_kind_of_reference():
         "    def __len__(self): return 0\n"
         "    def method(self): return self.method()\n"
         "    def called(self): pass\n"
+        "    def shadowed(self): pass\n"
+        "    def wrapped(self): pass\n"
     )
     user = (
         "from lib import imported_only\n"
         "used()\n"
         "K().called()\n"
+        "shadowed, other = 1, 2\n"
+        "print(shadowed)\n"
     )
-    tracer = "wrap(lib, 'by_string')\n"
+    tracer = "wrap(lib, 'by_string')\nwrap(K, 'wrapped')\n"
     sources = {"lib": lib, "user": user, "tracer": tracer}
+    # A local variable named like a method does not keep the method alive.
     assert unreferenced(sources, {"lib"}, "tracer") == [
-        "lib:helper", "lib:recursive", "lib:imported_only", "lib:method",
+        "lib:helper", "lib:recursive", "lib:imported_only", "lib:method", "lib:shadowed",
     ]
     # A string outside the tracing module is not a reference.
     assert "lib:by_string" in unreferenced(sources, {"lib"}, "user")

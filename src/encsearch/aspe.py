@@ -30,7 +30,8 @@ KEY_MAGIC = b"ESK2"
 # The layout before the inverses were stored column-wise; read, never written.
 _KEY_MAGIC_ESK1 = b"ESK1"
 _U32 = struct.Struct("<I")
-# Largest diagonal block that _unit_lower_inverse hands to np.linalg.inv.
+# Largest diagonal block that _unit_lower_inverse hands to np.linalg.inv, and
+# the rows per block of the triangular solves.
 _TRI_BLOCK = 64
 # random_invertible: unit-triangular factors per matrix, the largest accepted
 # condition number, and the draws made before giving up.
@@ -44,12 +45,15 @@ def _unit_lower_inverse(t: np.ndarray) -> np.ndarray:
 
     With t = [[A, 0], [C, D]], the inverse is [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
     so only diagonal blocks of at most ``_TRI_BLOCK`` rows go through
-    ``np.linalg.inv``; the rest is matrix products.  The result is exactly
-    zero above the diagonal and exactly one on it.
+    ``np.linalg.inv``; the rest is matrix products.  Only the strict lower
+    triangle of ``t`` is read (the diagonal is taken as one).  The result is
+    exactly zero above the diagonal and exactly one on it.
     """
     n = t.shape[0]
     if n <= _TRI_BLOCK:
-        out = np.tril(np.linalg.inv(t), -1)
+        block = np.tril(t, -1)
+        np.fill_diagonal(block, 1.0)
+        out = np.tril(np.linalg.inv(block), -1)
         np.fill_diagonal(out, 1.0)
         return out
     h = n // 2
@@ -62,17 +66,48 @@ def _unit_lower_inverse(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solve_unit_lower(t: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite ``b`` with t^-1 b for unit lower-triangular ``t``.
+
+    Left-looking and blocked: ``_TRI_BLOCK`` rows at a time, top down, each
+    block first takes off the product with the rows already solved and is
+    then multiplied by its diagonal block's inverse.  Only the strict lower
+    triangle of ``t`` is read.
+    """
+    n = t.shape[0]
+    for lo in range(0, n, _TRI_BLOCK):
+        hi = min(lo + _TRI_BLOCK, n)
+        if lo:
+            b[lo:hi] -= t[lo:hi, :lo] @ b[:lo]
+        b[lo:hi] = _unit_lower_inverse(t[lo:hi, lo:hi]) @ b[lo:hi]
+
+
+def _solve_unit_upper(t: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite ``b`` with t^-1 b for unit upper-triangular ``t``: the
+    bottom-up mirror of ``_solve_unit_lower``, each diagonal block inverted
+    through its transpose.  Only the strict upper triangle of ``t`` is read.
+    """
+    n = t.shape[0]
+    for hi in range(n, 0, -_TRI_BLOCK):
+        lo = max(hi - _TRI_BLOCK, 0)
+        if hi < n:
+            b[lo:hi] -= t[lo:hi, hi:] @ b[hi:]
+        b[lo:hi] = _unit_lower_inverse(t[lo:hi, lo:hi].T).T @ b[lo:hi]
+
+
 def random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random invertible matrix and its inverse.
 
-    Built as a product of ``_FACTORS`` unit-triangular matrices (alternating
-    lower/upper) whose off-diagonal entries lie in [-1, 1], scaled by
-    1/sqrt(dim) to keep the product well conditioned.  The inverse is the
-    reverse product of the factors' inverses, each found by block recursion
-    on its triangle (an upper factor through its transpose), so no dense
-    ``dim x dim`` inversion is made.  Invertibility is structural; the
-    condition number (1-norm estimate) is still checked against ``_COND_CAP``,
-    resampling up to ``_MAX_TRIES`` times.
+    Built as a product m = t_0 t_1 ... of ``_FACTORS`` unit-triangular
+    matrices (alternating lower/upper) whose off-diagonal entries lie in
+    [-1, 1], scaled by 1/sqrt(dim) to keep the product well conditioned.
+    The inverse starts as t_0^-1 (block recursion on its triangle) and each
+    later factor t_k turns it, in place, into t_k^-1 times itself by a blocked
+    triangular solve (top down for a lower factor, bottom up for an upper
+    one), so no dense ``dim x dim`` inversion or product is made on the
+    inverse side.  Invertibility is structural; the condition number (1-norm
+    estimate) is still checked against ``_COND_CAP``, resampling up to
+    ``_MAX_TRIES`` times.
     """
     if dim < 1:
         raise AspeError("matrix dimension must be >= 1")
@@ -80,16 +115,15 @@ def random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, n
     for _ in range(_MAX_TRIES):
         m = inv = None
         for k in range(_FACTORS):
-            t = np.eye(dim)
-            off = rng.uniform(-1.0, 1.0, size=(dim, dim)) * scale
-            if k % 2 == 0:
-                t += np.tril(off, -1)
-                t_inv = _unit_lower_inverse(t)
+            off = rng.uniform(-1.0, 1.0, size=(dim, dim))
+            off *= scale
+            t = np.tril(off, -1) if k % 2 == 0 else np.triu(off, 1)
+            np.fill_diagonal(t, 1.0)
+            if m is None:
+                m, inv = t, _unit_lower_inverse(t)
             else:
-                t += np.triu(off, 1)
-                t_inv = _unit_lower_inverse(t.T).T
-            m = t if m is None else m @ t
-            inv = t_inv if inv is None else t_inv @ inv
+                m = m @ t
+                (_solve_unit_lower if k % 2 == 0 else _solve_unit_upper)(t, inv)
         cond = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
         if cond <= _COND_CAP:
             return m, inv
@@ -211,10 +245,13 @@ def make_trapdoor(
     query: np.ndarray, key: PartitionKey, rng: np.random.Generator
 ) -> Trapdoor:
     """Complementary split (random where S=0, copy where S=1), then the
-    inverse transforms.  Query entries must be non-negative; negative weights
-    would break the elementwise-max bound used for tree pruning."""
+    inverse transforms.  Query entries must be finite and non-negative;
+    negative weights would break the elementwise-max bound used for tree
+    pruning."""
     if query.shape != (key.dim,):
         raise AspeError(f"query shape {query.shape} does not match key dim {key.dim}")
+    if not np.all(np.isfinite(query)):
+        raise AspeError("query vector entries must be finite")
     if np.any(query < 0):
         raise AspeError("query vector entries must be non-negative")
     q = query.astype(np.float64)

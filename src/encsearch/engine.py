@@ -70,6 +70,11 @@ class UpdateReport:
     rebuilt: bool
 
 
+def _check_k(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise EncSearchError(f"k must be an integer >= 1, got {k!r}")
+
+
 def _derive_seed(base: int, tag: str) -> int:
     return zlib.crc32(f"{base}:{tag}".encode()) & 0x7FFFFFFF
 
@@ -242,6 +247,8 @@ class Pipeline:
             p: np.zeros(len(self.pset.sub_dictionaries[p])) for p in range(self.s)
         }
         for word, weight in keywords.items():
+            if not np.isfinite(weight):
+                raise EncSearchError(f"non-finite weight for keyword {word!r}")
             if weight < 0:
                 raise EncSearchError(f"negative weight for keyword {word!r}")
             loc = self.pset.home.get(word)
@@ -308,6 +315,7 @@ class Pipeline:
     ) -> SearchResult:
         """Full search: trapdoor generation at the proxy, ranked greedy search
         at the server.  ``keywords`` may be a list (weight 1.0 each)."""
+        _check_k(k)
         if self.server is None:
             raise EncSearchError("pipeline was built without encryption")
         if not isinstance(keywords, Mapping):
@@ -325,7 +333,9 @@ class Pipeline:
         self, keywords: Mapping[str, float] | Sequence[str], k: int | None = None
     ) -> list[tuple[int, float]]:
         """Ground truth: plaintext, unpadded weighted scores over all
-        partitions, no per-tree quota."""
+        partitions, no per-tree quota.  ``k=None`` ranks every document."""
+        if k is not None:
+            _check_k(k)
         if not isinstance(keywords, Mapping):
             keywords = {w: 1.0 for w in keywords}
         real = self.real_query_vectors(keywords)

@@ -229,12 +229,13 @@ def segment_dictionary(
 
     compressed = []
     for part in range(s):
-        dims = [dictionary.position[w] for w in sub_dictionaries[part]]
+        dims = np.array([dictionary.position[w] for w in sub_dictionaries[part]], dtype=np.int64)
         if members[part]:
-            mat = np.stack([by_id[doc_id].bits[dims] for doc_id, _ in members[part]])
+            rows = np.stack([by_id[doc_id].bits for doc_id, _ in members[part]])
+            mat = rows[:, dims]
         else:
             mat = np.zeros((0, len(dims)), dtype=np.uint8)
-        compressed.append(mat.astype(np.uint8))
+        compressed.append(mat.astype(np.uint8, copy=False))
 
     return PartitionSet.from_members(sub_dictionaries, members), compressed
 

@@ -21,6 +21,8 @@ from encsearch.aspe import (
     random_invertible,
     save_key,
     score,
+    _solve_unit_lower,
+    _solve_unit_upper,
     _split_index,
     _unit_lower_inverse,
 )
@@ -43,12 +45,31 @@ def inverses(key):
     return tuple(cols[back].T for cols in key._inv_columns)
 
 
+def unit_triangular(dim, lower, rng):
+    """A factor as ``random_invertible`` draws it: identity plus the strict
+    triangle of a uniform [-1, 1] draw scaled by 1/sqrt(dim)."""
+    off = rng.uniform(-1.0, 1.0, size=(dim, dim)) * (1.0 / np.sqrt(dim))
+    return np.eye(dim) + (np.tril(off, -1) if lower else np.triu(off, 1))
+
+
 class TestRandomInvertible:
     def test_inverse_exact(self):
         rng = np.random.default_rng(0)
-        for dim in (1, 2, 8, 64):
+        for dim in (1, 2, 8, 64, 129, 300, 961):
             m, inv = random_invertible(dim, rng)
-            np.testing.assert_allclose(m @ inv, np.eye(dim), atol=1e-9)
+            np.testing.assert_allclose(m @ inv, np.eye(dim), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 7, 64, 65, 200])
+    def test_matrix_is_product_of_drawn_factors(self, dim):
+        """m is the left-to-right product of the drawn lower/upper/lower
+        factors, redrawn here from the same seed, bit for bit."""
+        m, _inv = random_invertible(dim, np.random.default_rng(dim))
+        rng = np.random.default_rng(dim)
+        want = None
+        for k in range(aspe._FACTORS):
+            t = unit_triangular(dim, k % 2 == 0, rng)
+            want = t if want is None else want @ t
+        assert m.tobytes() == want.tobytes()
 
     def test_condition_cap(self):
         rng = np.random.default_rng(0)
@@ -74,6 +95,31 @@ def test_unit_lower_inverse(dim):
     assert np.all(inv[np.triu_indices(dim, 1)] == 0.0)
     assert np.all(np.diag(inv) == 1.0)
     np.testing.assert_allclose(t @ inv, np.eye(dim), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 129, 300])
+def test_triangular_solve(dim, lower):
+    t = unit_triangular(dim, lower, np.random.default_rng(dim))
+    b = np.random.default_rng(dim + 1).uniform(-1.0, 1.0, (dim, dim + 3))
+    want = np.linalg.solve(t, b)
+    (_solve_unit_lower if lower else _solve_unit_upper)(t, b)
+    np.testing.assert_allclose(b, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+@pytest.mark.parametrize("dim", [2, 65, 129])
+def test_triangular_solve_reads_only_its_triangle(dim, lower):
+    t = unit_triangular(dim, lower, np.random.default_rng(dim))
+    b = np.random.default_rng(dim + 1).uniform(-1.0, 1.0, (dim, dim))
+    poisoned = t.copy()
+    poisoned[np.triu_indices(dim, 0) if lower else np.tril_indices(dim, 0)] = np.nan
+    solve = _solve_unit_lower if lower else _solve_unit_upper
+    clean, got = b.copy(), b.copy()
+    solve(t, clean)
+    solve(poisoned, got)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == clean.tobytes()
 
 
 class TestKeygen:
@@ -309,6 +355,12 @@ class TestTrapdoorValidation:
         key = keygen([3], seed=0)[0]
         with pytest.raises(AspeError, match="non-negative"):
             make_trapdoor(np.array([1.0, -0.1, 0.0]), key, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        key = keygen([3], seed=0)[0]
+        with pytest.raises(AspeError, match="finite"):
+            make_trapdoor(np.array([1.0, bad, 0.0]), key, np.random.default_rng(0))
 
     def test_dimension_mismatch(self):
         key = keygen([3], seed=0)[0]

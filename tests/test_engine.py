@@ -165,6 +165,40 @@ class TestQueryPath:
         with pytest.raises(EncSearchError, match="negative"):
             pipe.exact_search({"kw": -1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected_by_query(self, toy, bad):
+        """Rejected before any trapdoor draw: the query generator does not
+        move."""
+        pipe, _ = toy
+        words = pipe.pset.sub_dictionaries[0][:2]
+        state = pipe._query_rng.bit_generator.state
+        with pytest.raises(EncSearchError, match="non-finite"):
+            pipe.query({words[0]: bad, words[1]: 1.0}, k=3)
+        assert pipe._query_rng.bit_generator.state == state
+
+    def test_nan_weight_rejected_by_exact_search(self, toy):
+        pipe, _ = toy
+        with pytest.raises(EncSearchError, match="non-finite"):
+            pipe.exact_search({pipe.pset.sub_dictionaries[0][0]: float("nan")})
+
+    @pytest.mark.parametrize("k", [0, -2, 1.5, 2.0, True, "3", None])
+    def test_query_k_must_be_positive_integer(self, toy, k):
+        pipe, _ = toy
+        with pytest.raises(EncSearchError, match="k must be an integer"):
+            pipe.query(pipe.pset.sub_dictionaries[0][:2], k=k)
+
+    @pytest.mark.parametrize("k", [0, -2, 1.5, True])
+    def test_exact_search_k_must_be_positive_integer(self, toy, k):
+        pipe, _ = toy
+        with pytest.raises(EncSearchError, match="k must be an integer"):
+            pipe.exact_search(pipe.pset.sub_dictionaries[0][:2], k=k)
+
+    def test_numpy_integer_k_accepted(self, toy):
+        pipe, _ = toy
+        words = pipe.pset.sub_dictionaries[0][:2]
+        assert len(pipe.query(words, k=np.int64(3)).results) == 3
+        assert pipe.exact_search(words, np.int32(3)) == pipe.exact_search(words, 3)
+
     def test_repeat_same_ranking_fresh_trapdoors(self, toy):
         pipe, _ = toy
         words = pipe.pset.sub_dictionaries[0][:3]

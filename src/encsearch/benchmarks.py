@@ -112,20 +112,19 @@ def bench_tree_orders(
     docs = _corpus(config, config.n_docs, config.seed)
     pipeline = _plain_pipeline(docs, config, 1)
     mlsb = pipeline.trees[0]
-    entries = mlsb.leaf_entries()
+    ids, rows = mlsb.leaf_rows()
 
-    rng = np.random.default_rng(config.seed + 1)
-    shuffled = list(entries)
-    rng.shuffle(shuffled)
-    random_tree = forest_mod.build_tree(shuffled, 0)
+    shuffled = np.random.default_rng(config.seed + 1).permutation(len(ids))
+    random_tree = forest_mod.build_tree(ids[shuffled], rows[shuffled], 0)
 
     dictionary = build_dictionary(docs)
     indexes = build_binary_indexes(docs, dictionary)
     grouped_pset, _ = partitioning.cluster_indexes(
         indexes, dictionary, min(_ORDER_GROUPS, config.n_docs), seed=config.seed + 2
     )
-    grouped = sorted(entries, key=lambda e: (grouped_pset.assignments[e[0]], e[0]))
-    grouped_tree = forest_mod.build_tree(grouped, 0)
+    groups = np.array([grouped_pset.assignments[doc_id] for doc_id in ids.tolist()])
+    grouped = np.lexsort((ids, groups))
+    grouped_tree = forest_mod.build_tree(ids[grouped], rows[grouped], 0)
 
     queries = pipeline.sample_queries(
         config.queries, config.query_keywords, seed=config.seed + 3

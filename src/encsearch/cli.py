@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,7 +47,14 @@ def _config_from(args) -> PipelineConfig:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    lo, hi, step = (float(x) for x in spec.split(":"))
+    try:
+        lo, hi, step = (float(x) for x in spec.split(":"))
+    except ValueError:
+        raise EncSearchError(f"--grid {spec!r}: expected LO:HI:STEP") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise EncSearchError(f"--grid {spec!r}: LO, HI and STEP must be finite")
+    if step <= 0:
+        raise EncSearchError(f"--grid {spec!r}: STEP must be positive")
     grid = []
     v = lo
     while v <= hi + 1e-12:
@@ -83,8 +91,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    pipeline = Pipeline.load(args.run)
     grid = _parse_grid(args.grid)
+    pipeline = Pipeline.load(args.run)
     queries = pipeline.sample_queries(args.queries, seed=args.seed)
     report = padding.optimize_noise(pipeline, grid, args.k, queries)
     # Beside the run directory, not in it: the next save replaces that whole.

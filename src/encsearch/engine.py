@@ -100,7 +100,8 @@ class Pipeline:
     The owners' documents and their 0/1 keyword incidence are read only while
     building: their term counts weight the index, and afterwards each
     document lives on as its id and owner in ``pset.members`` and as its
-    padded row, whose positive real entries mark its weighted keywords.
+    padded row, whose positive real entries mark its keywords, also for a
+    document inserted later.
     """
 
     def __init__(self):
@@ -156,13 +157,11 @@ class Pipeline:
             w, wmax = weighting.compute_weights(
                 docs_by_id, self.pset.members[p], self.pset.sub_positions[p], corr
             )
-            weighted = weighting.weight_indexes(
-                self.pset.members[p], compressed[p], w, p
-            )
+            owner_weights = weighting.weight_indexes(self.pset.members[p], w)
             self.correlativity.append(corr)
             self.weights.append(w)
             self.w_max.append(wmax)
-            weighted_mats.append(weighting.weighted_matrix(weighted))
+            weighted_mats.append(weighting.weighted_matrix(compressed[p], owner_weights))
         return weighted_mats
 
     def _build_noise(self) -> None:
@@ -190,6 +189,11 @@ class Pipeline:
         columns, which ``pad_matrix`` appends after the real ones."""
         return self.secure_mats[p][:, : len(self.pset.sub_dictionaries[p])]
 
+    def _member_ids(self, p: int) -> np.ndarray:
+        """Partition p's doc ids in ``pset.members`` order, the order of its
+        padded rows."""
+        return np.array([doc_id for doc_id, _owner in self.pset.members[p]], dtype=np.int64)
+
     def _keyword_counts(self, p: int) -> np.ndarray:
         """Per keyword of partition p, the number of its documents holding
         it: the positive entries of each real column."""
@@ -207,17 +211,9 @@ class Pipeline:
                 seed=_derive_seed(self.config.seed, f"probe{p}"),
             )
             probe = forest_mod.probe_aggregate(n_real, total, popularity, cfg)
-            entries = [
-                (doc_id, self.secure_mats[p][row])
-                for row, (doc_id, _owner) in enumerate(self.pset.members[p])
-            ]
-            ordered = forest_mod.order_by_likelihood(entries, probe)
-            if ordered:
-                tree = forest_mod.build_tree(ordered, p, probe, cfg)
-            else:  # deletes emptied the partition
-                tree = Tree(p, np.zeros(0, dtype=np.int64), np.zeros((0, total)),
-                            probe=probe, probe_config=cfg)
-            self.trees.append(tree)
+            ids, rows = self._member_ids(p), self.secure_mats[p]
+            order = forest_mod.order_by_likelihood(ids, rows, probe)
+            self.trees.append(forest_mod.build_tree(ids[order], rows[order], p, probe, cfg))
 
     def _encrypt_forest(self, tag: str) -> None:
         if self.key is None:
@@ -344,7 +340,7 @@ class Pipeline:
             rows = self._real_rows(p)
             if rows.size == 0:
                 continue
-            ids.append(np.array([doc_id for doc_id, _owner in self.pset.members[p]], dtype=np.int64))
+            ids.append(self._member_ids(p))
             scores.append(np.round(rows @ real[p], 9))  # round_score's grid
         ids, scores = np.concatenate(ids), np.concatenate(scores)
         order = np.lexsort((ids, -scores))[:k]
@@ -422,13 +418,14 @@ class Pipeline:
             if dim is not None:
                 bits[dim] = 1.0
                 tf[dim] = count
-        w = self.weights[p].get(doc.owner_id)
-        if w is None:
-            # Unknown owner: weight this single document through the stored
-            # correlativity and per-keyword maxima.
-            w = weighting.normalize(self.correlativity[p] @ tf, self.w_max[p])
+        # Where its owner's build weight is 0 (everywhere for an owner the
+        # partition does not know), the document is weighted through the
+        # stored correlativity and per-keyword maxima, whose unit diagonal
+        # weighs every keyword it holds above 0.
+        w = self.weights[p].get(doc.owner_id, np.zeros(n_real))
+        w = np.where(w > 0, w, weighting.normalize(self.correlativity[p] @ tf, self.w_max[p]))
         model = replace(self.noise[p], seed=_derive_seed(self.config.seed, f"ins:{doc.doc_id}"))
-        return padding.pad_matrix((bits * w)[None, :], model)[0]
+        return padding.pad_matrix(weighting.weighted_matrix(bits[None], w[None]), model)[0]
 
     def insert_document(self, doc: Document, partition: int | None = None) -> UpdateReport:
         """Add one document: only its partition's tree is touched; the proxy

@@ -1,12 +1,13 @@
 """Score-ordered balanced index trees, their forest, and greedy top-k search.
 
-Leaves are ordered by accumulated score against random non-negative probe
-queries (popular-keyword-biased), so likely hits sit on early search paths.
-Trees are built bottom-up by pairing adjacent nodes level by level; an odd
-last node is promoted unpaired.  Internal node vectors are the elementwise
-maximum of their children, which makes them upper bounds for any non-negative
-query and lets the depth-first search prune subtrees that cannot reach the
-current candidate list.
+Leaves, the rows of one (m, dim) matrix named by an int64 doc id array, are
+ordered by accumulated score against random non-negative probe queries
+(popular-keyword-biased), so likely hits sit on early search paths.  Trees
+are built bottom-up by pairing adjacent nodes level by level; an odd last
+node is promoted unpaired, and no rows give an empty tree.  Internal node
+vectors are the elementwise maximum of their children, which makes them upper
+bounds for any non-negative query and lets the depth-first search prune
+subtrees that cannot reach the current candidate list.
 
 Layout.  A tree of m leaves has 2m-1 nodes, every internal node has two
 children, and the nodes are stored in preorder as parallel arrays: ``doc_ids``
@@ -35,7 +36,7 @@ import struct
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,10 +92,11 @@ class Tree:
         """Leaf doc ids in likelihood order."""
         return self.doc_ids[self.doc_ids >= 0]
 
-    def leaf_entries(self) -> list[tuple[int, np.ndarray]]:
-        """(doc_id, vector) of every leaf of a plaintext tree, in likelihood order."""
+    def leaf_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Doc ids and node rows of the leaves of a plaintext tree, in
+        likelihood order."""
         at = np.flatnonzero(self.doc_ids >= 0)
-        return list(zip(self.doc_ids[at].tolist(), self.nodes[at]))
+        return self.doc_ids[at], self.nodes[at]
 
     def preorder(self):
         for i, doc_id in enumerate(self.doc_ids.tolist()):
@@ -176,37 +178,44 @@ def probe_aggregate(
     return agg
 
 
-def order_by_likelihood(
-    entries: Sequence[tuple[int, np.ndarray]], probe: np.ndarray
-) -> list[tuple[int, np.ndarray]]:
-    """Sort (doc_id, vector) entries by descending accumulated probe score,
-    ties by ascending doc_id."""
-    scored = [(float(vec @ probe), doc_id, vec) for doc_id, vec in entries]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return [(doc_id, vec) for _, doc_id, vec in scored]
+def _probe_scores(rows: Iterable[np.ndarray], probe: np.ndarray) -> np.ndarray:
+    """Each row's accumulated probe score.  Row by row, so that ordering at
+    build and placing an insert score alike: a matrix product may round
+    differently and reorder rows whose scores tie."""
+    return np.array([float(row @ probe) for row in rows])
+
+
+def order_by_likelihood(ids: np.ndarray, rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """The order of the rows, with doc ids ``ids``, by descending accumulated
+    probe score, ties by ascending doc id."""
+    return np.lexsort((ids, -_probe_scores(rows, probe)))
 
 
 # ---------------------------------------------------------------------------
 # Construction.
 
 def build_tree(
-    ordered: Sequence[tuple[int, np.ndarray]],
+    ids: np.ndarray,
+    rows: np.ndarray,
     partition: int = 0,
     probe: np.ndarray | None = None,
     probe_config: ProbeConfig | None = None,
 ) -> Tree:
-    """Bottom-up bulk load: leaves in the given order, adjacent pairs merged
-    level by level, internal vectors the elementwise max of their children."""
-    if not ordered:
-        raise ForestError("cannot build a tree without leaves")
-    m = len(ordered)
-    ids = np.array([doc_id for doc_id, _ in ordered], dtype=np.int64)
+    """Bottom-up bulk load: the rows as leaves in the given order, with doc
+    ids ``ids``, adjacent pairs merged level by level, internal vectors the
+    elementwise max of their children.  No rows give an empty tree of the
+    rows' width."""
+    ids = np.asarray(ids, dtype=np.int64)
+    m = len(ids)
+    if rows.shape[0] != m:
+        raise ForestError(f"{m} doc ids for {rows.shape[0]} rows")
     if (ids < 0).any():
         raise ForestError("doc ids must be non-negative")
     # Build order: the leaves, then each level's new internal nodes.
-    vecs = np.empty((2 * m - 1, len(ordered[0][1])))
-    vecs[:m] = [vec for _, vec in ordered]
-    size = np.ones(2 * m - 1, dtype=np.int64)
+    n = max(2 * m - 1, 0)
+    vecs = np.empty((n, rows.shape[1]))
+    vecs[:m] = rows
+    size = np.ones(n, dtype=np.int64)
     merges = []
     level, top = np.arange(m), m
     while len(level) > 1:
@@ -218,11 +227,11 @@ def build_tree(
         merges.append((new, left, right))
         level, top = np.concatenate([new, level[2 * half :]]), top + half
     # Preorder positions, from the root (built last, position 0) down.
-    pos = np.zeros(2 * m - 1, dtype=np.int64)
+    pos = np.zeros(n, dtype=np.int64)
     for new, left, right in reversed(merges):
         pos[left] = pos[new] + 1
         pos[right] = pos[new] + 1 + size[left]
-    doc_ids = np.full(2 * m - 1, -1, dtype=np.int64)
+    doc_ids = np.full(n, -1, dtype=np.int64)
     doc_ids[pos[:m]] = ids
     nodes = np.empty_like(vecs)
     nodes[pos] = vecs
@@ -353,10 +362,8 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     if tree.probe is None:
         score, scores = 0.0, np.zeros(len(ids))
     else:
-        # Row by row, as order_by_likelihood scores them: a matrix product may
-        # round differently and reorder leaves whose scores tie.
         score = float(vec @ tree.probe)
-        scores = np.array([tree.nodes[i] @ tree.probe for i in leaf_at.tolist()])
+        scores = _probe_scores((tree.nodes[i] for i in leaf_at.tolist()), tree.probe)
     later = np.flatnonzero((scores < score) | ((scores == score) & (ids > doc_id)))
     target = int(leaf_at[later[0]] if len(later) else leaf_at[-1])
     path = _ancestors(tree, target)
@@ -399,13 +406,11 @@ def rebuild_tree(tree: Tree) -> Tree:
     """Full local rebuild: reorder the current leaves by probe score and bulk
     load again.  Used when the balance bound is violated or the size has
     doubled/halved since the last build."""
-    entries = tree.leaf_entries()
+    ids, rows = tree.leaf_rows()
     if tree.probe is not None:
-        entries = order_by_likelihood(entries, tree.probe)
-    if not entries:
-        return Tree(tree.partition, tree.doc_ids, tree.nodes, probe=tree.probe,
-                    probe_config=tree.probe_config)
-    return build_tree(entries, tree.partition, tree.probe, tree.probe_config)
+        order = order_by_likelihood(ids, rows, tree.probe)
+        ids, rows = ids[order], rows[order]
+    return build_tree(ids, rows, tree.partition, tree.probe, tree.probe_config)
 
 
 # ---------------------------------------------------------------------------

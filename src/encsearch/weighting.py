@@ -11,7 +11,6 @@ elementwise product of a document's compressed bits with its owner's weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,14 +34,6 @@ def build_correlativity(compressed: np.ndarray) -> np.ndarray:
     np.fill_diagonal(S, 1.0)
     S = np.clip(S, 0.0, 1.0)
     return (S + S.T) / 2.0  # exact symmetry despite float rounding
-
-
-@dataclass(frozen=True)
-class WeightedIndex:
-    doc_id: int
-    owner_id: int
-    partition: int
-    values: np.ndarray  # (N_i,), floats in [0, 1]
 
 
 def compute_weights(
@@ -95,29 +86,21 @@ def normalize(raw: np.ndarray, w_max: np.ndarray) -> np.ndarray:
 
 
 def weight_indexes(
-    members: Sequence[tuple[int, int]],
-    compressed: np.ndarray,
-    weights: Mapping[int, np.ndarray],
-    partition: int,
-) -> list[WeightedIndex]:
-    """Elementwise product of compressed bits with the owner's normalized
-    weight vector."""
-    out = []
-    for row, (doc_id, owner) in enumerate(members):
-        if owner not in weights:
-            raise WeightingError(f"no weights computed for owner {owner}")
-        w = weights[owner]
-        bits = compressed[row]
-        if bits.shape != w.shape:
-            raise WeightingError(
-                f"dimension mismatch: index {bits.shape} vs weights {w.shape}"
-            )
-        out.append(WeightedIndex(doc_id, owner, partition, bits.astype(np.float64) * w))
-    return out
+    members: Sequence[tuple[int, int]], weights: Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """The (M_i, N_i) stack of each member's owner weight vector, in member
+    order."""
+    try:
+        return np.array([weights[owner] for _, owner in members], dtype=np.float64)
+    except KeyError as exc:
+        raise WeightingError(f"no weights computed for owner {exc.args[0]}") from None
 
 
-def weighted_matrix(weighted: Sequence[WeightedIndex]) -> np.ndarray:
-    """Stack weighted index vectors into an (M_i, N_i) matrix (member order)."""
-    if not weighted:
-        return np.zeros((0, 0))
-    return np.stack([w.values for w in weighted])
+def weighted_matrix(bits: np.ndarray, owner_weights: np.ndarray) -> np.ndarray:
+    """Weighted index rows: each row of 0/1 ``bits`` times its owner's
+    weights, row for row."""
+    if bits.shape != owner_weights.shape:
+        raise WeightingError(
+            f"dimension mismatch: index {bits.shape} vs weights {owner_weights.shape}"
+        )
+    return bits.astype(np.float64) * owner_weights

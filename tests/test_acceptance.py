@@ -79,8 +79,7 @@ def test_criterion_3_pruning_soundness(report):
         m = int(rng.integers(1, 65))
         dim = int(rng.integers(1, 7))
         vecs = rng.random((m, dim))
-        entries = list(zip(range(m), vecs))
-        tree = build_tree(entries)
+        tree = build_tree(np.arange(m), vecs)
         q = np.abs(rng.normal(size=dim)) * rng.integers(0, 2, size=dim)
 
         # Bound soundness: each internal score >= both child scores implies,
@@ -100,7 +99,7 @@ def test_criterion_3_pruning_soundness(report):
         quota = int(rng.integers(1, m + 1))
         got, _ = gdfs(tree, q, quota)
         want = sorted(
-            ((round_score(v @ q), d) for d, v in entries), key=lambda t: (-t[0], t[1])
+            ((round_score(v @ q), d) for d, v in enumerate(vecs)), key=lambda t: (-t[0], t[1])
         )[:quota]
         if got != [(d, s) for s, d in want]:
             search_mismatches += 1

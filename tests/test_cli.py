@@ -22,6 +22,25 @@ def test_parse_grid():
     assert _parse_grid("0.1:0.1:0.1") == [0.1]
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("a:b", "expected LO:HI:STEP"),
+    ("0.1:0.2", "expected LO:HI:STEP"),
+    ("0.1:0.2:0.1:0.3", "expected LO:HI:STEP"),
+    ("0.1:x:0.1", "expected LO:HI:STEP"),
+    ("0.1:nan:0.1", "must be finite"),
+    ("-inf:0.2:0.1", "must be finite"),
+    ("0.1:0.2:inf", "must be finite"),
+    ("0.1:0.2:0", "STEP must be positive"),
+    ("0.1:0.2:-0.05", "STEP must be positive"),
+])
+def test_tune_rejects_bad_grid_before_loading(tmp_path, capsys, grid, message):
+    """A malformed, non-finite or non-advancing grid fails with a message
+    before the run directory, absent here, is read."""
+    assert main(["tune", "--run", str(tmp_path / "absent"), f"--grid={grid}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --grid {grid!r}: ") and message in err
+
+
 def test_build_writes_artifacts(run_dir):
     assert sorted(f.name for f in run_dir.iterdir()) == [
         "arrays.npz", "config.json", "forest_enc.bin", "forest_plain.bin", "keys.bin",

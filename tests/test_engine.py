@@ -352,13 +352,10 @@ class TestPartitionWithoutKeywords:
 
 def expected_incidence(pipe, doc, p):
     """Where ``doc``'s padded row in partition p must be positive: at the
-    sub-dictionary words it holds, unless its owner's weight there is 0.  A
-    build document's owner always weighs its own words above 0; an owner the
-    partition does not know is weighted through the correlativity, whose unit
-    diagonal keeps every word it holds above 0."""
-    bits = np.array([w in doc.counts for w in pipe.pset.sub_dictionaries[p]], dtype=bool)
-    owner_weights = pipe.weights[p].get(doc.owner_id)
-    return bits if owner_weights is None else bits & (owner_weights > 0)
+    sub-dictionary words it holds.  A build document's owner weighs its own
+    words above 0; elsewhere an inserted document is weighted through the
+    correlativity, whose unit diagonal keeps every word it holds above 0."""
+    return np.array([w in doc.counts for w in pipe.pset.sub_dictionaries[p]], dtype=bool)
 
 
 @settings(max_examples=25, deadline=None)
@@ -372,9 +369,8 @@ def expected_incidence(pipe, doc, p):
     delete_seed=st.integers(0, 10_000),
 )
 def test_padded_rows_carry_the_incidence(corpus_seed, n_docs, s, inserts, delete_seed):
-    """At build, the positive real entries of each padded row are its
-    document's keyword incidence over the partition's sub-dictionary, and
-    an inserted row's are that incidence where its weight is positive.  So
+    """The positive real entries of each padded row, built or inserted, are
+    its document's keyword incidence over the partition's sub-dictionary.  So
     sampled queries drawn from keyword counts of the rows match those drawn
     from a per-document recount, through random inserts (owners 3-5 unknown
     to the build) and deletes."""
@@ -426,6 +422,20 @@ class TestUpdates:
         assert 999 in {d for d, _ in res.results}
         exact = pipe.exact_search([word], k=21)
         assert [d for d, _ in res.results] == [d for d, _ in exact]
+
+    def test_known_owner_insert_scores_a_keyword_its_weights_miss(self):
+        """Owner 1's build documents give keyword b weight 0; its new
+        document holding b is weighted through the correlativity and ranks
+        with the other holders of b."""
+        docs = [Document(0, 1, {"a": 2}), Document(1, 1, {"a": 1, "c": 1}),
+                Document(2, 2, {"b": 1}), Document(3, 2, {"b": 3})]
+        pipe = Pipeline.build(docs, PipelineConfig(s=1, sigma=0.0, u_ratio=0.0))
+        np.testing.assert_array_equal(pipe.weights[0][1], [1.0, 0.0, 1.0])
+        pipe.insert_document(Document(9, 1, {"b": 5}))
+        np.testing.assert_array_equal(pipe.secure_mats[0][-1], [0.0, 1.0, 0.0])
+        want = [(2, 1.0), (3, 1.0), (9, 1.0)]
+        assert pipe.query(["b"], k=5).results[:3] == want
+        assert pipe.exact_search(["b"], k=5)[:3] == want
 
     def test_insert_duplicate_and_bad_partition(self):
         docs = synthetic_corpus(10, 20, 2, seed=10)

@@ -138,28 +138,31 @@ class TestComputeWeights:
 class TestWeightIndexes:
     def test_elementwise_product(self):
         w = np.array([0.5, 0.9, 1.0])
-        out = weight_indexes([(1, 1)], np.array([[1, 0, 1]], dtype=np.uint8), {1: w}, 0)
-        np.testing.assert_allclose(out[0].values, [0.5, 0.0, 1.0])
+        bits = np.array([[1, 0, 1]], dtype=np.uint8)
+        out = weighted_matrix(bits, weight_indexes([(1, 1)], {1: w}))
+        np.testing.assert_allclose(out, [[0.5, 0.0, 1.0]])
 
     def test_zero_weights(self):
         w = np.zeros(2)
-        out = weight_indexes([(1, 1)], np.array([[1, 1]], dtype=np.uint8), {1: w}, 0)
-        assert not out[0].values.any()
+        out = weighted_matrix(np.array([[1, 1]], dtype=np.uint8), weight_indexes([(1, 1)], {1: w}))
+        assert not out.any()
 
     def test_missing_owner_error(self):
         with pytest.raises(WeightingError, match="owner 9"):
-            weight_indexes([(1, 9)], np.ones((1, 2), dtype=np.uint8), {}, 0)
+            weight_indexes([(1, 1), (2, 9)], {1: np.zeros(2)})
 
     def test_dimension_mismatch_error(self):
         w = np.zeros(3)
         with pytest.raises(WeightingError, match="mismatch"):
-            weight_indexes([(1, 1)], np.ones((1, 2), dtype=np.uint8), {1: w}, 0)
+            weighted_matrix(np.ones((1, 2), dtype=np.uint8), weight_indexes([(1, 1)], {1: w}))
 
     def test_matches_oracle_on_toy_partition(self):
         docs, members, pos, compressed, corr = two_owner_fixture()
         w, _ = compute_weights(docs, members, pos, corr)
-        out = weight_indexes(members, compressed, w, 0)
+        owner_weights = weight_indexes(members, w)
+        mat = weighted_matrix(compressed, owner_weights)
+        assert mat.shape == owner_weights.shape == compressed.shape
+        assert mat.dtype == np.float64
         for row, (doc_id, owner) in enumerate(members):
-            np.testing.assert_allclose(out[row].values, compressed[row] * w[owner])
-        mat = weighted_matrix(out)
-        assert mat.shape == compressed.shape
+            np.testing.assert_array_equal(owner_weights[row], w[owner])
+            np.testing.assert_allclose(mat[row], compressed[row] * w[owner])

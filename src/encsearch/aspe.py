@@ -6,6 +6,22 @@ S=1) and transformed with the transposes; query vectors use the complementary
 split and the inverses.  The sum of the two transformed dot products equals
 the plaintext inner product, so the server can rank without seeing plaintexts.
 
+Two halves at once.  Key generation and encryption each consist of two halves
+that read none of each other's results: the forward product m = t_0 t_1 t_2
+and the inverse chain of ``random_invertible``, and C1 = V1 M1 and C2 = V2 M2
+of ``encrypt_matrix``.  A single worker thread, made on first use, runs one
+matrix product into an array the caller allocated while the caller runs the
+other half; numpy releases the GIL inside BLAS, so the two use two cores.
+Each half is the call it was when run alone, on the same operands, and no
+product is split into row or column blocks: with one BLAS thread, a 1,363 x
+1,057 encryption split into two row blocks differs from the whole product by
+up to 3.3e-16.  So M1, M2, the inverses and every ciphertext are
+bit-identical to computing the halves one after the other, and the random
+draws stay on the calling thread in their order.  The cost is memory: an
+encryption holds both split halves and both products at once, one (rows x V)
+float64 array more than one product after the other (11.5 MB for a 1,363-row
+tree of V = 1,057).  Trapdoors stay on the calling thread.
+
 Key file layout (magic ``ESK2``, little endian): the magic and the partition
 count (u32); then per partition its dimension V (u32), the indicator (V u8),
 ``m1`` and ``m2`` (V x V f8 each, row-major), and each inverse as
@@ -16,7 +32,11 @@ layout, which stored the square inverses row-major; such files still load.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +58,41 @@ _TRI_BLOCK = 64
 _FACTORS = 3
 _COND_CAP = 1e6
 _MAX_TRIES = 10
+
+# The second thread that runs one independent half of keygen and encryption;
+# made on first use.  Only np.matmul, into arrays the caller allocated, runs
+# on it, so it never submits to itself and its single worker cannot deadlock.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child the worker thread does not exist: drop the pool so
+    that the next use makes a new one."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+@contextmanager
+def _beside(fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)`` on the worker thread while the with-block
+    runs on this one.  Leaving the block waits for ``fn``; an exception in
+    ``fn`` is raised here unless the block raised first."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aspe")
+        future = _worker.submit(fn, *args, **kwargs)
+    try:
+        yield
+    except BaseException:
+        wait((future,))
+        raise
+    future.result()
 
 
 def _unit_lower_inverse(t: np.ndarray) -> np.ndarray:
@@ -105,25 +160,40 @@ def random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, n
     later factor t_k turns it, in place, into t_k^-1 times itself by a blocked
     triangular solve (top down for a lower factor, bottom up for an upper
     one), so no dense ``dim x dim`` inversion or product is made on the
-    inverse side.  Invertibility is structural; the condition number (1-norm
-    estimate) is still checked against ``_COND_CAP``, resampling up to
-    ``_MAX_TRIES`` times.
+    inverse side.  The worker thread computes m t_k into an array allocated
+    here while this thread runs that solve; both only read t_k.  (The other
+    way round, the solve's temporaries stayed in the worker's malloc arena
+    and raised the benchmark's peak RSS by about 10 MB.)  Factors are drawn
+    into two alternating buffers, so the draw of t_{k+1} never overwrites
+    the t_k that step k reads.  Invertibility is structural; the condition
+    number (1-norm estimate) is still checked against ``_COND_CAP``,
+    resampling up to ``_MAX_TRIES`` times.
     """
     if dim < 1:
         raise AspeError("matrix dimension must be >= 1")
     scale = 1.0 / np.sqrt(dim)
+    buffers = (np.empty((dim, dim)), np.empty((dim, dim)))
+    below = np.tri(dim, k=-1, dtype=bool)  # strictly lower triangle
     for _ in range(_MAX_TRIES):
         m = inv = None
         for k in range(_FACTORS):
-            off = rng.uniform(-1.0, 1.0, size=(dim, dim))
-            off *= scale
-            t = np.tril(off, -1) if k % 2 == 0 else np.triu(off, 1)
+            lower = k % 2 == 0
+            # The bits of uniform(-1, 1): -1 + 2 * random(), scaled, with the
+            # other triangle zeroed and a unit diagonal.
+            t = buffers[k % 2]
+            rng.random(out=t)
+            t *= 2.0
+            t += -1.0
+            t *= scale
+            np.copyto(t, 0.0, where=below.T if lower else below)
             np.fill_diagonal(t, 1.0)
             if m is None:
                 m, inv = t, _unit_lower_inverse(t)
             else:
-                m = m @ t
-                (_solve_unit_lower if k % 2 == 0 else _solve_unit_upper)(t, inv)
+                product = np.empty((dim, dim))
+                with _beside(np.matmul, m, t, out=product):
+                    (_solve_unit_lower if lower else _solve_unit_upper)(t, inv)
+                m = product
         cond = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
         if cond <= _COND_CAP:
             return m, inv
@@ -236,9 +306,12 @@ def encrypt_matrix(
     if values.ndim != 2 or values.shape[1] != key.dim:
         raise AspeError(f"matrix shape {values.shape} does not match key dim {key.dim}")
     v1, v2 = _split_index(values.astype(np.float64, copy=False), key, rng)
-    c1 = v1 @ key.m1
-    del v1  # free one split half before the second product allocates
-    return c1, v2 @ key.m2
+    # C2 on the worker thread, C1 on this one, each one whole product.  Both
+    # outputs are allocated here, so the worker leaves no array behind.
+    c1, c2 = np.empty(v1.shape), np.empty(v2.shape)
+    with _beside(np.matmul, v2, key.m2, out=c2):
+        np.matmul(v1, key.m1, out=c1)
+    return c1, c2
 
 
 def make_trapdoor(

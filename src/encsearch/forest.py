@@ -33,6 +33,7 @@ read each with one ``readinto`` into a writable array of the file's dtype.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from pathlib import Path
@@ -335,6 +336,29 @@ def search_forest(
 # ---------------------------------------------------------------------------
 # Dynamic maintenance.
 
+def _insert_rank(tree: Tree, leaf_at: np.ndarray, doc_id: int, vec: np.ndarray) -> int:
+    """Index into the leaves (preorder rows ``leaf_at``) of the first leaf
+    ranking after a new leaf by (-probe score, doc id), or the leaf count if
+    none does; with no probe, of the first leaf with a larger doc id.
+
+    A tree with a probe keeps its leaves in that order, so a bisection scores
+    about log2(m) of them.  Each is scored row by row, as
+    ``order_by_likelihood`` scores them, so a tie falls where a scan of every
+    leaf would put it.
+    """
+    if tree.probe is None:
+        later = np.flatnonzero(tree.doc_ids[leaf_at] > doc_id)
+        return int(later[0]) if len(later) else len(leaf_at)
+    score = float(vec @ tree.probe)
+
+    def ranks_after(j: int) -> bool:
+        i = int(leaf_at[j])
+        s = _probe_scores((tree.nodes[i],), tree.probe)[0]
+        return s < score or (s == score and int(tree.doc_ids[i]) > doc_id)
+
+    return bisect_left(range(len(leaf_at)), True, key=ranks_after)
+
+
 def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     """Insert a new leaf at its probe-score rank position.
 
@@ -356,18 +380,13 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
         tree.size_at_build = max(tree.size_at_build, 1)
         return 1, False
 
-    # The new leaf goes before the first leaf ranking after it by
-    # (-probe score, doc_id), or after the last leaf.
-    ids = tree.doc_ids[leaf_at]
-    if tree.probe is None:
-        score, scores = 0.0, np.zeros(len(ids))
-    else:
-        score = float(vec @ tree.probe)
-        scores = _probe_scores((tree.nodes[i] for i in leaf_at.tolist()), tree.probe)
-    later = np.flatnonzero((scores < score) | ((scores == score) & (ids > doc_id)))
-    target = int(leaf_at[later[0]] if len(later) else leaf_at[-1])
+    # The new leaf goes before the first leaf ranking after it, or after the
+    # last leaf.
+    rank = _insert_rank(tree, leaf_at, doc_id, vec)
+    before = rank < len(leaf_at)
+    target = int(leaf_at[rank] if before else leaf_at[-1])
     path = _ancestors(tree, target)
-    at = [target, target] if len(later) else [target, target + 1]
+    at = [target, target] if before else [target, target + 1]
     parent_vec = np.maximum(vec, tree.nodes[target])
     tree.doc_ids = np.insert(tree.doc_ids, at, [-1, doc_id])
     tree.nodes = np.insert(tree.nodes, at, [parent_vec, vec], axis=0)
@@ -375,7 +394,7 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
 
     touched = 2 + len(path)  # new leaf + new internal node + ancestors
     depth = len(path) + 1
-    m = len(ids) + 1
+    m = len(leaf_at) + 1
     limit = int(np.ceil(np.log2(m))) + 1 if m > 1 else 1
     needs_rebuild = depth > limit or m >= 2 * max(1, tree.size_at_build)
     return touched, needs_rebuild

@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +55,32 @@ def unit_triangular(dim, lower, rng):
     triangle of a uniform [-1, 1] draw scaled by 1/sqrt(dim)."""
     off = rng.uniform(-1.0, 1.0, size=(dim, dim)) * (1.0 / np.sqrt(dim))
     return np.eye(dim) + (np.tril(off, -1) if lower else np.triu(off, 1))
+
+
+# Run in a child process by the bench-size digest test: the digests of the
+# key and ciphertext arrays that build_golden.json's "keygen_bench" names.
+BENCH_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from encsearch.aspe import encrypt_matrix, keygen
+
+def digest(mat):
+    return hashlib.sha256(np.ascontiguousarray(mat, dtype="<f8").tobytes()).hexdigest()
+
+spec = json.loads(sys.argv[1])
+key = keygen(spec["dims"], seed=spec["seed"])
+enc = spec["encrypt"]
+values = np.random.default_rng(enc["values_seed"]).random((enc["rows"], key[0].dim))
+c1, c2 = encrypt_matrix(values, key[0], np.random.default_rng(enc["split_seed"]))
+print(json.dumps({
+    **spec,
+    "m1_sha256": [digest(pk.m1) for pk in key],
+    "m2_sha256": [digest(pk.m2) for pk in key],
+    "inv1_sha256": [digest(pk._inv_columns[0]) for pk in key],
+    "inv2_sha256": [digest(pk._inv_columns[1]) for pk in key],
+    "encrypt": {**enc, "c1_sha256": digest(c1), "c2_sha256": digest(c2)},
+}))
+"""
 
 
 class TestRandomInvertible:
@@ -141,6 +172,25 @@ class TestKeygen:
             m1_inv, m2_inv = inverses(pk)
             np.testing.assert_allclose(pk.m1 @ m1_inv, np.eye(pk.dim), rtol=0, atol=1e-12)
             np.testing.assert_allclose(pk.m2 @ m2_inv, np.eye(pk.dim), rtol=0, atol=1e-12)
+
+    def test_matches_recorded_digests_at_bench_size(self):
+        """At the benchmark's sizes (a 1,057- and a 300-dimensional key, a
+        1,363-row encryption) M1, M2, both inverses and both ciphertext
+        halves are pinned to digests recorded with the halves computed one
+        after the other (tests/data/build_golden.json).  OpenBLAS rounds these
+        products differently with more than one thread, so they are computed
+        in a child process with one BLAS thread, the benchmark's setting."""
+        spec = json.loads((Path(__file__).parent / "data" / "build_golden.json").read_text())[
+            "keygen_bench"
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(aspe.__file__).parents[1]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(spec["blas_threads"])
+        out = subprocess.run(
+            [sys.executable, "-c", BENCH_DIGESTS, json.dumps(spec)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert json.loads(out) == spec
 
     def test_shapes_and_indicator(self):
         key = keygen([4, 7], seed=1)
@@ -348,6 +398,124 @@ class TestEncryptMatrix:
             encrypt_matrix(np.zeros((2, 5)), key, rng)
         with pytest.raises(AspeError):
             encrypt_vector(np.zeros(5), key, rng)
+
+
+def key_and_ciphertext_bytes(seed):
+    """Every array of ``keygen([300, 65, 7], seed)`` and of encrypting 400
+    rows with its first key, as bytes."""
+    key = keygen([300, 65, 7], seed=seed)
+    values = np.random.default_rng(seed).random((400, 300))
+    c1, c2 = encrypt_matrix(values, key[0], np.random.default_rng(seed + 1))
+    mats = [mat for pk in key for mat in (pk.m1, pk.m2, *pk._inv_columns)]
+    return [mat.tobytes() for mat in (*mats, c1, c2)]
+
+
+class TestWorkerThread:
+    def test_concurrent_callers_match_serial_calls(self, monkeypatch):
+        """Four threads that each run keygen and encrypt_matrix at once, all
+        starting before the worker exists, make one worker thread, and their
+        halves, queued on it, give the bytes of serial calls."""
+        serial = [key_and_ciphertext_bytes(seed) for seed in range(4)]
+        monkeypatch.setattr(aspe, "_worker", None)
+        workers = {th for th in threading.enumerate() if th.name.startswith("aspe")}
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def run(seed):
+            start.wait()
+            got[seed] = key_and_ciphertext_bytes(seed)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            started = {th for th in threading.enumerate() if th.name.startswith("aspe")} - workers
+        finally:
+            sys.setswitchinterval(interval)
+            if aspe._worker is not None:
+                aspe._worker.shutdown()
+        assert not any(th.is_alive() for th in threads)
+        assert got == serial
+        assert len(started) == 1
+
+    def test_worker_exception_reaches_caller(self):
+        """An exception raised in the worker's half is the one the caller
+        sees, and the next call runs normally."""
+        want = key_and_ciphertext_bytes(5)
+        error = ArithmeticError("worker half failed")
+
+        def fail():
+            raise error
+
+        with pytest.raises(ArithmeticError) as caught:
+            with aspe._beside(fail):
+                pass
+        assert caught.value is error
+        # encrypt_matrix runs C2 = V2 M2 on the worker: an M2 of the wrong
+        # width fails there, after C1 succeeded here.
+        base = keygen([6], seed=6)[0]
+        bad = PartitionKey(base.indicator, base.m1, np.ones((6, 5)), *inverses(base))
+        with pytest.raises(ValueError, match="matmul"):
+            encrypt_matrix(np.ones((4, 6)), bad, np.random.default_rng(0))
+        assert key_and_ciphertext_bytes(5) == want
+
+    def test_solve_exception_reaches_caller(self, monkeypatch):
+        """keygen's triangular solve runs beside the worker's product; its
+        exception is the one the caller sees, and the next call runs
+        normally."""
+        want = key_and_ciphertext_bytes(5)
+        error = ArithmeticError("solve failed")
+
+        def fail(t, b):
+            raise error
+
+        monkeypatch.setattr(aspe, "_solve_unit_upper", fail)
+        with pytest.raises(ArithmeticError) as caught:
+            random_invertible(65, np.random.default_rng(0))
+        assert caught.value is error
+        monkeypatch.undo()
+        assert key_and_ciphertext_bytes(5) == want
+
+    def test_caller_exception_waits_for_worker(self):
+        """An exception in the caller's half is raised only after the
+        worker's half has finished, and wins over it."""
+        finished = threading.Event()
+
+        def slow():
+            time.sleep(0.05)
+            finished.set()
+            raise ArithmeticError("worker half failed")
+
+        with pytest.raises(KeyError):
+            with aspe._beside(slow):
+                raise KeyError("caller half failed")
+        assert finished.is_set()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_new_worker(self):
+        """A child forked after the worker started has no worker thread; its
+        first encryption starts one instead of waiting on the parent's."""
+        key = keygen([8], seed=1)[0]
+        encrypt_matrix(np.ones((3, 8)), key, np.random.default_rng(0))
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                encrypt_matrix(np.ones((3, 8)), key, np.random.default_rng(0))
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestTrapdoorValidation:

@@ -10,6 +10,7 @@ from encsearch.aspe import keygen, make_trapdoor
 from encsearch.corpus import synthetic_corpus
 from encsearch.engine import Pipeline, PipelineConfig
 from encsearch.errors import ForestError
+from encsearch import forest
 from encsearch.forest import (
     ProbeConfig,
     Tree,
@@ -25,6 +26,8 @@ from encsearch.forest import (
     round_score,
     save_forest,
     search_forest,
+    _insert_rank,
+    _probe_scores,
 )
 
 
@@ -375,7 +378,67 @@ class TestEncryptedTree:
             encrypt_tree(tree, key, np.random.default_rng(0))
 
 
+def scanned_rank(tree, doc_id, vec):
+    """The insert position as a scan of every leaf finds it: the index of the
+    first leaf ranking after the new one by (-probe score, doc id)."""
+    leaf_at = np.flatnonzero(tree.doc_ids >= 0)
+    ids = tree.doc_ids[leaf_at]
+    scores = np.array([float(tree.nodes[i] @ tree.probe) for i in leaf_at.tolist()])
+    score = float(vec @ tree.probe)
+    later = np.flatnonzero((scores < score) | ((scores == score) & (ids > doc_id)))
+    return int(later[0]) if len(later) else len(ids)
+
+
 class TestInsertDelete:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bisection_places_like_a_full_scan(self, data):
+        """On likelihood-ordered trees, also ones whose rows repeat a few
+        vectors so that scores tie everywhere, and through random inserts
+        and deletes, the bisection picks the leaf a full scan picks, and the
+        leaves stay in likelihood order."""
+        ids, rows, probe = data.draw(ids_rows_probe(max_rows=24))
+        vector = st.lists(CELLS, min_size=len(probe), max_size=len(probe))
+        few = data.draw(st.lists(vector, min_size=1, max_size=3), label="few")
+        if data.draw(st.booleans(), label="tie-heavy"):
+            pick = data.draw(st.lists(st.sampled_from(range(len(few))), min_size=len(ids),
+                                      max_size=len(ids)), label="pick")
+            rows = np.array([few[j] for j in pick], dtype=np.float64).reshape(rows.shape)
+        tree = ordered_tree(ids, rows, probe)
+        live = set(ids.tolist())
+        for _ in range(data.draw(st.integers(1, 20), label="updates")):
+            if live and data.draw(st.booleans(), label="delete"):
+                victim = data.draw(st.sampled_from(sorted(live)), label="victim")
+                delete_leaf(tree, victim)
+                live.discard(victim)
+                continue
+            new_id = data.draw(st.integers(0, 10_000).filter(lambda d: d not in live))
+            vec = np.array(data.draw(st.sampled_from(few) | vector, label="vec"), dtype=np.float64)
+            leaf_at = np.flatnonzero(tree.doc_ids >= 0)
+            if len(leaf_at):
+                assert _insert_rank(tree, leaf_at, new_id, vec) == scanned_rank(tree, new_id, vec)
+            insert_leaf(tree, new_id, vec)
+            live.add(new_id)
+        leaf_ids, leaf_rows = tree.leaf_rows()
+        assert leaf_ids[order_by_likelihood(leaf_ids, leaf_rows, probe)].tolist() == leaf_ids.tolist()
+
+    def test_bisection_scores_log_many_leaves(self, monkeypatch):
+        """An insert into a 679-leaf tree scores at most ceil(log2(680)) = 10
+        of its leaves."""
+        tree = ordered_tree(*random_rows(679, 16, seed=5), np.ones(16))
+        scored = []
+
+        def counting(rows, probe):
+            rows = list(rows)
+            scored.extend(rows)
+            return _probe_scores(rows, probe)
+
+        monkeypatch.setattr(forest, "_probe_scores", counting)
+        vec = np.random.default_rng(6).random(16)
+        leaf_at = np.flatnonzero(tree.doc_ids >= 0)
+        assert _insert_rank(tree, leaf_at, 1000, vec) == scanned_rank(tree, 1000, vec)
+        assert 1 <= len(scored) <= 10
+
     def test_insert_into_single_leaf(self):
         tree = build_tree([0], np.array([[1.0, 0.0]]), probe=np.ones(2))
         touched, rebuild = insert_leaf(tree, 1, np.array([0.0, 2.0]))

@@ -7,7 +7,6 @@ likelihood-ordered balanced tree forest with greedy depth-first top-k search.
 
 from .aspe import Trapdoor, keygen, load_key, make_trapdoor, save_key, score
 from .corpus import (
-    BinaryIndex,
     Document,
     KeywordDictionary,
     build_binary_indexes,
@@ -35,7 +34,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AspeError",
-    "BinaryIndex",
     "CorpusError",
     "Document",
     "EncSearchError",

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import forest as forest_mod, metrics, partitioning
-from .corpus import Document, build_binary_indexes, build_dictionary, synthetic_corpus
+from .corpus import Document, build_binary_indexes, build_dictionary, id_arrays, synthetic_corpus
 from .engine import Pipeline, PipelineConfig, QuerySpec
 
 # Index clusters whose leaf order the "grouped" tree of bench_tree_orders uses.
@@ -118,9 +118,9 @@ def bench_tree_orders(
     random_tree = forest_mod.build_tree(ids[shuffled], rows[shuffled], 0)
 
     dictionary = build_dictionary(docs)
-    indexes = build_binary_indexes(docs, dictionary)
     grouped_pset, _ = partitioning.cluster_indexes(
-        indexes, dictionary, min(_ORDER_GROUPS, config.n_docs), seed=config.seed + 2
+        build_binary_indexes(docs, dictionary), *id_arrays(docs), dictionary,
+        min(_ORDER_GROUPS, config.n_docs), seed=config.seed + 2,
     )
     groups = np.array([grouped_pset.assignments[doc_id] for doc_id in ids.tolist()])
     grouped = np.lexsort((ids, groups))

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import benchmarks, padding
-from .corpus import Document, load_corpus, synthetic_corpus
+from .corpus import document_from_record, load_corpus, synthetic_corpus
 from .engine import Pipeline, PipelineConfig
 from .errors import EncSearchError
 
@@ -65,7 +65,12 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_build(args) -> int:
     if args.synthetic:
-        n_docs, n_kw, n_owners = (int(x) for x in args.synthetic.split(":"))
+        try:
+            n_docs, n_kw, n_owners = (int(x) for x in args.synthetic.split(":"))
+        except ValueError:
+            raise EncSearchError(
+                f"--synthetic {args.synthetic!r}: expected DOCS:KEYWORDS:OWNERS"
+            ) from None
         docs = synthetic_corpus(n_docs, n_kw, n_owners, seed=args.seed)
     elif args.corpus:
         docs = load_corpus(args.corpus)
@@ -134,18 +139,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_update(args) -> int:
+    if args.insert is not None:
+        try:
+            rec = json.loads(Path(args.insert).read_text())
+        except json.JSONDecodeError as exc:
+            raise EncSearchError(f"{args.insert}: invalid JSON ({exc})") from None
+        doc = document_from_record(rec, args.insert)
     pipeline = Pipeline.load(args.run)
     if args.delete is not None:
         report = pipeline.delete_document(args.delete)
         print(f"deleted doc {report.doc_id} from partition {report.partition} "
               f"(touched {report.touched_nodes} nodes)")
     else:
-        rec = json.loads(Path(args.insert).read_text())
-        doc = (
-            Document.from_terms(rec["doc_id"], rec["owner_id"], rec["terms"])
-            if "terms" in rec
-            else Document.from_text(rec["doc_id"], rec["owner_id"], rec["text"])
-        )
         report = pipeline.insert_document(doc)
         print(f"inserted doc {report.doc_id} into partition {report.partition} "
               f"(touched {report.touched_nodes} nodes, rebuilt={report.rebuilt})")
@@ -218,8 +223,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("update", help="insert or delete a document")
     p.add_argument("--run", default=_default_out())
-    p.add_argument("--insert", help="path to a JSON document record")
-    p.add_argument("--delete", type=int, help="doc_id to delete")
+    change = p.add_mutually_exclusive_group(required=True)
+    change.add_argument("--insert", help="path to a JSON document record")
+    change.add_argument("--delete", type=int, help="doc_id to delete")
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("inspect", help="dump partition/dictionary stats")
@@ -237,6 +243,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+        raise EncSearchError("--config needs a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     extra: list[str] = []
@@ -251,19 +259,12 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _apply_config_file(list(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = parser.parse_args(_apply_config_file(list(sys.argv[1:] if argv is None else argv)))
         return args.func(args)
-    except EncSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except SystemExit as exc:  # argparse's usage errors, --help
+        return int(exc.code or 0)
+    except (EncSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,10 @@
-"""Corpus ingestion: documents, the global keyword dictionary and binary index vectors.
+"""Corpus ingestion: documents, the global keyword dictionary and the
+keyword incidence matrix.
 
 Documents arrive from multiple owners.  Each document keeps its term counts
 (the weighting stage needs frequencies, not just incidence).  The dictionary
 assigns every distinct keyword a stable dimension index (lexicographic order),
-and each document gets a 0/1 incidence vector over those dimensions.
+and the corpus gets one 0/1 incidence row per document over those dimensions.
 """
 
 from __future__ import annotations
@@ -20,11 +21,18 @@ import numpy as np
 from .errors import CorpusError
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+_INT = {int}
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, strip punctuation, split on whitespace.  No stemming."""
     return text.lower().translate(_PUNCT_TABLE).split()
+
+
+def _all_ints(values) -> bool:
+    """Whether every value is an int or a numpy integer (a bool is not)."""
+    kinds = set(map(type, values))
+    return kinds == _INT or not any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds)
 
 
 @dataclass(frozen=True)
@@ -36,13 +44,19 @@ class Document:
     counts: Mapping[str, int]
 
     def __post_init__(self):
+        # The build carries ids in int64 arrays, which would truncate a
+        # float id or overflow on a huge one.
+        ids = (self.doc_id, self.owner_id)
+        if not _all_ints(ids) or not -(2**63) <= min(ids) <= max(ids) < 2**63:
+            raise CorpusError(
+                f"doc_id {self.doc_id!r} and owner_id {self.owner_id!r} must be 64-bit integers"
+            )
         if not self.counts:
             raise CorpusError(f"document {self.doc_id} has no terms")
         # A term's weight is positive exactly when it occurs, which the
         # derived keyword incidence relies on.
         counts = self.counts.values()
-        kinds = set(map(type, counts))
-        if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds) or min(counts) < 1:
+        if not _all_ints(counts) or min(counts) < 1:
             raise CorpusError(f"document {self.doc_id} has a term count that is not a positive integer")
 
     @classmethod
@@ -75,15 +89,6 @@ class KeywordDictionary:
         return word in self.position
 
 
-@dataclass(frozen=True)
-class BinaryIndex:
-    """Per-document 0/1 keyword-incidence vector over the dictionary."""
-
-    doc_id: int
-    owner_id: int
-    bits: np.ndarray  # shape (n,), dtype uint8
-
-
 def _check_unique_ids(docs: Sequence[Document]) -> None:
     seen: set[int] = set()
     for d in docs:
@@ -103,27 +108,52 @@ def build_dictionary(docs: Sequence[Document]) -> KeywordDictionary:
     return KeywordDictionary.from_words(sorted(words))
 
 
-def build_binary_indexes(
-    docs: Sequence[Document], dictionary: KeywordDictionary
-) -> list[BinaryIndex]:
-    """One incidence vector per document; bits[j]=1 iff words[j] occurs in the doc."""
-    out = []
-    n = len(dictionary)
-    for d in docs:
-        bits = np.zeros(n, dtype=np.uint8)
+def build_binary_indexes(docs: Sequence[Document], dictionary: KeywordDictionary) -> np.ndarray:
+    """The (D, n) uint8 keyword incidence of the corpus: row i belongs to
+    ``docs[i]``, and bits[i, j] = 1 iff words[j] occurs in that document.
+    The build carries the rows' doc ids and owner ids beside it as int64
+    arrays in the same order."""
+    bits = np.zeros((len(docs), len(dictionary)), dtype=np.uint8)
+    for i, d in enumerate(docs):
         for term in d.counts:
             j = dictionary.position.get(term)
             if j is None:
                 raise CorpusError(
                     f"term {term!r} of document {d.doc_id} is not in the dictionary"
                 )
-            bits[j] = 1
-        out.append(BinaryIndex(d.doc_id, d.owner_id, bits))
-    return out
+            bits[i, j] = 1
+    return bits
+
+
+def id_arrays(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 doc ids and owner ids of ``docs``, in order: the arrays that
+    travel beside the incidence matrix."""
+    return (
+        np.array([d.doc_id for d in docs], dtype=np.int64),
+        np.array([d.owner_id for d in docs], dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------
 # I/O: one JSON record per line with doc_id, owner_id and text or terms.
+
+def document_from_record(rec, where: str) -> Document:
+    """The document of one parsed JSON record; ``where`` names the record
+    in the CorpusError raised for a malformed one."""
+    if not isinstance(rec, dict):
+        raise CorpusError(f"{where}: record is not a JSON object")
+    missing = [key for key in ("doc_id", "owner_id") if key not in rec]
+    if missing:
+        raise CorpusError(f"{where}: record lacks {missing}")
+    try:
+        if isinstance(rec.get("terms"), list) and all(isinstance(t, str) for t in rec["terms"]):
+            return Document.from_terms(rec["doc_id"], rec["owner_id"], rec["terms"])
+        if isinstance(rec.get("text"), str) and "terms" not in rec:
+            return Document.from_text(rec["doc_id"], rec["owner_id"], rec["text"])
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
+    raise CorpusError(f"{where}: record needs 'terms' (a list of strings) or 'text' (a string)")
+
 
 def load_corpus(path: str | Path) -> list[Document]:
     docs = []
@@ -136,13 +166,7 @@ def load_corpus(path: str | Path) -> list[Document]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if "terms" in rec:
-                doc = Document.from_terms(rec["doc_id"], rec["owner_id"], rec["terms"])
-            elif "text" in rec:
-                doc = Document.from_text(rec["doc_id"], rec["owner_id"], rec["text"])
-            else:
-                raise CorpusError(f"{path}:{lineno}: record needs 'terms' or 'text'")
-            docs.append(doc)
+            docs.append(document_from_record(rec, f"{path}:{lineno}"))
     if not docs:
         raise CorpusError(f"{path}: empty corpus")
     _check_unique_ids(docs)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import aspe, forest as forest_mod, padding, partitioning, weighting
-from .corpus import Document, build_binary_indexes, build_dictionary
+from .corpus import Document, build_binary_indexes, build_dictionary, id_arrays
 from .errors import EncSearchError, ForestError
 from .forest import ProbeConfig, Tree
 
@@ -123,14 +123,16 @@ class Pipeline:
     def build(cls, docs: Sequence[Document], config: PipelineConfig) -> "Pipeline":
         self = cls()
         self.config = config
-        dictionary = build_dictionary(list(docs))
-        indexes = build_binary_indexes(list(docs), dictionary)
+        docs = list(docs)
+        dictionary = build_dictionary(docs)
+        bits = build_binary_indexes(docs, dictionary)
+        doc_ids, owner_ids = id_arrays(docs)
 
         s = config.resolve_s(len(dictionary))
         if s > len(docs):
             raise EncSearchError(f"s={s} exceeds the number of documents {len(docs)}")
         self.pset, compressed = partitioning.cluster_indexes(
-            indexes, dictionary, s, seed=_derive_seed(config.seed, "cluster")
+            bits, doc_ids, owner_ids, dictionary, s, seed=_derive_seed(config.seed, "cluster")
         )
         weighted = self._build_weights(docs, compressed)
         self._build_noise()

@@ -1,14 +1,17 @@
 """Two-stage index clustering and keyword-dictionary segmentation.
 
-Stage 1 splits each owner's index vectors into two clusters (L1 2-means; the
-representative of a cluster is the mean of its members' bits).  Stage 2 groups
-all initial clusters into ``s`` final partitions with L1 k-means using
-component-wise median centroids.  The dictionary is then segmented: every
-keyword goes to the single partition where its document frequency is maximal,
-and each partition's index vectors are compressed down to its own sub-dictionary
-dimensions (dropping dimensions that are zero partition-wide).  The compressed
-0/1 matrices go to the build beside the partition set, not into it: the
-build's padded rows are positive exactly where they hold a 1.
+The corpus arrives as one (D, n) 0/1 keyword incidence matrix with an int64
+doc id and owner id per row.  Stage 1 splits each owner's rows into two
+clusters (L1 2-means) and returns their row positions; the representative
+of a cluster is the mean of its rows.  Stage 2 groups all these local
+clusters into ``s`` final partitions with L1 k-means using component-wise
+median centroids, which gives every row a partition id.  The dictionary is
+then segmented: every keyword goes to the single partition where its
+document frequency (a column sum of the partition's rows) is maximal, and
+each partition's rows are compressed down to its own sub-dictionary
+dimensions (dropping dimensions that are zero partition-wide).  The
+compressed 0/1 matrices go to the build beside the partition set, not into
+it: the build's padded rows are positive exactly where they hold a 1.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .corpus import BinaryIndex, KeywordDictionary
+from .corpus import KeywordDictionary
 from .errors import PartitioningError
 
 FORMAT_VERSION = 3
@@ -29,14 +32,6 @@ _LOCAL_MAX_ITER = 20
 _GLOBAL_MAX_ITER = 100
 # Keywords per sub-dictionary that the default partition count aims at.
 _KEYWORDS_PER_PARTITION = 1000
-
-
-@dataclass
-class InitialPartition:
-    """One local cluster: its members and the mean-of-bits representative."""
-
-    members: list[tuple[int, int]]  # (doc_id, owner_id)
-    representative: np.ndarray
 
 
 @dataclass
@@ -94,22 +89,22 @@ def _bit_median(rows: np.ndarray) -> np.ndarray:
     return (np.sign(2.0 * ones - rows.shape[0]) + 1.0) / 2.0
 
 
-def local_split(owner_indexes: Sequence[BinaryIndex]) -> list[InitialPartition]:
-    """Split one owner's index vectors into at most two clusters.
+def local_split(bits: np.ndarray) -> list[np.ndarray]:
+    """Split one owner's (m, n) 0/1 rows into at most two clusters; returns
+    each cluster's row positions, ascending.
 
-    Deterministic: seeds are the pair of vectors at maximal L1 distance.  A
-    single vector, or a set of identical vectors, yields one cluster.  All
+    Deterministic: seeds are the pair of rows at maximal L1 distance.  A
+    single row, or a set of identical rows, yields one cluster.  All
     distances and medians are taken from products and counts over the 0/1
     rows, with no (m, m, n) or (m, n) difference temporaries.
     """
-    if not owner_indexes:
+    m = bits.shape[0]
+    if m == 0:
         raise PartitioningError("owner has no index vectors")
-    X = np.stack([ix.bits for ix in owner_indexes]).astype(np.float64)
-    ids = [(ix.doc_id, ix.owner_id) for ix in owner_indexes]
-    m = X.shape[0]
-    if m == 1 or not np.any(X != X[0]):
-        return [InitialPartition(ids, X.mean(axis=0))]
+    if m == 1 or not np.any(bits != bits[0]):
+        return [np.arange(m)]
 
+    X = bits.astype(np.float64)
     a, b = _farthest_pair(X)
     centers = X[[a, b]]
     labels = None
@@ -124,17 +119,7 @@ def local_split(owner_indexes: Sequence[BinaryIndex]) -> list[InitialPartition]:
         if labels.min() == labels.max():
             break
         centers = np.stack([_bit_median(X[labels == c]) for c in (0, 1)])
-
-    out = []
-    for c in (0, 1):
-        mask = labels == c
-        if mask.any():
-            out.append(
-                InitialPartition(
-                    [ids[i] for i in np.flatnonzero(mask)], X[mask].mean(axis=0)
-                )
-            )
-    return out
+    return [rows for rows in (np.flatnonzero(labels == c) for c in (0, 1)) if rows.size]
 
 
 def _kmeans_pp_init(R: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -153,90 +138,64 @@ def _kmeans_pp_init(R: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarr
     return np.stack(centers)
 
 
-def global_cluster(
-    initials: Sequence[InitialPartition], s: int, seed: int = 0
-) -> dict[int, int]:
-    """Assign every initial cluster (all its members together) to one of ``s``
-    final partitions.  L1 k-means with component-wise median centroids.
+def global_cluster(R: np.ndarray, s: int, seed: int = 0) -> np.ndarray:
+    """Group the (P, n) representatives of the local clusters into ``s``
+    final partitions by L1 k-means with component-wise median centroids.
 
-    Returns the doc_id -> partition id map.
+    Returns one partition id per local cluster.
     """
-    p = len(initials)
+    p = R.shape[0]
     if not 1 <= s <= p:
         raise PartitioningError(f"s={s} out of range [1, {p}]")
-    R = np.stack([ip.representative for ip in initials])
     if s == 1:
-        labels = np.zeros(p, dtype=int)
-    else:
-        rng = np.random.default_rng(seed)
-        centers = _kmeans_pp_init(R, s, rng)
-        labels = np.full(p, -1, dtype=int)
-        for _ in range(_GLOBAL_MAX_ITER):
-            d = np.abs(R[:, None, :] - centers[None, :, :]).sum(axis=2)
-            new_labels = d.argmin(axis=1)
-            # Re-seat empty clusters on the farthest representative.
-            for c in range(s):
-                if not np.any(new_labels == c):
-                    far = int(d.min(axis=1).argmax())
-                    new_labels[far] = c
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-            centers = np.stack([np.median(R[labels == c], axis=0) for c in range(s)])
-
-    assignments: dict[int, int] = {}
-    for ip, lab in zip(initials, labels):
-        for doc_id, _owner in ip.members:
-            assignments[doc_id] = int(lab)
-    return assignments
+        return np.zeros(p, dtype=int)
+    rng = np.random.default_rng(seed)
+    centers = _kmeans_pp_init(R, s, rng)
+    labels = np.full(p, -1, dtype=int)
+    for _ in range(_GLOBAL_MAX_ITER):
+        d = np.abs(R[:, None, :] - centers[None, :, :]).sum(axis=2)
+        new_labels = d.argmin(axis=1)
+        # Re-seat empty clusters on the farthest representative.
+        for c in range(s):
+            if not np.any(new_labels == c):
+                far = int(d.min(axis=1).argmax())
+                new_labels[far] = c
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centers = np.stack([np.median(R[labels == c], axis=0) for c in range(s)])
+    return labels
 
 
 def segment_dictionary(
-    assignments: dict[int, int],
-    binary_indexes: Sequence[BinaryIndex],
+    part: np.ndarray,
+    bits: np.ndarray,
+    doc_ids: np.ndarray,
+    owner_ids: np.ndarray,
     dictionary: KeywordDictionary,
     s: int,
 ) -> tuple[PartitionSet, list[np.ndarray]]:
-    """Build sub-dictionaries and compressed per-partition index matrices.
+    """Build sub-dictionaries and compressed per-partition index matrices
+    from the (D, n) 0/1 rows, their doc ids and owner ids, and ``part``,
+    each row's partition id.
 
     A keyword is assigned to the partition where its document frequency is
     maximal (ties break toward the lowest partition id); its dimensions in all
     other partitions are dropped along with partition-wide zero dimensions.
     Returns the partition set and each partition's (M_i, N_i) uint8 matrix,
-    rows in ``members`` order.
+    rows in ``members`` order (ascending doc id).
     """
-    by_id = {ix.doc_id: ix for ix in binary_indexes}
-    for doc_id in by_id:
-        if doc_id not in assignments:
-            raise PartitioningError(f"doc {doc_id} has no partition assignment")
-
-    n = len(dictionary)
-    df = np.zeros((s, n), dtype=np.int64)
-    members: list[list[tuple[int, int]]] = [[] for _ in range(s)]
-    for ix in binary_indexes:
-        part = assignments[ix.doc_id]
-        df[part] += ix.bits
-        members[part].append((ix.doc_id, ix.owner_id))
-    for part in range(s):
-        members[part].sort()
-
+    if part.shape != doc_ids.shape or np.any((part < 0) | (part >= s)):
+        raise PartitioningError(f"every row needs one partition id in [0, {s})")
+    by_id = np.argsort(doc_ids, kind="stable")
+    rows = [by_id[part[by_id] == p] for p in range(s)]
+    df = np.stack([bits[r].sum(axis=0, dtype=np.int64) for r in rows])
     home_part = df.argmax(axis=0)  # argmax ties -> lowest partition id
-    sub_dictionaries: list[list[str]] = [[] for _ in range(s)]
-    for j, word in enumerate(dictionary.words):
-        part = int(home_part[j])
-        if df[part, j] > 0:  # else absent from the corpus slice; drop it
-            sub_dictionaries[part].append(word)
-
-    compressed = []
-    for part in range(s):
-        dims = np.array([dictionary.position[w] for w in sub_dictionaries[part]], dtype=np.int64)
-        if members[part]:
-            rows = np.stack([by_id[doc_id].bits for doc_id, _ in members[part]])
-            mat = rows[:, dims]
-        else:
-            mat = np.zeros((0, len(dims)), dtype=np.uint8)
-        compressed.append(mat.astype(np.uint8, copy=False))
-
+    occurs = df.max(axis=0) > 0  # else absent from the corpus; drop it
+    dims = [np.flatnonzero((home_part == p) & occurs) for p in range(s)]
+    sub_dictionaries = [[dictionary.words[j] for j in d] for d in dims]
+    members = [list(zip(doc_ids[r].tolist(), owner_ids[r].tolist())) for r in rows]
+    compressed = [bits[np.ix_(r, d)] for r, d in zip(rows, dims)]
     return PartitionSet.from_members(sub_dictionaries, members), compressed
 
 
@@ -245,30 +204,28 @@ def default_partition_count(dictionary_size: int) -> int:
     return max(1, -(-dictionary_size // _KEYWORDS_PER_PARTITION))
 
 
-def partition_owners(
-    binary_indexes: Sequence[BinaryIndex],
-) -> dict[int, list[BinaryIndex]]:
-    by_owner: dict[int, list[BinaryIndex]] = {}
-    for ix in binary_indexes:
-        by_owner.setdefault(ix.owner_id, []).append(ix)
-    return by_owner
-
-
 def cluster_indexes(
-    binary_indexes: Sequence[BinaryIndex],
+    bits: np.ndarray,
+    doc_ids: np.ndarray,
+    owner_ids: np.ndarray,
     dictionary: KeywordDictionary,
     s: int,
     seed: int = 0,
-    splitter: Callable[[Sequence[BinaryIndex]], list[InitialPartition]] = local_split,
+    splitter: Callable[[np.ndarray], list[np.ndarray]] = local_split,
 ) -> tuple[PartitionSet, list[np.ndarray]]:
-    """Full pipeline: per-owner local split, global clustering, segmentation.
-    Returns what ``segment_dictionary`` returns."""
-    by_owner = partition_owners(binary_indexes)
-    initials: list[InitialPartition] = []
-    for owner in sorted(by_owner):
-        initials.extend(splitter(by_owner[owner]))
-    assignments = global_cluster(initials, s, seed=seed)
-    return segment_dictionary(assignments, binary_indexes, dictionary, s)
+    """Full pipeline over the (D, n) 0/1 rows and their int64 doc ids and
+    owner ids: per-owner local split (owners in ascending id order, one
+    ``splitter`` call each), global clustering, segmentation.  Returns what
+    ``segment_dictionary`` returns."""
+    by_owner = np.argsort(owner_ids, kind="stable")
+    clusters = []  # row positions of each local cluster
+    for owned in np.split(by_owner, np.flatnonzero(np.diff(owner_ids[by_owner])) + 1):
+        clusters.extend(owned[c] for c in splitter(bits[owned]))
+    labels = global_cluster(np.stack([bits[c].mean(axis=0) for c in clusters]), s, seed=seed)
+    part = np.empty(len(doc_ids), dtype=np.int64)
+    for c, label in zip(clusters, labels):
+        part[c] = label
+    return segment_dictionary(part, bits, doc_ids, owner_ids, dictionary, s)
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,59 @@ def test_config_file_expansion(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["bench", "nonsense"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--config"], "error: --config needs a file path"),
+    (["build", "--config", "--s", "2"], "error: --config needs a file path"),
+    (["build", "--config", "absent.cfg"], "error: [Errno 2] No such file or directory: 'absent.cfg'"),
+    (["build", "--synthetic", "20:30"], "error: --synthetic '20:30': expected DOCS:KEYWORDS:OWNERS"),
+    (["build", "--synthetic", "a:b:c"], "error: --synthetic 'a:b:c': expected DOCS:KEYWORDS:OWNERS"),
+])
+def test_bad_build_input_prints_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[:1] + ["--out", str(tmp_path / "run")] + argv[1:]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("change", [[], ["--insert", "doc.json", "--delete", "3"]])
+def test_update_needs_exactly_one_change(run_dir, capsys, change):
+    assert main(["update", "--run", str(run_dir)] + change) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"owner_id": 1, "terms": ["kw00"]}, "record lacks ['doc_id']"),
+    ({"doc_id": 1.5, "owner_id": 1, "terms": ["kw00"]}, "doc_id 1.5 and owner_id 1 must be 64-bit integers"),
+])
+def test_update_insert_bad_record_prints_error(run_dir, tmp_path, capsys, record, message):
+    rec = tmp_path / "doc.json"
+    rec.write_text(json.dumps(record))
+    assert main(["update", "--run", str(run_dir), "--insert", str(rec)]) == 1
+    assert capsys.readouterr().err == f"error: {rec}: {message}\n"
+
+
+def test_build_from_corpus_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"doc_id": 10, "owner_id": 1, "text": "Cats chase mice."}\n'
+        '{"doc_id": 11, "owner_id": 1, "terms": ["dogs", "chase", "cats"]}\n'
+        '{"doc_id": 20, "owner_id": 2, "text": "Mice eat cheese, cheese and more cheese"}\n'
+        '{"doc_id": 21, "owner_id": 2, "terms": ["birds", "sing"]}\n'
+    )
+    run = tmp_path / "run"
+    assert main(["build", "--corpus", str(corpus), "--s", "2", "--R", "20", "--out", str(run)]) == 0
+    assert "over 4 docs" in capsys.readouterr().out
+    assert main(["search", "--run", str(run), "--keywords", "cheese", "--k", "1"]) == 0
+    assert capsys.readouterr().out.split("\t")[1] == "20"
+
+
+def test_build_rejects_float_doc_id(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"doc_id": 1, "owner_id": 1, "text": "a b"}\n'
+                      '{"doc_id": 1.5, "owner_id": 1, "text": "b c"}\n')
+    run = tmp_path / "run"
+    assert main(["build", "--corpus", str(corpus), "--out", str(run)]) == 1
+    assert capsys.readouterr().err == f"error: {corpus}:2: doc_id 1.5 and owner_id 1 must be 64-bit integers\n"
+    assert not run.exists()

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from encsearch.corpus import (
-    BinaryIndex,
     Document,
     KeywordDictionary,
     build_binary_indexes,
     build_dictionary,
+    document_from_record,
+    id_arrays,
     load_corpus,
     synthetic_corpus,
     tokenize,
@@ -39,6 +40,19 @@ class TestDocument:
 
     def test_numpy_integer_count_accepted(self):
         assert Document(0, 0, {"a": np.int64(3)}).counts == {"a": 3}
+
+    @pytest.mark.parametrize("field", ["doc_id", "owner_id"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(2), "3", True, np.bool_(True), None, 2**63, -(2**63) - 1])
+    def test_id_not_int64_rejected(self, field, value):
+        # The build carries ids in int64 arrays: a float would be truncated.
+        ids = {"doc_id": 1, "owner_id": 1, field: value}
+        with pytest.raises(CorpusError, match="must be 64-bit integers"):
+            Document(ids["doc_id"], ids["owner_id"], {"a": 1})
+
+    def test_numpy_integer_ids_accepted(self):
+        d = Document(np.int64(2**63 - 1), np.int32(-4), {"a": 1})
+        assert id_arrays([d])[0].tolist() == [2**63 - 1]
+        assert id_arrays([d])[1].tolist() == [-4]
 
     def test_counts_retained(self):
         d = Document.from_text(1, 2, "cat cat dog")
@@ -73,13 +87,11 @@ class TestBuildDictionary:
 class TestBinaryIndexes:
     def test_single_term(self):
         d = KeywordDictionary.from_words(["a", "b"])
-        (ix,) = build_binary_indexes([doc(1, 1, ["a"])], d)
-        assert ix.bits.tolist() == [1, 0]
+        assert build_binary_indexes([doc(1, 1, ["a"])], d).tolist() == [[1, 0]]
 
     def test_both_terms(self):
         d = KeywordDictionary.from_words(["a", "b"])
-        (ix,) = build_binary_indexes([doc(1, 1, ["a", "b"])], d)
-        assert ix.bits.tolist() == [1, 1]
+        assert build_binary_indexes([doc(1, 1, ["a", "b"])], d).tolist() == [[1, 1]]
 
     def test_out_of_dictionary_named(self):
         d = KeywordDictionary.from_words(["a"])
@@ -90,24 +102,30 @@ class TestBinaryIndexes:
         # Oracle: direct nested-loop membership test over a random 50-doc corpus.
         docs = synthetic_corpus(50, 120, 5, seed=3)
         dictionary = build_dictionary(docs)
-        indexes = build_binary_indexes(docs, dictionary)
-        for d, ix in zip(docs, indexes):
+        bits = build_binary_indexes(docs, dictionary)
+        for i, d in enumerate(docs):
             for j, w in enumerate(dictionary.words):
                 expected = 1 if w in d.counts else 0
-                assert ix.bits[j] == expected
+                assert bits[i, j] == expected
 
     def test_round_trip_terms(self):
         docs = synthetic_corpus(20, 60, 4, seed=9)
         dictionary = build_dictionary(docs)
-        for d, ix in zip(docs, build_binary_indexes(docs, dictionary)):
-            recovered = {dictionary.words[j] for j in np.flatnonzero(ix.bits)}
+        for d, row in zip(docs, build_binary_indexes(docs, dictionary)):
+            recovered = {dictionary.words[j] for j in np.flatnonzero(row)}
             assert recovered == set(d.counts)
 
     def test_dimension(self):
         docs = synthetic_corpus(10, 40, 3, seed=1)
         dictionary = build_dictionary(docs)
-        for ix in build_binary_indexes(docs, dictionary):
-            assert ix.bits.shape == (len(dictionary),)
+        bits = build_binary_indexes(docs, dictionary)
+        assert bits.shape == (10, len(dictionary)) and bits.dtype == np.uint8
+
+    def test_id_arrays_in_row_order(self):
+        docs = [doc(7, 2, ["a"]), doc(-3, 9, ["b"]), doc(5, 2, ["a"])]
+        doc_ids, owner_ids = id_arrays(docs)
+        assert doc_ids.dtype == owner_ids.dtype == np.int64
+        assert doc_ids.tolist() == [7, -3, 5] and owner_ids.tolist() == [2, 9, 2]
 
 
 class TestSyntheticCorpus:
@@ -154,6 +172,27 @@ class TestIo:
         path.write_text("not json\n")
         with pytest.raises(CorpusError, match="invalid JSON"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"owner_id": 1, "terms": ["a"]}', "record lacks \\['doc_id'\\]"),
+        ('{"doc_id": 2, "text": "a"}', "record lacks \\['owner_id'\\]"),
+        ('{"doc_id": 1.5, "owner_id": 1, "terms": ["a"]}', "doc_id 1.5 and owner_id 1 must be 64-bit integers"),
+        ('{"doc_id": "2", "owner_id": 1, "text": "a"}', "doc_id '2' and owner_id 1 must be 64-bit integers"),
+        ('{"doc_id": 2, "owner_id": 0.5, "text": "a"}', "doc_id 2 and owner_id 0.5 must be 64-bit integers"),
+        ('{"doc_id": 2, "owner_id": 1}', "record needs 'terms'"),
+        ('{"doc_id": 2, "owner_id": 1, "terms": "abc"}', "record needs 'terms'"),
+        ('{"doc_id": 2, "owner_id": 1, "text": 5}', "record needs 'terms'"),
+        ('[2, 1, "a"]', "record is not a JSON object"),
+    ])
+    def test_bad_record_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"doc_id": 1, "owner_id": 1, "text": "a"}\n' + line + "\n")
+        with pytest.raises(CorpusError, match=f"c.jsonl:2: {message}"):
+            load_corpus(path)
+
+    def test_terms_take_precedence_over_text(self):
+        d = document_from_record({"doc_id": 1, "owner_id": 1, "terms": ["x"], "text": "y"}, "r")
+        assert d.counts == {"x": 1}
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from encsearch.corpus import BinaryIndex, KeywordDictionary, build_binary_indexes, build_dictionary, synthetic_corpus
+from encsearch.corpus import KeywordDictionary, build_binary_indexes, build_dictionary, id_arrays, synthetic_corpus
 from encsearch import partitioning
 from encsearch.errors import PartitioningError
 from encsearch.partitioning import (
-    InitialPartition,
+    PartitionSet,
+    _bit_median,
     _farthest_pair,
     cluster_indexes,
     default_partition_count,
@@ -23,8 +24,18 @@ from encsearch.partitioning import (
 )
 
 
-def bi(doc_id, owner_id, bits):
-    return BinaryIndex(doc_id, owner_id, np.array(bits, dtype=np.uint8))
+def rows(*bits):
+    return np.array(bits, dtype=np.uint8)
+
+
+def ids(*values):
+    return np.array(values, dtype=np.int64)
+
+
+def indexed(docs):
+    """The incidence matrix, doc ids, owner ids and dictionary of a corpus."""
+    dictionary = build_dictionary(docs)
+    return (build_binary_indexes(docs, dictionary), *id_arrays(docs), dictionary)
 
 
 def l1_cost(vectors, labels):
@@ -50,42 +61,48 @@ class TestLocalSplit:
     def test_two_against_one(self):
         # Oracle: brute-force best 2-partition under L1 within-cluster cost.
         vectors = [np.array(v, dtype=float) for v in [(1, 0), (1, 0), (0, 1)]]
-        indexes = [bi(i, 1, v) for i, v in enumerate(vectors)]
         best = min(
             (labels for labels in itertools.product((0, 1), repeat=3) if len(set(labels)) == 2),
             key=lambda labels: l1_cost(vectors, labels),
         )
-        parts = local_split(indexes)
+        parts = local_split(np.stack(vectors).astype(np.uint8))
         assert len(parts) == 2
-        got = {frozenset(d for d, _ in p.members) for p in parts}
+        got = {frozenset(p.tolist()) for p in parts}
         want = {
             frozenset(i for i, l in enumerate(best) if l == 0),
             frozenset(i for i, l in enumerate(best) if l == 1),
         }
         assert got == want
-        reps = {tuple(p.representative) for p in parts}
-        assert reps == {(1.0, 0.0), (0.0, 1.0)}
 
     def test_single_vector(self):
-        parts = local_split([bi(7, 2, (1, 0, 1))])
-        assert len(parts) == 1
-        assert parts[0].members == [(7, 2)]
+        parts = local_split(rows((1, 0, 1)))
+        assert [p.tolist() for p in parts] == [[0]]
 
     def test_identical_vectors_one_cluster(self):
-        parts = local_split([bi(1, 1, (1, 1)), bi(2, 1, (1, 1))])
-        assert len(parts) == 1
-        assert sorted(d for d, _ in parts[0].members) == [1, 2]
+        parts = local_split(rows((1, 1), (1, 1)))
+        assert [p.tolist() for p in parts] == [[0, 1]]
 
     def test_empty_error(self):
         with pytest.raises(PartitioningError):
-            local_split([])
+            local_split(np.zeros((0, 3), dtype=np.uint8))
 
-    def test_representative_is_mean(self):
-        parts = local_split([bi(1, 1, (1, 0)), bi(2, 1, (1, 1)), bi(3, 1, (0, 1))])
-        for p in parts:
-            bits = np.stack([[1, 0], [1, 1], [0, 1]])
-            ids = [d for d, _ in p.members]
-            np.testing.assert_allclose(p.representative, bits[[i - 1 for i in ids]].mean(axis=0))
+    def test_representative_is_mean(self, monkeypatch):
+        # cluster_indexes hands global_cluster the mean of each local
+        # cluster's rows, owners in ascending id order.
+        bits = rows((1, 0), (1, 1), (0, 1), (1, 1))
+        owners = ids(5, 5, 5, 2)
+        seen = []
+
+        def capture(R, s, seed=0):
+            seen.append(R)
+            return np.zeros(len(R), dtype=int)
+
+        monkeypatch.setattr(partitioning, "global_cluster", capture)
+        cluster_indexes(bits, ids(1, 2, 3, 4), owners, KeywordDictionary.from_words(["a", "b"]), 1)
+        split = local_split(bits[:3])
+        assert len(split) == 2
+        want = [[1.0, 1.0]] + [bits[p].mean(axis=0).tolist() for p in split]
+        assert seen[0].tolist() == want
 
     @settings(max_examples=200, deadline=None)
     @given(binary_rows())
@@ -110,8 +127,8 @@ class TestLocalSplit:
                     break
                 centers = np.stack([np.median(X[labels == c], axis=0) for c in (0, 1)])
         want = [[i for i in range(m) if labels[i] == c] for c in (0, 1)]
-        parts = local_split([bi(i, 1, row.astype(np.uint8)) for i, row in enumerate(X)])
-        assert [[d for d, _ in p.members] for p in parts] == [g for g in want if g]
+        parts = local_split(X.astype(np.uint8))
+        assert [p.tolist() for p in parts] == [g for g in want if g]
 
 
 class TestFarthestPair:
@@ -134,21 +151,18 @@ class TestFarthestPair:
 
 class TestGlobalCluster:
     def test_s1_everything_together(self):
-        initials = [InitialPartition([(i, 1)], np.array([float(i)])) for i in range(5)]
-        assignments = global_cluster(initials, 1)
-        assert set(assignments.values()) == {0}
-        assert set(assignments) == set(range(5))
+        labels = global_cluster(np.arange(5.0)[:, None], 1)
+        assert labels.tolist() == [0] * 5
 
     def test_corner_pairs(self):
         # Oracle: exhaustive 2-partition L1 cost minimum over 4 corner reps.
         reps = [np.array(v, dtype=float) for v in [(0, 0, 9, 9), (0, 0, 9, 8), (9, 9, 0, 0), (9, 8, 0, 0)]]
-        initials = [InitialPartition([(i, 1)], r) for i, r in enumerate(reps)]
         best = min(
             (labels for labels in itertools.product((0, 1), repeat=4) if len(set(labels)) == 2),
             key=lambda labels: l1_cost(reps, labels),
         )
-        assignments = global_cluster(initials, 2, seed=0)
-        got = {frozenset(i for i in range(4) if assignments[i] == c) for c in set(assignments.values())}
+        labels = global_cluster(np.stack(reps), 2, seed=0)
+        got = {frozenset(np.flatnonzero(labels == c).tolist()) for c in set(labels.tolist())}
         want = {
             frozenset(i for i, l in enumerate(best) if l == 0),
             frozenset(i for i, l in enumerate(best) if l == 1),
@@ -156,78 +170,189 @@ class TestGlobalCluster:
         assert got == want
 
     def test_s_out_of_range(self):
-        initials = [InitialPartition([(0, 1)], np.zeros(2))]
+        R = np.zeros((1, 2))
         with pytest.raises(PartitioningError):
-            global_cluster(initials, 2)
+            global_cluster(R, 2)
         with pytest.raises(PartitioningError):
-            global_cluster(initials, 0)
+            global_cluster(R, 0)
 
     def test_deterministic_under_seed(self):
-        rng = np.random.default_rng(5)
-        initials = [
-            InitialPartition([(i, 1)], rng.integers(0, 2, 10).astype(float)) for i in range(20)
-        ]
-        a = global_cluster(initials, 3, seed=11)
-        b = global_cluster(initials, 3, seed=11)
-        assert a == b
+        R = np.random.default_rng(5).integers(0, 2, (20, 10)).astype(float)
+        a = global_cluster(R, 3, seed=11)
+        b = global_cluster(R, 3, seed=11)
+        assert a.tolist() == b.tolist()
 
 
 class TestSegmentDictionary:
     def test_one_partition_keeps_occurring_words(self):
-        docs_bits = [bi(1, 1, (1, 0, 1)), bi(2, 1, (1, 0, 0))]
         d = KeywordDictionary.from_words(["a", "b", "c"])
-        pset, compressed = segment_dictionary({1: 0, 2: 0}, docs_bits, d, 1)
+        pset, compressed = segment_dictionary(
+            ids(0, 0), rows((1, 0, 1), (1, 0, 0)), ids(1, 2), ids(1, 1), d, 1
+        )
         assert pset.sub_dictionaries == [["a", "c"]]  # "b" never occurs
         assert compressed[0].tolist() == [[1, 1], [1, 0]]
+        assert compressed[0].dtype == np.uint8
+
+    def test_rows_sorted_by_doc_id(self):
+        d = KeywordDictionary.from_words(["a", "b"])
+        pset, compressed = segment_dictionary(
+            ids(0, 1, 0), rows((1, 0), (1, 1), (0, 1)), ids(9, 4, 2), ids(3, 1, 7), d, 2
+        )
+        assert pset.members == [[(2, 7), (9, 3)], [(4, 1)]]
+        assert pset.assignments == {2: 0, 9: 0, 4: 1}
+        assert compressed[0].tolist() == [[0, 1], [1, 0]]
+        assert compressed[1].shape == (1, 0)
+
+    def test_empty_partition(self):
+        d = KeywordDictionary.from_words(["a"])
+        pset, compressed = segment_dictionary(ids(0, 0), rows((1,), (1,)), ids(1, 2), ids(1, 1), d, 2)
+        assert pset.members[1] == [] and pset.sub_dictionaries[1] == []
+        assert compressed[1].shape == (0, 0) and compressed[1].dtype == np.uint8
 
     def test_max_frequency_assignment(self):
         # "w" appears 3x in partition 0, 1x in partition 1 -> home partition 0,
         # and its column is absent from partition 1's compressed indexes.
         d = KeywordDictionary.from_words(["v", "w"])
-        indexes = [
-            bi(1, 1, (0, 1)),
-            bi(2, 1, (0, 1)),
-            bi(3, 1, (0, 1)),
-            bi(4, 2, (1, 1)),
-        ]
-        pset, _ = segment_dictionary({1: 0, 2: 0, 3: 0, 4: 1}, indexes, d, 2)
+        bits = rows((0, 1), (0, 1), (0, 1), (1, 1))
+        pset, _ = segment_dictionary(ids(0, 0, 0, 1), bits, ids(1, 2, 3, 4), ids(1, 1, 1, 2), d, 2)
         assert pset.home["w"] == (0, 0)
         assert "w" not in pset.sub_positions[1]
         assert pset.sub_dictionaries[1] == ["v"]
 
     def test_tie_goes_to_lowest_partition(self):
         d = KeywordDictionary.from_words(["w"])
-        indexes = [bi(1, 1, (1,)), bi(2, 2, (1,))]
-        pset, _ = segment_dictionary({1: 1, 2: 0}, indexes, d, 2)
+        pset, _ = segment_dictionary(ids(1, 0), rows((1,), (1,)), ids(1, 2), ids(1, 2), d, 2)
         assert pset.home["w"][0] == 0
 
     def test_reconstruction(self):
         # Scattering compressed vectors back to n dims reproduces the original
         # bits restricted to the partition's assigned keywords.
-        docs = synthetic_corpus(40, 80, 4, seed=5)
-        dictionary = build_dictionary(docs)
-        indexes = build_binary_indexes(docs, dictionary)
-        pset, compressed = cluster_indexes(indexes, dictionary, 3, seed=1)
-        by_id = {ix.doc_id: ix for ix in indexes}
+        bits, doc_ids, owner_ids, dictionary = indexed(synthetic_corpus(40, 80, 4, seed=5))
+        pset, compressed = cluster_indexes(bits, doc_ids, owner_ids, dictionary, 3, seed=1)
+        row_of = {doc_id: i for i, doc_id in enumerate(doc_ids.tolist())}
         for p in range(pset.s):
             dims = [dictionary.position[w] for w in pset.sub_dictionaries[p]]
             for row, (doc_id, _owner) in enumerate(pset.members[p]):
-                np.testing.assert_array_equal(
-                    compressed[p][row], by_id[doc_id].bits[dims]
-                )
+                np.testing.assert_array_equal(compressed[p][row], bits[row_of[doc_id], dims])
 
     def test_missing_assignment_error(self):
+        # Every row needs exactly one partition id in [0, s).
         d = KeywordDictionary.from_words(["a"])
-        with pytest.raises(PartitioningError, match="no partition assignment"):
-            segment_dictionary({}, [bi(1, 1, (1,))], d, 1)
+        for part in ([0], [0, 2], [-1, 0]):
+            with pytest.raises(PartitioningError, match="partition id"):
+                segment_dictionary(ids(*part), rows((1,), (1,)), ids(1, 2), ids(1, 1), d, 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-document algorithm.  Each document is an (id, owner,
+# bits) entry; entries are regrouped by owner, split into member lists with a
+# mean-of-bits representative, mapped doc id -> partition and summed one
+# document at a time.  The matrix path must give the same partition set and
+# the same compressed matrices.
+
+def reference_local_split(entries):
+    X = np.stack([bits for _, _, bits in entries]).astype(np.float64)
+    members = [(doc_id, owner) for doc_id, owner, _ in entries]
+    if len(X) == 1 or not np.any(X != X[0]):
+        return [(members, X.mean(axis=0))]
+    a, b = _farthest_pair(X)
+    centers = X[[a, b]]
+    labels = None
+    for _ in range(partitioning._LOCAL_MAX_ITER):
+        d = centers.sum(axis=1) + X @ (1.0 - 2.0 * centers).T
+        new_labels = (d[:, 1] < d[:, 0]).astype(int)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        if labels.min() == labels.max():
+            break
+        centers = np.stack([_bit_median(X[labels == c]) for c in (0, 1)])
+    return [
+        ([members[i] for i in np.flatnonzero(labels == c)], X[labels == c].mean(axis=0))
+        for c in (0, 1) if np.any(labels == c)
+    ]
+
+
+def reference_initials(entries):
+    by_owner = {}
+    for entry in entries:
+        by_owner.setdefault(entry[1], []).append(entry)
+    return [ip for owner in sorted(by_owner) for ip in reference_local_split(by_owner[owner])]
+
+
+def reference_cluster(entries, dictionary, s, seed):
+    initials = reference_initials(entries)
+    labels = global_cluster(np.stack([rep for _, rep in initials]), s, seed=seed)
+    assignments = {
+        doc_id: int(label) for (members, _), label in zip(initials, labels) for doc_id, _ in members
+    }
+    df = np.zeros((s, len(dictionary)), dtype=np.int64)
+    members = [[] for _ in range(s)]
+    by_id = {}
+    for doc_id, owner, bits in entries:
+        df[assignments[doc_id]] += bits
+        members[assignments[doc_id]].append((doc_id, owner))
+        by_id[doc_id] = bits
+    for group in members:
+        group.sort()
+    home_part = df.argmax(axis=0)
+    sub_dictionaries = [[] for _ in range(s)]
+    for j, word in enumerate(dictionary.words):
+        if df[home_part[j], j] > 0:
+            sub_dictionaries[home_part[j]].append(word)
+    compressed = []
+    for p in range(s):
+        dims = [dictionary.position[w] for w in sub_dictionaries[p]]
+        mat = np.zeros((len(members[p]), len(dims)), dtype=np.uint8)
+        for row, (doc_id, _) in enumerate(members[p]):
+            mat[row] = by_id[doc_id][dims]
+        compressed.append(mat)
+    return PartitionSet.from_members(sub_dictionaries, members), compressed
+
+
+@st.composite
+def owned_corpora(draw):
+    """(doc ids, owner ids, bits) with rows drawn from a few distinct ones,
+    so duplicate rows are common.  An owner may hold a single document or
+    only identical ones, and the owners' documents come interleaved under
+    unsorted ids."""
+    n = draw(st.integers(1, 8))
+    bases = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=6))
+    owners = draw(st.lists(st.integers(-3, 40), min_size=1, max_size=5, unique=True))
+    entries = []
+    for owner in owners:
+        picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=8))
+        if draw(st.booleans()):
+            picks = [picks[0]] * len(picks)
+        entries.extend((owner, bases[i]) for i in picks)
+    order = draw(st.permutations(range(len(entries))))
+    doc_ids = draw(st.lists(st.integers(-100, 10**6), min_size=len(entries),
+                            max_size=len(entries), unique=True))
+    bits = np.array([entries[i][1] for i in order], dtype=np.uint8).reshape(len(entries), n)
+    return ids(*doc_ids), ids(*(entries[i][0] for i in order)), bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(owned_corpora(), st.data())
+def test_cluster_indexes_matches_per_document_reference(corpus, data):
+    doc_ids, owner_ids, bits = corpus
+    dictionary = KeywordDictionary.from_words([f"w{j}" for j in range(bits.shape[1])])
+    entries = list(zip(doc_ids.tolist(), owner_ids.tolist(), bits))
+    s = data.draw(st.integers(1, len(reference_initials(entries))), label="s")
+    seed = data.draw(st.integers(0, 3), label="seed")
+    pset, compressed = cluster_indexes(bits, doc_ids, owner_ids, dictionary, s, seed=seed)
+    want_pset, want_compressed = reference_cluster(entries, dictionary, s, seed)
+    assert pset == want_pset
+    assert len(compressed) == len(want_compressed)
+    for got, want in zip(compressed, want_compressed):
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.fixture(scope="module")
 def pset():
-    docs = synthetic_corpus(60, 150, 6, seed=2)
-    dictionary = build_dictionary(docs)
-    indexes = build_binary_indexes(docs, dictionary)
-    ps, compressed = cluster_indexes(indexes, dictionary, 4, seed=3)
+    bits, doc_ids, owner_ids, dictionary = indexed(synthetic_corpus(60, 150, 6, seed=2))
+    ps, compressed = cluster_indexes(bits, doc_ids, owner_ids, dictionary, 4, seed=3)
     return ps, compressed, dictionary
 
 
@@ -252,11 +377,9 @@ class TestClusterIndexes:
         assert len(ps.assignments) == 60
 
     def test_stability(self):
-        docs = synthetic_corpus(30, 70, 3, seed=8)
-        dictionary = build_dictionary(docs)
-        indexes = build_binary_indexes(docs, dictionary)
-        a, _ = cluster_indexes(indexes, dictionary, 2, seed=4)
-        b, _ = cluster_indexes(indexes, dictionary, 2, seed=4)
+        corpus = indexed(synthetic_corpus(30, 70, 3, seed=8))
+        a, _ = cluster_indexes(*corpus, 2, seed=4)
+        b, _ = cluster_indexes(*corpus, 2, seed=4)
         assert a.assignments == b.assignments
         assert a.sub_dictionaries == b.sub_dictionaries
 
@@ -265,32 +388,26 @@ class TestClusterIndexes:
         seeding of local_split (tests/data/build_golden.json)."""
         golden = json.loads((Path(__file__).parent / "data" / "build_golden.json").read_text())
         n_docs, n_words, owners, seed = golden["cluster"]["corpus"]
-        docs = synthetic_corpus(n_docs, n_words, owners, seed=seed)
-        dictionary = build_dictionary(docs)
-        indexes = build_binary_indexes(docs, dictionary)
-        ps, _ = cluster_indexes(indexes, dictionary, golden["cluster"]["s"])
+        corpus = indexed(synthetic_corpus(n_docs, n_words, owners, seed=seed))
+        ps, _ = cluster_indexes(*corpus, golden["cluster"]["s"])
         assert [ps.assignments[i] for i in range(n_docs)] == golden["cluster"]["assignments"]
 
-    def test_owners_grouped_once(self, pset, monkeypatch):
-        # One grouping pass over the corpus, then one splitter call per owner.
-        _, _, dictionary = pset
+    def test_owners_grouped_once(self):
+        # One splitter call per owner, owners in ascending id order, each
+        # with that owner's rows in corpus order.
         docs = synthetic_corpus(60, 150, 6, seed=2)
-        indexes = build_binary_indexes(docs, dictionary)
-        groupings, calls = [], []
-        group = partitioning.partition_owners
+        docs = [d for d in docs if d.owner_id != 3] + [d for d in docs if d.owner_id == 3]
+        bits, doc_ids, owner_ids, dictionary = indexed(docs)
+        calls = []
 
-        def counting_group(binary_indexes):
-            groupings.append(len(binary_indexes))
-            return group(binary_indexes)
+        def splitter(owner_bits):
+            calls.append(owner_bits)
+            return local_split(owner_bits)
 
-        def splitter(owner_indexes):
-            calls.append({ix.owner_id for ix in owner_indexes})
-            return local_split(owner_indexes)
-
-        monkeypatch.setattr(partitioning, "partition_owners", counting_group)
-        cluster_indexes(indexes, dictionary, 4, seed=3, splitter=splitter)
-        assert groupings == [60]
-        assert calls == [{owner} for owner in sorted({ix.owner_id for ix in indexes})]
+        cluster_indexes(bits, doc_ids, owner_ids, dictionary, 4, seed=3, splitter=splitter)
+        assert len(calls) == 6
+        for owner, got in enumerate(calls):
+            np.testing.assert_array_equal(got, bits[owner_ids == owner])
 
     def test_round_trip(self, tmp_path, pset):
         # The file holds the members and sub-dictionaries; the doc id map,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from encsearch.corpus import Document, build_binary_indexes, build_dictionary, synthetic_corpus
+from encsearch.corpus import Document, build_binary_indexes, build_dictionary, id_arrays, synthetic_corpus
 from encsearch.errors import WeightingError
 from encsearch.partitioning import cluster_indexes
 from encsearch.weighting import (
@@ -106,8 +106,8 @@ class TestComputeWeights:
     def test_per_keyword_max_is_one(self):
         docs = synthetic_corpus(30, 40, 4, seed=6)
         dictionary = build_dictionary(docs)
-        indexes = build_binary_indexes(docs, dictionary)
-        pset, compressed = cluster_indexes(indexes, dictionary, 2, seed=0)
+        bits = build_binary_indexes(docs, dictionary)
+        pset, compressed = cluster_indexes(bits, *id_arrays(docs), dictionary, 2, seed=0)
         by_id = {d.doc_id: d for d in docs}
         for p in range(pset.s):
             corr = build_correlativity(compressed[p])

@@ -1,10 +1,10 @@
 """Corpus ingestion: documents, the global keyword dictionary and the
-keyword incidence matrix.
+term-count matrix.
 
 Documents arrive from multiple owners.  Each document keeps its term counts
 (the weighting stage needs frequencies, not just incidence).  The dictionary
 assigns every distinct keyword a stable dimension index (lexicographic order),
-and the corpus gets one 0/1 incidence row per document over those dimensions.
+and the corpus gets one term-count row per document over those dimensions.
 """
 
 from __future__ import annotations
@@ -109,25 +109,25 @@ def build_dictionary(docs: Sequence[Document]) -> KeywordDictionary:
 
 
 def build_binary_indexes(docs: Sequence[Document], dictionary: KeywordDictionary) -> np.ndarray:
-    """The (D, n) uint8 keyword incidence of the corpus: row i belongs to
-    ``docs[i]``, and bits[i, j] = 1 iff words[j] occurs in that document.
-    The build carries the rows' doc ids and owner ids beside it as int64
-    arrays in the same order."""
-    bits = np.zeros((len(docs), len(dictionary)), dtype=np.uint8)
-    for i, d in enumerate(docs):
-        for term in d.counts:
+    """The (D, n) float64 term counts of the corpus: row i belongs to
+    ``docs[i]``, and counts[i, j] is how often words[j] occurs in it, so the
+    nonzero pattern is the binary keyword index.  The build carries the rows'
+    doc ids and owner ids beside it as int64 arrays in the same order."""
+    counts = np.zeros((len(docs), len(dictionary)))
+    for row, d in zip(counts, docs):
+        for term, count in d.counts.items():
             j = dictionary.position.get(term)
             if j is None:
                 raise CorpusError(
                     f"term {term!r} of document {d.doc_id} is not in the dictionary"
                 )
-            bits[i, j] = 1
-    return bits
+            row[j] = count
+    return counts
 
 
 def id_arrays(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray]:
     """The int64 doc ids and owner ids of ``docs``, in order: the arrays that
-    travel beside the incidence matrix."""
+    travel beside the count matrix."""
     return (
         np.array([d.doc_id for d in docs], dtype=np.int64),
         np.array([d.owner_id for d in docs], dtype=np.int64),

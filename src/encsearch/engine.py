@@ -97,8 +97,8 @@ class Server:
 class Pipeline:
     """The built search system plus all intermediate artifacts.
 
-    The owners' documents and their 0/1 keyword incidence are read only while
-    building: their term counts weight the index, and afterwards each
+    The owners' documents and their term-count matrix are read only while
+    building: the counts cluster and weight the index, and afterwards each
     document lives on as its id and owner in ``pset.members`` and as its
     padded row, whose positive real entries mark its keywords, also for a
     document inserted later.
@@ -125,16 +125,19 @@ class Pipeline:
         self.config = config
         docs = list(docs)
         dictionary = build_dictionary(docs)
-        bits = build_binary_indexes(docs, dictionary)
+        counts = build_binary_indexes(docs, dictionary)
         doc_ids, owner_ids = id_arrays(docs)
 
         s = config.resolve_s(len(dictionary))
         if s > len(docs):
             raise EncSearchError(f"s={s} exceeds the number of documents {len(docs)}")
         self.pset, compressed = partitioning.cluster_indexes(
-            bits, doc_ids, owner_ids, dictionary, s, seed=_derive_seed(config.seed, "cluster")
+            counts, doc_ids, owner_ids, dictionary, s, seed=_derive_seed(config.seed, "cluster")
         )
-        weighted = self._build_weights(docs, compressed)
+        # Drop each count matrix once read, out of the later stages' peak.
+        del counts
+        weighted = self._build_weights(compressed)
+        del compressed
         self._build_noise()
         self._pad(weighted)
         self._build_forest()
@@ -145,25 +148,21 @@ class Pipeline:
         self._encrypt_forest(tag="build")
         return self
 
-    def _build_weights(
-        self, docs: Sequence[Document], compressed: Sequence[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Correlativity and owner weights of every partition from the
-        documents' term counts and each partition's (M_i, N_i) 0/1
-        incidence; returns each partition's weighted (M_i, N_i) rows."""
-        docs_by_id = {d.doc_id: d for d in docs}
+    def _build_weights(self, compressed: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Correlativity and owner weights of every partition from its
+        (M_i, N_i) term counts; returns each partition's weighted rows."""
         self.correlativity, self.weights, self.w_max = [], [], []
         weighted_mats = []
-        for p in range(self.pset.s):
-            corr = weighting.build_correlativity(compressed[p])
-            w, wmax = weighting.compute_weights(
-                docs_by_id, self.pset.members[p], self.pset.sub_positions[p], corr
-            )
-            owner_weights = weighting.weight_indexes(self.pset.members[p], w)
+        for p, counts in enumerate(compressed):
+            owners = np.array([owner for _id, owner in self.pset.members[p]], dtype=np.int64)
+            bits = counts > 0
+            corr = weighting.build_correlativity(bits)
+            w, wmax = weighting.compute_weights(counts, owners, corr)
+            owner_weights = weighting.weight_indexes(owners, w)
             self.correlativity.append(corr)
             self.weights.append(w)
             self.w_max.append(wmax)
-            weighted_mats.append(weighting.weighted_matrix(compressed[p], owner_weights))
+            weighted_mats.append(weighting.weighted_matrix(bits, owner_weights))
         return weighted_mats
 
     def _build_noise(self) -> None:
@@ -413,12 +412,10 @@ class Pipeline:
         """Compressed, weighted, padded vector for a new document, padded by
         ``pad_matrix`` with the partition's noise model seeded by the doc id."""
         n_real = len(self.pset.sub_dictionaries[p])
-        bits = np.zeros(n_real)
         tf = np.zeros(n_real)
         for word, count in doc.counts.items():
             dim = self.pset.sub_positions[p].get(word)
             if dim is not None:
-                bits[dim] = 1.0
                 tf[dim] = count
         # Where its owner's build weight is 0 (everywhere for an owner the
         # partition does not know), the document is weighted through the
@@ -427,7 +424,7 @@ class Pipeline:
         w = self.weights[p].get(doc.owner_id, np.zeros(n_real))
         w = np.where(w > 0, w, weighting.normalize(self.correlativity[p] @ tf, self.w_max[p]))
         model = replace(self.noise[p], seed=_derive_seed(self.config.seed, f"ins:{doc.doc_id}"))
-        return padding.pad_matrix(weighting.weighted_matrix(bits[None], w[None]), model)[0]
+        return padding.pad_matrix(weighting.weighted_matrix((tf > 0)[None], w[None]), model)[0]
 
     def insert_document(self, doc: Document, partition: int | None = None) -> UpdateReport:
         """Add one document: only its partition's tree is touched; the proxy

@@ -1,17 +1,19 @@
 """Two-stage index clustering and keyword-dictionary segmentation.
 
-The corpus arrives as one (D, n) 0/1 keyword incidence matrix with an int64
-doc id and owner id per row.  Stage 1 splits each owner's rows into two
+The corpus arrives as one (D, n) term-count matrix with an int64 doc id and
+owner id per row; its positive entries are the keyword incidence, which is
+all the clustering reads.  Stage 1 splits each owner's 0/1 rows into two
 clusters (L1 2-means) and returns their row positions; the representative
 of a cluster is the mean of its rows.  Stage 2 groups all these local
 clusters into ``s`` final partitions with L1 k-means using component-wise
 median centroids, which gives every row a partition id.  The dictionary is
 then segmented: every keyword goes to the single partition where its
-document frequency (a column sum of the partition's rows) is maximal, and
-each partition's rows are compressed down to its own sub-dictionary
-dimensions (dropping dimensions that are zero partition-wide).  The
-compressed 0/1 matrices go to the build beside the partition set, not into
-it: the build's padded rows are positive exactly where they hold a 1.
+document frequency (the number of the partition's rows holding it) is
+maximal, and each partition's rows are compressed down to its own
+sub-dictionary dimensions (dropping dimensions that are zero
+partition-wide).  The compressed count matrices go to the build beside the
+partition set, not into it: the build's padded rows are positive exactly
+where they hold a count.
 """
 
 from __future__ import annotations
@@ -155,11 +157,12 @@ def global_cluster(R: np.ndarray, s: int, seed: int = 0) -> np.ndarray:
     for _ in range(_GLOBAL_MAX_ITER):
         d = np.abs(R[:, None, :] - centers[None, :, :]).sum(axis=2)
         new_labels = d.argmin(axis=1)
-        # Re-seat empty clusters on the farthest representative.
+        # Re-seat each empty cluster on the farthest representative whose
+        # cluster keeps a member, so that no median is of an empty set.
         for c in range(s):
             if not np.any(new_labels == c):
-                far = int(d.min(axis=1).argmax())
-                new_labels[far] = c
+                movable = np.bincount(new_labels, minlength=s)[new_labels] > 1
+                new_labels[int(np.where(movable, d.min(axis=1), -1.0).argmax())] = c
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -169,33 +172,33 @@ def global_cluster(R: np.ndarray, s: int, seed: int = 0) -> np.ndarray:
 
 def segment_dictionary(
     part: np.ndarray,
-    bits: np.ndarray,
+    counts: np.ndarray,
     doc_ids: np.ndarray,
     owner_ids: np.ndarray,
     dictionary: KeywordDictionary,
     s: int,
 ) -> tuple[PartitionSet, list[np.ndarray]]:
-    """Build sub-dictionaries and compressed per-partition index matrices
-    from the (D, n) 0/1 rows, their doc ids and owner ids, and ``part``,
-    each row's partition id.
+    """Build sub-dictionaries and compressed per-partition count matrices
+    from the (D, n) term-count rows, their doc ids and owner ids, and
+    ``part``, each row's partition id.
 
     A keyword is assigned to the partition where its document frequency is
     maximal (ties break toward the lowest partition id); its dimensions in all
     other partitions are dropped along with partition-wide zero dimensions.
-    Returns the partition set and each partition's (M_i, N_i) uint8 matrix,
-    rows in ``members`` order (ascending doc id).
+    Returns the partition set and each partition's (M_i, N_i) cut of the
+    counts, rows in ``members`` order (ascending doc id).
     """
     if part.shape != doc_ids.shape or np.any((part < 0) | (part >= s)):
         raise PartitioningError(f"every row needs one partition id in [0, {s})")
     by_id = np.argsort(doc_ids, kind="stable")
     rows = [by_id[part[by_id] == p] for p in range(s)]
-    df = np.stack([bits[r].sum(axis=0, dtype=np.int64) for r in rows])
+    df = np.stack([np.count_nonzero(counts[r], axis=0) for r in rows])
     home_part = df.argmax(axis=0)  # argmax ties -> lowest partition id
     occurs = df.max(axis=0) > 0  # else absent from the corpus; drop it
     dims = [np.flatnonzero((home_part == p) & occurs) for p in range(s)]
     sub_dictionaries = [[dictionary.words[j] for j in d] for d in dims]
     members = [list(zip(doc_ids[r].tolist(), owner_ids[r].tolist())) for r in rows]
-    compressed = [bits[np.ix_(r, d)] for r, d in zip(rows, dims)]
+    compressed = [counts[np.ix_(r, d)] for r, d in zip(rows, dims)]
     return PartitionSet.from_members(sub_dictionaries, members), compressed
 
 
@@ -205,7 +208,7 @@ def default_partition_count(dictionary_size: int) -> int:
 
 
 def cluster_indexes(
-    bits: np.ndarray,
+    counts: np.ndarray,
     doc_ids: np.ndarray,
     owner_ids: np.ndarray,
     dictionary: KeywordDictionary,
@@ -213,10 +216,11 @@ def cluster_indexes(
     seed: int = 0,
     splitter: Callable[[np.ndarray], list[np.ndarray]] = local_split,
 ) -> tuple[PartitionSet, list[np.ndarray]]:
-    """Full pipeline over the (D, n) 0/1 rows and their int64 doc ids and
-    owner ids: per-owner local split (owners in ascending id order, one
-    ``splitter`` call each), global clustering, segmentation.  Returns what
-    ``segment_dictionary`` returns."""
+    """Full pipeline over the (D, n) term-count rows and their int64 doc
+    ids and owner ids: per-owner local split of the 0/1 incidence (owners in
+    ascending id order, one ``splitter`` call each), global clustering,
+    segmentation.  Returns what ``segment_dictionary`` returns."""
+    bits = (counts > 0).view(np.uint8)
     by_owner = np.argsort(owner_ids, kind="stable")
     clusters = []  # row positions of each local cluster
     for owned in np.split(by_owner, np.flatnonzero(np.diff(owner_ids[by_owner])) + 1):
@@ -225,7 +229,7 @@ def cluster_indexes(
     part = np.empty(len(doc_ids), dtype=np.int64)
     for c, label in zip(clusters, labels):
         part[c] = label
-    return segment_dictionary(part, bits, doc_ids, owner_ids, dictionary, s)
+    return segment_dictionary(part, counts, doc_ids, owner_ids, dictionary, s)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,19 @@
 For each partition the keyword correlativity matrix is the cosine similarity
 of keyword incidence columns over that partition's documents.  Per owner, the
 average keyword popularity (average term frequency over the owner's documents
-containing the keyword) is smoothed through the correlativity matrix and then
-normalized per keyword by the maximum raw weight across owners in the
-partition, giving weights in [0, 1].  Weighted index vectors are the
-elementwise product of a document's compressed bits with its owner's weights.
+containing the keyword, both summed from the partition's term-count rows) is
+smoothed through the correlativity matrix and then normalized per keyword by
+the maximum raw weight across owners in the partition, giving weights in
+[0, 1].  Weighted index vectors are the elementwise product of a document's
+compressed bits with its owner's weights.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .corpus import Document
 from .errors import WeightingError
 
 
@@ -37,45 +37,33 @@ def build_correlativity(compressed: np.ndarray) -> np.ndarray:
 
 
 def compute_weights(
-    docs_by_id: Mapping[int, Document],
-    members: Sequence[tuple[int, int]],
-    sub_positions: Mapping[str, int],
-    correlativity: np.ndarray,
+    counts: np.ndarray, owner_ids: np.ndarray, correlativity: np.ndarray
 ) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """Per-owner normalized weights for one partition, plus the per-keyword
     maximum raw weight ``w_max`` they are normalized by.
 
-    Keyword weights are compared (and the per-keyword maximum taken) only
-    across owners present in this partition.
+    ``counts`` is the partition's (M_i, N_i) term-count matrix and
+    ``owner_ids`` the owner of each row.  Keyword weights are compared (and
+    the per-keyword maximum taken) only across owners present in this
+    partition.
     """
-    n = len(sub_positions)
+    n = counts.shape[1]
     if correlativity.shape != (n, n):
         raise WeightingError(
             f"correlativity shape {correlativity.shape} does not match N={n}"
         )
-    owners = sorted({owner for _, owner in members})
-    tf = {o: np.zeros(n) for o in owners}
-    df = {o: np.zeros(n) for o in owners}
-    for doc_id, owner in members:
-        doc = docs_by_id[doc_id]
-        for word, count in doc.counts.items():
-            t = sub_positions.get(word)
-            if t is not None:
-                tf[owner][t] += count
-                df[owner][t] += 1
-
-    raw = {}
-    for o in owners:
-        # Average keyword popularity: term frequency over the owner's
-        # documents that contain the keyword.
-        with np.errstate(divide="ignore"):
-            alpha = np.where(df[o] > 0, 1.0 / np.where(df[o] > 0, df[o], 1.0), 0.0)
-        raw[o] = correlativity @ (tf[o] * alpha)
-
-    w_max = np.zeros(n)
-    for o in owners:
-        w_max = np.maximum(w_max, raw[o])
-    return {o: normalize(raw[o], w_max) for o in owners}, w_max
+    owners = np.unique(owner_ids)
+    raw = np.zeros((len(owners), n))
+    for i, owner in enumerate(owners):
+        held = counts[owner_ids == owner]
+        # Average keyword popularity: the owner's term frequency over its
+        # documents that hold the keyword (both 0 where none does), smoothed
+        # by one matrix-vector product per owner: a batched matrix product
+        # rounds differently and would change the stored weights.
+        akp = held.sum(axis=0) * (1.0 / np.maximum(np.count_nonzero(held, axis=0), 1))
+        raw[i] = correlativity @ akp
+    w_max = raw.max(axis=0, initial=0.0)
+    return dict(zip(owners.tolist(), normalize(raw, w_max))), w_max
 
 
 def normalize(raw: np.ndarray, w_max: np.ndarray) -> np.ndarray:
@@ -85,13 +73,11 @@ def normalize(raw: np.ndarray, w_max: np.ndarray) -> np.ndarray:
     return np.where(w_max > 0, np.minimum(raw / np.where(w_max > 0, w_max, 1.0), 1.0), 0.0)
 
 
-def weight_indexes(
-    members: Sequence[tuple[int, int]], weights: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """The (M_i, N_i) stack of each member's owner weight vector, in member
-    order."""
+def weight_indexes(owner_ids: np.ndarray, weights: Mapping[int, np.ndarray]) -> np.ndarray:
+    """The (M_i, N_i) stack of each row's owner weight vector, one row per
+    entry of ``owner_ids``."""
     try:
-        return np.array([weights[owner] for _, owner in members], dtype=np.float64)
+        return np.array([weights[owner] for owner in owner_ids.tolist()], dtype=np.float64)
     except KeyError as exc:
         raise WeightingError(f"no weights computed for owner {exc.args[0]}") from None
 

@@ -87,11 +87,11 @@ class TestBuildDictionary:
 class TestBinaryIndexes:
     def test_single_term(self):
         d = KeywordDictionary.from_words(["a", "b"])
-        assert build_binary_indexes([doc(1, 1, ["a"])], d).tolist() == [[1, 0]]
+        assert build_binary_indexes([doc(1, 1, ["a", "a"])], d).tolist() == [[2, 0]]
 
     def test_both_terms(self):
         d = KeywordDictionary.from_words(["a", "b"])
-        assert build_binary_indexes([doc(1, 1, ["a", "b"])], d).tolist() == [[1, 1]]
+        assert build_binary_indexes([doc(1, 1, ["b", "a", "b", "b"])], d).tolist() == [[1, 3]]
 
     def test_out_of_dictionary_named(self):
         d = KeywordDictionary.from_words(["a"])
@@ -99,14 +99,15 @@ class TestBinaryIndexes:
             build_binary_indexes([doc(1, 1, ["zebra"])], d)
 
     def test_matches_membership_oracle(self):
-        # Oracle: direct nested-loop membership test over a random 50-doc corpus.
+        # Oracle: direct nested-loop count lookup over a random 50-doc corpus,
+        # whose Zipf draws repeat terms.
         docs = synthetic_corpus(50, 120, 5, seed=3)
         dictionary = build_dictionary(docs)
-        bits = build_binary_indexes(docs, dictionary)
+        counts = build_binary_indexes(docs, dictionary)
+        assert counts.max() > 1
         for i, d in enumerate(docs):
             for j, w in enumerate(dictionary.words):
-                expected = 1 if w in d.counts else 0
-                assert bits[i, j] == expected
+                assert counts[i, j] == d.counts.get(w, 0)
 
     def test_round_trip_terms(self):
         docs = synthetic_corpus(20, 60, 4, seed=9)
@@ -118,8 +119,8 @@ class TestBinaryIndexes:
     def test_dimension(self):
         docs = synthetic_corpus(10, 40, 3, seed=1)
         dictionary = build_dictionary(docs)
-        bits = build_binary_indexes(docs, dictionary)
-        assert bits.shape == (10, len(dictionary)) and bits.dtype == np.uint8
+        counts = build_binary_indexes(docs, dictionary)
+        assert counts.shape == (10, len(dictionary)) and counts.dtype == np.float64
 
     def test_id_arrays_in_row_order(self):
         docs = [doc(7, 2, ["a"]), doc(-3, 9, ["b"]), doc(5, 2, ["a"])]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ def ids(*values):
 
 
 def indexed(docs):
-    """The incidence matrix, doc ids, owner ids and dictionary of a corpus."""
+    """The term-count matrix, doc ids, owner ids and dictionary of a corpus."""
     dictionary = build_dictionary(docs)
     return (build_binary_indexes(docs, dictionary), *id_arrays(docs), dictionary)
 
@@ -176,6 +177,26 @@ class TestGlobalCluster:
         with pytest.raises(PartitioningError):
             global_cluster(R, 0)
 
+    def test_repeated_representatives_fill_every_partition(self):
+        # Re-seating an empty cluster must not empty another one: with two
+        # equal representatives, no seed may leave a partition empty (and
+        # its median NaN).
+        R = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=np.float64)
+        for seed in range(5):
+            assert sorted(global_cluster(R, 4, seed=seed).tolist()) == [0, 1, 2, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(binary_rows(), st.data())
+    def test_no_empty_partition_or_nan_center(self, R, data):
+        s = data.draw(st.integers(1, len(R)), label="s")
+        seed = data.draw(st.integers(0, 5), label="seed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            labels = global_cluster(R, s, seed=seed)
+        assert np.bincount(labels, minlength=s).min() >= 1
+        centers = np.stack([np.median(R[labels == c], axis=0) for c in range(s)])
+        assert not np.isnan(centers).any()
+
     def test_deterministic_under_seed(self):
         R = np.random.default_rng(5).integers(0, 2, (20, 10)).astype(float)
         a = global_cluster(R, 3, seed=11)
@@ -186,12 +207,11 @@ class TestGlobalCluster:
 class TestSegmentDictionary:
     def test_one_partition_keeps_occurring_words(self):
         d = KeywordDictionary.from_words(["a", "b", "c"])
-        pset, compressed = segment_dictionary(
-            ids(0, 0), rows((1, 0, 1), (1, 0, 0)), ids(1, 2), ids(1, 1), d, 1
-        )
+        counts = np.array([[2, 0, 1], [1, 0, 0]], dtype=np.float64)
+        pset, compressed = segment_dictionary(ids(0, 0), counts, ids(1, 2), ids(1, 1), d, 1)
         assert pset.sub_dictionaries == [["a", "c"]]  # "b" never occurs
-        assert compressed[0].tolist() == [[1, 1], [1, 0]]
-        assert compressed[0].dtype == np.uint8
+        assert compressed[0].tolist() == [[2, 1], [1, 0]]  # the counts, cut
+        assert compressed[0].dtype == np.float64
 
     def test_rows_sorted_by_doc_id(self):
         d = KeywordDictionary.from_words(["a", "b"])
@@ -210,11 +230,12 @@ class TestSegmentDictionary:
         assert compressed[1].shape == (0, 0) and compressed[1].dtype == np.uint8
 
     def test_max_frequency_assignment(self):
-        # "w" appears 3x in partition 0, 1x in partition 1 -> home partition 0,
-        # and its column is absent from partition 1's compressed indexes.
+        # "w" is in 3 documents of partition 0 and in 1 of partition 1, 5
+        # times there: document frequency, not term count, makes partition 0
+        # its home, and its column is absent from partition 1's matrix.
         d = KeywordDictionary.from_words(["v", "w"])
-        bits = rows((0, 1), (0, 1), (0, 1), (1, 1))
-        pset, _ = segment_dictionary(ids(0, 0, 0, 1), bits, ids(1, 2, 3, 4), ids(1, 1, 1, 2), d, 2)
+        counts = rows((0, 1), (0, 1), (0, 1), (1, 5))
+        pset, _ = segment_dictionary(ids(0, 0, 0, 1), counts, ids(1, 2, 3, 4), ids(1, 1, 1, 2), d, 2)
         assert pset.home["w"] == (0, 0)
         assert "w" not in pset.sub_positions[1]
         assert pset.sub_dictionaries[1] == ["v"]
@@ -226,14 +247,14 @@ class TestSegmentDictionary:
 
     def test_reconstruction(self):
         # Scattering compressed vectors back to n dims reproduces the original
-        # bits restricted to the partition's assigned keywords.
-        bits, doc_ids, owner_ids, dictionary = indexed(synthetic_corpus(40, 80, 4, seed=5))
-        pset, compressed = cluster_indexes(bits, doc_ids, owner_ids, dictionary, 3, seed=1)
+        # counts restricted to the partition's assigned keywords.
+        counts, doc_ids, owner_ids, dictionary = indexed(synthetic_corpus(40, 80, 4, seed=5))
+        pset, compressed = cluster_indexes(counts, doc_ids, owner_ids, dictionary, 3, seed=1)
         row_of = {doc_id: i for i, doc_id in enumerate(doc_ids.tolist())}
         for p in range(pset.s):
             dims = [dictionary.position[w] for w in pset.sub_dictionaries[p]]
             for row, (doc_id, _owner) in enumerate(pset.members[p]):
-                np.testing.assert_array_equal(compressed[p][row], bits[row_of[doc_id], dims])
+                np.testing.assert_array_equal(compressed[p][row], counts[row_of[doc_id], dims])
 
     def test_missing_assignment_error(self):
         # Every row needs exactly one partition id in [0, s).
@@ -281,6 +302,8 @@ def reference_initials(entries):
 
 
 def reference_cluster(entries, dictionary, s, seed):
+    """The partition set and the compressed 0/1 matrices of the per-document
+    algorithm; ``entries`` hold 0/1 rows."""
     initials = reference_initials(entries)
     labels = global_cluster(np.stack([rep for _, rep in initials]), s, seed=seed)
     assignments = {
@@ -312,12 +335,12 @@ def reference_cluster(entries, dictionary, s, seed):
 
 @st.composite
 def owned_corpora(draw):
-    """(doc ids, owner ids, bits) with rows drawn from a few distinct ones,
-    so duplicate rows are common.  An owner may hold a single document or
-    only identical ones, and the owners' documents come interleaved under
-    unsorted ids."""
+    """(doc ids, owner ids, term counts) with rows drawn from a few distinct
+    ones, so duplicate incidence rows are common.  An owner may hold a
+    single document or only identical ones, and the owners' documents come
+    interleaved under unsorted ids."""
     n = draw(st.integers(1, 8))
-    bases = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=6))
+    bases = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=6))
     owners = draw(st.lists(st.integers(-3, 40), min_size=1, max_size=5, unique=True))
     entries = []
     for owner in owners:
@@ -328,25 +351,31 @@ def owned_corpora(draw):
     order = draw(st.permutations(range(len(entries))))
     doc_ids = draw(st.lists(st.integers(-100, 10**6), min_size=len(entries),
                             max_size=len(entries), unique=True))
-    bits = np.array([entries[i][1] for i in order], dtype=np.uint8).reshape(len(entries), n)
-    return ids(*doc_ids), ids(*(entries[i][0] for i in order)), bits
+    counts = np.array([entries[i][1] for i in order], dtype=np.float64).reshape(len(entries), n)
+    return ids(*doc_ids), ids(*(entries[i][0] for i in order)), counts
 
 
 @settings(max_examples=300, deadline=None)
 @given(owned_corpora(), st.data())
 def test_cluster_indexes_matches_per_document_reference(corpus, data):
-    doc_ids, owner_ids, bits = corpus
-    dictionary = KeywordDictionary.from_words([f"w{j}" for j in range(bits.shape[1])])
-    entries = list(zip(doc_ids.tolist(), owner_ids.tolist(), bits))
+    # The matrix path reads term counts; the reference reads their 0/1
+    # incidence.  Each compressed matrix is the cut of the counts.
+    doc_ids, owner_ids, counts = corpus
+    dictionary = KeywordDictionary.from_words([f"w{j}" for j in range(counts.shape[1])])
+    entries = list(zip(doc_ids.tolist(), owner_ids.tolist(), (counts > 0).astype(np.uint8)))
     s = data.draw(st.integers(1, len(reference_initials(entries))), label="s")
     seed = data.draw(st.integers(0, 3), label="seed")
-    pset, compressed = cluster_indexes(bits, doc_ids, owner_ids, dictionary, s, seed=seed)
+    pset, compressed = cluster_indexes(counts, doc_ids, owner_ids, dictionary, s, seed=seed)
     want_pset, want_compressed = reference_cluster(entries, dictionary, s, seed)
     assert pset == want_pset
     assert len(compressed) == len(want_compressed)
-    for got, want in zip(compressed, want_compressed):
-        assert got.dtype == np.uint8 and got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+    row_of = {doc_id: i for i, doc_id in enumerate(doc_ids.tolist())}
+    for p, (got, want) in enumerate(zip(compressed, want_compressed)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        np.testing.assert_array_equal(got > 0, want.astype(bool))
+        rows_p = [row_of[doc_id] for doc_id, _owner in pset.members[p]]
+        dims = [dictionary.position[w] for w in pset.sub_dictionaries[p]]
+        np.testing.assert_array_equal(got, counts[np.ix_(rows_p, dims)])
 
 
 @pytest.fixture(scope="module")
@@ -394,20 +423,20 @@ class TestClusterIndexes:
 
     def test_owners_grouped_once(self):
         # One splitter call per owner, owners in ascending id order, each
-        # with that owner's rows in corpus order.
+        # with that owner's 0/1 rows in corpus order.
         docs = synthetic_corpus(60, 150, 6, seed=2)
         docs = [d for d in docs if d.owner_id != 3] + [d for d in docs if d.owner_id == 3]
-        bits, doc_ids, owner_ids, dictionary = indexed(docs)
+        counts, doc_ids, owner_ids, dictionary = indexed(docs)
         calls = []
 
         def splitter(owner_bits):
             calls.append(owner_bits)
             return local_split(owner_bits)
 
-        cluster_indexes(bits, doc_ids, owner_ids, dictionary, 4, seed=3, splitter=splitter)
+        cluster_indexes(counts, doc_ids, owner_ids, dictionary, 4, seed=3, splitter=splitter)
         assert len(calls) == 6
         for owner, got in enumerate(calls):
-            np.testing.assert_array_equal(got, bits[owner_ids == owner])
+            np.testing.assert_array_equal(got, counts[owner_ids == owner] > 0)
 
     def test_round_trip(self, tmp_path, pset):
         # The file holds the members and sub-dictionaries; the doc id map,

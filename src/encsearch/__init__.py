@@ -8,7 +8,6 @@ likelihood-ordered balanced tree forest with greedy depth-first top-k search.
 from .aspe import Trapdoor, keygen, load_key, make_trapdoor, save_key, score
 from .corpus import (
     Document,
-    KeywordDictionary,
     build_binary_indexes,
     build_dictionary,
     load_corpus,
@@ -38,7 +37,6 @@ __all__ = [
     "Document",
     "EncSearchError",
     "ForestError",
-    "KeywordDictionary",
     "NoiseModel",
     "PaddingError",
     "PartitionSet",

@@ -90,7 +90,7 @@ def cmd_search(args) -> int:
     res = pipeline.query(keywords, k=args.k, t=args.t)
     for rank, (doc_id, score) in enumerate(res.results, 1):
         print(f"{rank}\t{doc_id}\t{score:.6f}")
-    print(f"# partitions={res.partitions} visited={res.visited} "
+    print(f"# partitions={sorted(res.visited)} visited={res.visited} "
           f"elapsed={res.elapsed:.4f}s", file=sys.stderr)
     return 0
 

@@ -3,8 +3,9 @@ term-count matrix.
 
 Documents arrive from multiple owners.  Each document keeps its term counts
 (the weighting stage needs frequencies, not just incidence).  The dictionary
-assigns every distinct keyword a stable dimension index (lexicographic order),
-and the corpus gets one term-count row per document over those dimensions.
+is the sorted list of distinct keywords, a keyword's position in it is its
+dimension, and the corpus gets one term-count row per document over those
+dimensions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -68,27 +69,6 @@ class Document:
         return cls(doc_id, owner_id, dict(Counter(terms)))
 
 
-@dataclass(frozen=True)
-class KeywordDictionary:
-    """Ordered list of distinct keywords; position maps word -> dimension."""
-
-    words: tuple[str, ...]
-    position: dict[str, int] = field(compare=False)
-
-    @classmethod
-    def from_words(cls, words: Sequence[str]) -> "KeywordDictionary":
-        ordered = tuple(words)
-        if len(set(ordered)) != len(ordered):
-            raise CorpusError("dictionary contains duplicate words")
-        return cls(ordered, {w: i for i, w in enumerate(ordered)})
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.position
-
-
 def _check_unique_ids(docs: Sequence[Document]) -> None:
     seen: set[int] = set()
     for d in docs:
@@ -97,7 +77,7 @@ def _check_unique_ids(docs: Sequence[Document]) -> None:
         seen.add(d.doc_id)
 
 
-def build_dictionary(docs: Sequence[Document]) -> KeywordDictionary:
+def build_dictionary(docs: Sequence[Document]) -> list[str]:
     """Sorted union of all document terms."""
     if not docs:
         raise CorpusError("cannot build a dictionary from an empty corpus")
@@ -105,18 +85,20 @@ def build_dictionary(docs: Sequence[Document]) -> KeywordDictionary:
     words: set[str] = set()
     for d in docs:
         words.update(d.counts)
-    return KeywordDictionary.from_words(sorted(words))
+    return sorted(words)
 
 
-def build_binary_indexes(docs: Sequence[Document], dictionary: KeywordDictionary) -> np.ndarray:
+def build_binary_indexes(docs: Sequence[Document], dictionary: Sequence[str]) -> np.ndarray:
     """The (D, n) float64 term counts of the corpus: row i belongs to
-    ``docs[i]``, and counts[i, j] is how often words[j] occurs in it, so the
-    nonzero pattern is the binary keyword index.  The build carries the rows'
-    doc ids and owner ids beside it as int64 arrays in the same order."""
+    ``docs[i]``, and counts[i, j] is how often ``dictionary[j]`` occurs in
+    it, so the nonzero pattern is the binary keyword index.  The build
+    carries the rows' doc ids and owner ids beside it as int64 arrays in the
+    same order."""
+    position = {word: j for j, word in enumerate(dictionary)}
     counts = np.zeros((len(docs), len(dictionary)))
     for row, d in zip(counts, docs):
         for term, count in d.counts.items():
-            j = dictionary.position.get(term)
+            j = position.get(term)
             if j is None:
                 raise CorpusError(
                     f"term {term!r} of document {d.doc_id} is not in the dictionary"

@@ -57,8 +57,7 @@ class QuerySpec:
 @dataclass
 class SearchResult:
     results: list[tuple[int, float]]
-    visited: dict[int, int]
-    partitions: list[int]
+    visited: dict[int, int]  # searched partition -> node scores used
     elapsed: float
 
 
@@ -86,9 +85,9 @@ class Server:
         self.trees = trees
 
     def search(
-        self, trapdoors: Mapping[int, aspe.Trapdoor], k: int, quota: int | None = None
+        self, trapdoors: Mapping[int, aspe.Trapdoor], k: int
     ) -> tuple[list[tuple[int, float]], dict[int, int]]:
-        return forest_mod.search_forest(self.trees, trapdoors, k, quota)
+        return forest_mod.search_forest(self.trees, trapdoors, k)
 
     def replace_tree(self, partition: int, tree: Tree) -> None:
         self.trees[partition] = tree
@@ -267,21 +266,16 @@ class Pipeline:
     def select_partitions(
         self, keywords: Mapping[str, float], t: int | None
     ) -> list[int]:
-        """Pick the t partitions whose sub-dictionaries best cover the query
-        (covered weight descending, partition id ascending).  A query touching
-        no known keyword selects all partitions."""
+        """The first t partitions, ascending, in the ranking by covered weight
+        descending, partition id ascending.  With no t, the partitions the
+        query covers, or all of them when it covers none."""
         covered = self._coverage(keywords)
-        candidates = [p for p in range(self.s) if covered[p] > 0]
-        if not candidates:
-            candidates = list(range(self.s))
-        candidates.sort(key=lambda p: (-covered[p], p))
-        if t is not None:
-            if not 1 <= t <= self.s:
-                raise EncSearchError(f"t={t} out of range [1, {self.s}]")
-            candidates = candidates[:t] if len(candidates) >= t else (
-                candidates + [p for p in range(self.s) if p not in candidates]
-            )[:t]
-        return sorted(candidates)
+        ranked = sorted(range(self.s), key=lambda p: (-covered[p], p))
+        if t is None:
+            t = int(np.count_nonzero(covered > 0)) or self.s
+        elif not 1 <= t <= self.s:
+            raise EncSearchError(f"t={t} out of range [1, {self.s}]")
+        return sorted(ranked[:t])
 
     def make_trapdoors(
         self,
@@ -306,25 +300,23 @@ class Pipeline:
         keywords: Mapping[str, float] | Sequence[str],
         k: int,
         t: int | None = None,
-        partitions: Sequence[int] | None = None,
-        quota: int | None = None,
         alphas: Mapping[int, np.ndarray] | None = None,
     ) -> SearchResult:
-        """Full search: trapdoor generation at the proxy, ranked greedy search
-        at the server.  ``keywords`` may be a list (weight 1.0 each)."""
+        """Full search: trapdoor generation at the proxy for the partitions
+        ``select_partitions`` picks, ranked greedy search at the server, each
+        tree for its top ceil(k/t).  ``keywords`` may be a list (weight 1.0
+        each)."""
         _check_k(k)
         if self.server is None:
             raise EncSearchError("pipeline was built without encryption")
         if not isinstance(keywords, Mapping):
             keywords = {w: 1.0 for w in keywords}
-        selected = (
-            sorted(partitions) if partitions is not None else self.select_partitions(keywords, t)
-        )
+        selected = self.select_partitions(keywords, t)
         start = time.perf_counter()
         trapdoors = self.make_trapdoors(keywords, selected, alphas)
-        results, visited = self.server.search(trapdoors, k, quota)
+        results, visited = self.server.search(trapdoors, k)
         elapsed = time.perf_counter() - start
-        return SearchResult(results, visited, list(selected), elapsed)
+        return SearchResult(results, visited, elapsed)
 
     def exact_search(
         self, keywords: Mapping[str, float] | Sequence[str], k: int | None = None
@@ -361,10 +353,10 @@ class Pipeline:
         self._encrypt_forest(tag=f"sigma:{sigma}")
 
     def run_query(self, query: QuerySpec, k: int) -> list[tuple[int, float]]:
-        res = self.query(
-            query.keywords, k, partitions=list(range(self.s)), quota=k, alphas=query.alphas
-        )
-        return res.results
+        """The top k of every tree's top k: a search of all s trees for
+        k*s results, whose per-tree quota ceil(k*s/s) is k."""
+        _check_k(k)
+        return self.query(query.keywords, k * self.s, t=self.s, alphas=query.alphas).results[:k]
 
     def exact_query(self, query: QuerySpec, k: int) -> list[tuple[int, float]]:
         return self.exact_search(query.keywords, k)
@@ -414,9 +406,9 @@ class Pipeline:
         n_real = len(self.pset.sub_dictionaries[p])
         tf = np.zeros(n_real)
         for word, count in doc.counts.items():
-            dim = self.pset.sub_positions[p].get(word)
-            if dim is not None:
-                tf[dim] = count
+            home = self.pset.home.get(word)
+            if home is not None and home[0] == p:
+                tf[home[1]] = count
         # Where its owner's build weight is 0 (everywhere for an owner the
         # partition does not know), the document is weighted through the
         # stored correlativity and per-keyword maxima, whose unit diagonal

@@ -306,27 +306,23 @@ def gdfs(
 
 
 def search_forest(
-    trees: Sequence[Tree],
-    queries: Mapping[int, np.ndarray | Trapdoor],
-    k: int,
-    quota: int | None = None,
+    trees: Sequence[Tree], queries: Mapping[int, np.ndarray | Trapdoor], k: int
 ) -> tuple[list[tuple[int, float]], dict[int, int]]:
     """Search the trees ``queries`` names, merge their candidate lists and
     return the global top-k plus per-tree visited-node counts.
 
     ``queries[i]`` is the query vector or trapdoor of tree i; the trees are
-    searched in ascending i.  The per-tree candidate quota defaults to
-    ceil(k/t) for t searched trees.
+    searched in ascending i, each for its top ceil(k/t) of t searched trees.
     """
     if k < 1:
         raise ForestError("k must be >= 1")
     if not queries:
         raise ForestError("no index partitions selected")
-    q = quota if quota is not None else -(-k // len(queries))
+    quota = -(-k // len(queries))
     merged: list[tuple[int, float]] = []
     visits: dict[int, int] = {}
     for i in sorted(queries):
-        candidates, visited = gdfs(trees[i], queries[i], q)
+        candidates, visited = gdfs(trees[i], queries[i], quota)
         merged.extend(candidates)
         visits[i] = visited
     merged.sort(key=lambda e: (-e[1], e[0]))
@@ -422,14 +418,11 @@ def delete_leaf(tree: Tree, doc_id: int) -> tuple[int, bool]:
 
 
 def rebuild_tree(tree: Tree) -> Tree:
-    """Full local rebuild: reorder the current leaves by probe score and bulk
-    load again.  Used when the balance bound is violated or the size has
-    doubled/halved since the last build."""
-    ids, rows = tree.leaf_rows()
-    if tree.probe is not None:
-        order = order_by_likelihood(ids, rows, tree.probe)
-        ids, rows = ids[order], rows[order]
-    return build_tree(ids, rows, tree.partition, tree.probe, tree.probe_config)
+    """Full local rebuild: bulk load the current leaves again.  Used when the
+    balance bound is violated or the size has doubled/halved since the last
+    build.  Inserts take their rank and deletes keep the order, so the leaves
+    are still in likelihood order."""
+    return build_tree(*tree.leaf_rows(), tree.partition, tree.probe, tree.probe_config)
 
 
 # ---------------------------------------------------------------------------

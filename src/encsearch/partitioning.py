@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import KeywordDictionary
 from .errors import PartitioningError
 
 FORMAT_VERSION = 3
@@ -45,7 +44,6 @@ class PartitionSet:
     s: int
     assignments: dict[int, int]             # doc_id -> partition id (0-based)
     sub_dictionaries: list[list[str]]       # words of partition i, global dict order
-    sub_positions: list[dict[str, int]]     # word -> local dimension, per partition
     members: list[list[tuple[int, int]]]    # (doc_id, owner_id) per partition
     home: dict[str, tuple[int, int]]        # word -> (partition, local dimension)
 
@@ -54,14 +52,13 @@ class PartitionSet:
         cls, sub_dictionaries: list[list[str]], members: list[list[tuple[int, int]]]
     ) -> "PartitionSet":
         """The partition set of these facts, with their lookups built."""
-        sub_positions = [{w: i for i, w in enumerate(d)} for d in sub_dictionaries]
         return cls(
             s=len(members),
             assignments={d: part for part, group in enumerate(members) for d, _owner in group},
             sub_dictionaries=sub_dictionaries,
-            sub_positions=sub_positions,
             members=members,
-            home={w: (part, i) for part, pos in enumerate(sub_positions) for w, i in pos.items()},
+            home={w: (part, i) for part, words in enumerate(sub_dictionaries)
+                  for i, w in enumerate(words)},
         )
 
     @property
@@ -175,7 +172,7 @@ def segment_dictionary(
     counts: np.ndarray,
     doc_ids: np.ndarray,
     owner_ids: np.ndarray,
-    dictionary: KeywordDictionary,
+    dictionary: Sequence[str],
     s: int,
 ) -> tuple[PartitionSet, list[np.ndarray]]:
     """Build sub-dictionaries and compressed per-partition count matrices
@@ -196,7 +193,7 @@ def segment_dictionary(
     home_part = df.argmax(axis=0)  # argmax ties -> lowest partition id
     occurs = df.max(axis=0) > 0  # else absent from the corpus; drop it
     dims = [np.flatnonzero((home_part == p) & occurs) for p in range(s)]
-    sub_dictionaries = [[dictionary.words[j] for j in d] for d in dims]
+    sub_dictionaries = [[dictionary[j] for j in d] for d in dims]
     members = [list(zip(doc_ids[r].tolist(), owner_ids[r].tolist())) for r in rows]
     compressed = [counts[np.ix_(r, d)] for r, d in zip(rows, dims)]
     return PartitionSet.from_members(sub_dictionaries, members), compressed
@@ -211,7 +208,7 @@ def cluster_indexes(
     counts: np.ndarray,
     doc_ids: np.ndarray,
     owner_ids: np.ndarray,
-    dictionary: KeywordDictionary,
+    dictionary: Sequence[str],
     s: int,
     seed: int = 0,
     splitter: Callable[[np.ndarray], list[np.ndarray]] = local_split,

@@ -60,9 +60,9 @@ def test_criterion_2_oracle_topk_equivalence(report):
     k = 10
     mismatches = 0
     for q in pipe.sample_queries(100, n_keywords=10, seed=1):
-        enc = pipe.query(q.keywords, k=k, partitions=list(range(pipe.s)), quota=k, alphas=q.alphas)
+        enc = pipe.run_query(q, k)
         exact = pipe.exact_search(q.keywords, k=k)
-        if [d for d, _ in enc.results] != [d for d, _ in exact]:
+        if [d for d, _ in enc] != [d for d, _ in exact]:
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 30
@@ -223,9 +223,9 @@ def test_criterion_8_dynamic_maintenance(report):
         single_tree_ok = single_tree_ok and changed == [rep.partition]
     mismatches = 0
     for q in pipe.sample_queries(100, n_keywords=10, seed=5):
-        enc = pipe.query(q.keywords, k=k, partitions=list(range(s)), quota=k, alphas=q.alphas)
+        enc = pipe.run_query(q, k)
         exact = pipe.exact_search(q.keywords, k=k)
-        if [d for d, _ in enc.results] != [d for d, _ in exact]:
+        if [d for d, _ in enc] != [d for d, _ in exact]:
             mismatches += 1
     ok = touched_ok and single_tree_ok and mismatches == 0
     report(

@@ -3,7 +3,6 @@ import pytest
 
 from encsearch.corpus import (
     Document,
-    KeywordDictionary,
     build_binary_indexes,
     build_dictionary,
     document_from_record,
@@ -62,13 +61,10 @@ class TestDocument:
 
 class TestBuildDictionary:
     def test_single_doc_sorted_union(self):
-        d = build_dictionary([doc(1, 1, ["b", "a"])])
-        assert list(d.words) == ["a", "b"]
+        assert build_dictionary([doc(1, 1, ["b", "a"])]) == ["a", "b"]
 
     def test_duplicate_collapse(self):
-        d = build_dictionary([doc(1, 1, ["x"]), doc(2, 1, ["x", "y"])])
-        assert list(d.words) == ["x", "y"]
-        assert len(d) == 2
+        assert build_dictionary([doc(1, 1, ["x"]), doc(2, 1, ["x", "y"])]) == ["x", "y"]
 
     def test_empty_corpus_error(self):
         with pytest.raises(CorpusError):
@@ -78,25 +74,17 @@ class TestBuildDictionary:
         with pytest.raises(CorpusError, match="duplicate doc_id"):
             build_dictionary([doc(1, 1, ["a"]), doc(1, 2, ["b"])])
 
-    def test_position_is_inverse(self):
-        d = build_dictionary([doc(1, 1, ["c", "a", "b"])])
-        for i, w in enumerate(d.words):
-            assert d.position[w] == i
-
 
 class TestBinaryIndexes:
     def test_single_term(self):
-        d = KeywordDictionary.from_words(["a", "b"])
-        assert build_binary_indexes([doc(1, 1, ["a", "a"])], d).tolist() == [[2, 0]]
+        assert build_binary_indexes([doc(1, 1, ["a", "a"])], ["a", "b"]).tolist() == [[2, 0]]
 
     def test_both_terms(self):
-        d = KeywordDictionary.from_words(["a", "b"])
-        assert build_binary_indexes([doc(1, 1, ["b", "a", "b", "b"])], d).tolist() == [[1, 3]]
+        assert build_binary_indexes([doc(1, 1, ["b", "a", "b", "b"])], ["a", "b"]).tolist() == [[1, 3]]
 
     def test_out_of_dictionary_named(self):
-        d = KeywordDictionary.from_words(["a"])
         with pytest.raises(CorpusError, match="'zebra'"):
-            build_binary_indexes([doc(1, 1, ["zebra"])], d)
+            build_binary_indexes([doc(1, 1, ["zebra"])], ["a"])
 
     def test_matches_membership_oracle(self):
         # Oracle: direct nested-loop count lookup over a random 50-doc corpus,
@@ -106,14 +94,14 @@ class TestBinaryIndexes:
         counts = build_binary_indexes(docs, dictionary)
         assert counts.max() > 1
         for i, d in enumerate(docs):
-            for j, w in enumerate(dictionary.words):
+            for j, w in enumerate(dictionary):
                 assert counts[i, j] == d.counts.get(w, 0)
 
     def test_round_trip_terms(self):
         docs = synthetic_corpus(20, 60, 4, seed=9)
         dictionary = build_dictionary(docs)
         for d, row in zip(docs, build_binary_indexes(docs, dictionary)):
-            recovered = {dictionary.words[j] for j in np.flatnonzero(row)}
+            recovered = {dictionary[j] for j in np.flatnonzero(row)}
             assert recovered == set(d.counts)
 
     def test_dimension(self):

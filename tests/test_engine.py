@@ -15,7 +15,8 @@ from encsearch.corpus import Document, build_dictionary, load_corpus, synthetic_
 from encsearch.aspe import load_key, save_key
 from encsearch.engine import Pipeline, PipelineConfig, QuerySpec
 from encsearch.errors import EncSearchError, ForestError
-from encsearch.forest import load_forest, round_score, save_forest
+from encsearch.forest import load_forest, order_by_likelihood, round_score, save_forest
+from encsearch.partitioning import PartitionSet
 
 RUN_FILES = {"config.json", "partitions.json", "arrays.npz", "forest_plain.bin",
              "keys.bin", "forest_enc.bin"}
@@ -108,7 +109,7 @@ def row_digest(row):
 class TestBuild:
     def test_home_keys_are_the_dictionary(self, multi):
         docs = synthetic_corpus(80, 160, n_owners=5, seed=2)
-        assert sorted(multi.pset.home) == list(build_dictionary(docs).words)
+        assert sorted(multi.pset.home) == build_dictionary(docs)
 
     def test_s_exceeds_docs(self):
         docs = synthetic_corpus(3, 10, 2, seed=0)
@@ -132,11 +133,11 @@ class TestBuild:
             score = 0.0
             for w in words:
                 if w in d.counts:
-                    dim = pipe.pset.sub_positions[0][w]
+                    dim = pipe.pset.sub_dictionaries[0].index(w)
                     score += pipe.weights[0][d.owner_id][dim]
             want.append((d.doc_id, round(score, 9)))
         want.sort(key=lambda e: (-e[1], e[0]))
-        res = pipe.query(words, k=10, quota=10)
+        res = pipe.query(words, k=10)  # s=1: the one tree gives its top k
         assert [d for d, _ in res.results] == [d for d, _ in want]
         for (_, a), (_, b) in zip(res.results, want):
             assert a == pytest.approx(b, abs=1e-6)
@@ -205,13 +206,13 @@ class TestQueryPath:
         t1 = pipe.make_trapdoors({w: 1.0 for w in words}, [0])
         t2 = pipe.make_trapdoors({w: 1.0 for w in words}, [0])
         assert not np.allclose(t1[0].t1, t2[0].t1)  # randomized trapdoors
-        r1 = pipe.query(words, k=5, quota=5)
-        r2 = pipe.query(words, k=5, quota=5)
+        r1 = pipe.query(words, k=5)
+        r2 = pipe.query(words, k=5)
         assert [d for d, _ in r1.results] == [d for d, _ in r2.results]
 
     def test_k_exceeds_corpus(self, toy):
         pipe, docs = toy
-        res = pipe.query(pipe.pset.sub_dictionaries[0][:2], k=100, quota=100)
+        res = pipe.query(pipe.pset.sub_dictionaries[0][:2], k=100)
         assert len(res.results) == len(docs)
 
     def test_exact_search_tie_rule(self, toy):
@@ -242,6 +243,41 @@ class TestQueryPath:
         assert pipe.exact_search(pipe.pset.sub_dictionaries[0][:1])
 
 
+def per_tree_topk(pipe, query, k):
+    """The reference for ``run_query``, the per-tree quota k over all s
+    trees that ``query`` once took as arguments: each tree's padded rows
+    scored against its padded query on the 1e-9 grid, its top k by (score
+    desc, doc id asc), the lists merged under the same rule and cut to k."""
+    real = pipe.real_query_vectors(query.keywords)
+    merged = []
+    for p in range(pipe.s):
+        q = np.concatenate([real[p], query.alphas[p]])
+        scores = np.round(pipe.secure_mats[p] @ q, 9).tolist()
+        ranked = sorted(zip([d for d, _ in pipe.pset.members[p]], scores),
+                        key=lambda e: (-e[1], e[0]))
+        merged.extend(ranked[:k])
+    merged.sort(key=lambda e: (-e[1], e[0]))
+    return merged[:k]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    n_docs=st.integers(4, 30),
+    s=st.integers(1, 4),
+    k=st.integers(1, 40),
+    sigma=st.sampled_from([0.0, 0.05]),
+)
+def test_run_query_is_each_trees_top_k(corpus_seed, n_docs, s, k, sigma):
+    """``run_query`` asks every tree for its top k, through the one per-tree
+    quota rule ceil(k'/t) at k' = k*s and t = s."""
+    docs = synthetic_corpus(n_docs, 40, 3, seed=corpus_seed)
+    s = min(s, n_docs)
+    pipe = Pipeline.build(docs, PipelineConfig(s=s, sigma=sigma, probe_count=20, seed=corpus_seed))
+    for q in pipe.sample_queries(4, n_keywords=3, seed=corpus_seed):
+        assert_same_answer(pipe.run_query(q, k), per_tree_topk(pipe, q, k))
+
+
 class TestPartitionSelection:
     def test_select_covers_best_partitions(self, multi):
         pipe = multi
@@ -262,6 +298,28 @@ class TestPartitionSelection:
         word = pipe.pset.sub_dictionaries[2][0]
         selected = pipe.select_partitions({word: 1.0}, t=2)
         assert len(selected) == 2 and 2 in selected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_ranking_matches_two_branch_rule(self, data):
+        """The one ranking picks what the earlier rule picked: the covered
+        partitions ranked, all of them when none is covered, and with t the
+        first t of those, padded with the uncovered ones in id order."""
+        s = data.draw(st.integers(1, 6), label="s")
+        covered = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                                     min_size=s, max_size=s), label="covered")
+        t = data.draw(st.none() | st.integers(1, s), label="t")
+        pipe = Pipeline()
+        pipe.pset = PartitionSet.from_members([[f"w{p}"] for p in range(s)], [[] for _ in range(s)])
+        keywords = {f"w{p}": weight for p, weight in enumerate(covered)}
+
+        candidates = [p for p in range(s) if covered[p] > 0] or list(range(s))
+        candidates.sort(key=lambda p: (-covered[p], p))
+        if t is not None:
+            candidates = candidates[:t] if len(candidates) >= t else (
+                candidates + [p for p in range(s) if p not in candidates]
+            )[:t]
+        assert pipe.select_partitions(keywords, t) == sorted(candidates)
 
 
 class TestSampleQueries:
@@ -408,6 +466,30 @@ def test_padded_rows_carry_the_incidence(corpus_seed, n_docs, s, inserts, delete
     assert got == sampled_keywords()
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    s=st.integers(1, 3),
+    updates=st.lists(st.tuples(st.booleans(), st.integers(0, 10_000)), max_size=30),
+)
+def test_updates_keep_leaves_in_likelihood_order(corpus_seed, s, updates):
+    """After every insert and delete, rebuilds included, each tree's leaves
+    are in ``order_by_likelihood`` order, so a rebuild need not sort them."""
+    docs = synthetic_corpus(12, 40, 3, seed=corpus_seed)
+    pipe = Pipeline.build(docs, PipelineConfig(s=s, probe_count=20, seed=corpus_seed, encrypt=False))
+    live = sorted(pipe.pset.assignments)
+    for i, (delete, seed) in enumerate(updates):
+        if delete and live:
+            pipe.delete_document(live.pop(seed % len(live)))
+        else:
+            new = synthetic_corpus(1, 40, 1, seed=seed)[0]
+            pipe.insert_document(Document(1000 + i, seed % 5, new.counts))
+            live.append(1000 + i)
+        for tree in pipe.trees:
+            ids, rows = tree.leaf_rows()
+            assert order_by_likelihood(ids, rows, tree.probe).tolist() == list(range(len(ids)))
+
+
 class TestUpdates:
     def test_insert_then_searchable(self, ):
         docs = synthetic_corpus(20, 40, 3, seed=8)
@@ -418,10 +500,10 @@ class TestUpdates:
         assert report.doc_id == 999
         assert report.partition == 0
         assert report.touched_nodes >= 2
-        res = pipe.query([word], k=21, partitions=[0, 1], quota=21)
-        assert 999 in {d for d, _ in res.results}
+        got = pipe.run_query(QuerySpec({word: 1.0}), k=21)  # both trees, 21 results each
+        assert 999 in {d for d, _ in got}
         exact = pipe.exact_search([word], k=21)
-        assert [d for d, _ in res.results] == [d for d, _ in exact]
+        assert [d for d, _ in got] == [d for d, _ in exact]
 
     def test_known_owner_insert_scores_a_keyword_its_weights_miss(self):
         """Owner 1's build documents give keyword b weight 0; its new
@@ -453,7 +535,7 @@ class TestUpdates:
         victim = before[0][0]
         report = pipe.delete_document(victim)
         assert report.doc_id == victim
-        res = pipe.query([word], k=14, quota=14)
+        res = pipe.query([word], k=14)
         assert victim not in {d for d, _ in res.results}
         assert victim not in pipe.pset.assignments
         with pytest.raises(EncSearchError, match="unknown doc_id"):

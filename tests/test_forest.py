@@ -135,12 +135,12 @@ class TestRowArrays:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_rebuild_is_build_of_ordered_leaf_rows(self, data):
-        """From leaves in any order, after random inserts and deletes, also
-        through an empty tree, a rebuild equals a bulk load of the live rows
-        in likelihood order."""
+        """From leaves in likelihood order, random inserts and deletes, also
+        through an empty tree, keep the leaves in that order, and a rebuild
+        equals a bulk load of the live rows in likelihood order."""
         ids, rows, probe = data.draw(ids_rows_probe(max_rows=12))
         config = ProbeConfig(count=7, seed=3)
-        tree = build_tree(ids, rows, 1, probe, config)
+        tree = ordered_tree(ids, rows, probe, partition=1, probe_config=config)
         live = dict(zip(ids.tolist(), rows))
         vector = st.lists(CELLS, min_size=len(probe), max_size=len(probe))
         for _ in range(data.draw(st.integers(0, 16), label="updates")):
@@ -153,6 +153,8 @@ class TestRowArrays:
                 vec = np.array(data.draw(vector, label="vec"), dtype=np.float64)
                 insert_leaf(tree, new_id, vec)
                 live[new_id] = vec
+            leaf_ids, leaf_rows = tree.leaf_rows()
+            assert order_by_likelihood(leaf_ids, leaf_rows, probe).tolist() == list(range(len(live)))
         rebuilt = rebuild_tree(tree)
         live_ids = np.array(sorted(live), dtype=np.int64)
         live_rows = np.array([live[d] for d in live_ids.tolist()]).reshape(len(live), len(probe))
@@ -290,14 +292,14 @@ class TestSearchForest:
         trees, ids, rows = self.make_forest()
         query = np.abs(np.random.default_rng(7).normal(size=4))
         queries = {p: query for p in range(3)}
-        got, visits = search_forest(trees, queries, k=8, quota=8)
-        assert got == brute_force_topk(ids, rows, query, 8)
+        got, visits = search_forest(trees, queries, k=3 * 8)  # each tree's top 8
+        assert got[:8] == brute_force_topk(ids, rows, query, 8)
         assert set(visits) == {0, 1, 2}
 
     def test_selected_subset(self):
         trees, ids, rows = self.make_forest()
         query = np.ones(4)
-        got, visits = search_forest(trees, {1: query}, k=5, quota=5)
+        got, visits = search_forest(trees, {1: query}, k=5)
         in_tree = (100 <= ids) & (ids < 200)
         assert got == brute_force_topk(ids[in_tree], rows[in_tree], query, 5)
         assert set(visits) == {1}

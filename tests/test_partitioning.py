@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from encsearch.corpus import KeywordDictionary, build_binary_indexes, build_dictionary, id_arrays, synthetic_corpus
+from encsearch.corpus import build_binary_indexes, build_dictionary, id_arrays, synthetic_corpus
 from encsearch import partitioning
 from encsearch.errors import PartitioningError
 from encsearch.partitioning import (
@@ -99,7 +99,7 @@ class TestLocalSplit:
             return np.zeros(len(R), dtype=int)
 
         monkeypatch.setattr(partitioning, "global_cluster", capture)
-        cluster_indexes(bits, ids(1, 2, 3, 4), owners, KeywordDictionary.from_words(["a", "b"]), 1)
+        cluster_indexes(bits, ids(1, 2, 3, 4), owners, ["a", "b"], 1)
         split = local_split(bits[:3])
         assert len(split) == 2
         want = [[1.0, 1.0]] + [bits[p].mean(axis=0).tolist() for p in split]
@@ -206,7 +206,7 @@ class TestGlobalCluster:
 
 class TestSegmentDictionary:
     def test_one_partition_keeps_occurring_words(self):
-        d = KeywordDictionary.from_words(["a", "b", "c"])
+        d = ["a", "b", "c"]
         counts = np.array([[2, 0, 1], [1, 0, 0]], dtype=np.float64)
         pset, compressed = segment_dictionary(ids(0, 0), counts, ids(1, 2), ids(1, 1), d, 1)
         assert pset.sub_dictionaries == [["a", "c"]]  # "b" never occurs
@@ -214,7 +214,7 @@ class TestSegmentDictionary:
         assert compressed[0].dtype == np.float64
 
     def test_rows_sorted_by_doc_id(self):
-        d = KeywordDictionary.from_words(["a", "b"])
+        d = ["a", "b"]
         pset, compressed = segment_dictionary(
             ids(0, 1, 0), rows((1, 0), (1, 1), (0, 1)), ids(9, 4, 2), ids(3, 1, 7), d, 2
         )
@@ -224,7 +224,7 @@ class TestSegmentDictionary:
         assert compressed[1].shape == (1, 0)
 
     def test_empty_partition(self):
-        d = KeywordDictionary.from_words(["a"])
+        d = ["a"]
         pset, compressed = segment_dictionary(ids(0, 0), rows((1,), (1,)), ids(1, 2), ids(1, 1), d, 2)
         assert pset.members[1] == [] and pset.sub_dictionaries[1] == []
         assert compressed[1].shape == (0, 0) and compressed[1].dtype == np.uint8
@@ -233,15 +233,15 @@ class TestSegmentDictionary:
         # "w" is in 3 documents of partition 0 and in 1 of partition 1, 5
         # times there: document frequency, not term count, makes partition 0
         # its home, and its column is absent from partition 1's matrix.
-        d = KeywordDictionary.from_words(["v", "w"])
+        d = ["v", "w"]
         counts = rows((0, 1), (0, 1), (0, 1), (1, 5))
         pset, _ = segment_dictionary(ids(0, 0, 0, 1), counts, ids(1, 2, 3, 4), ids(1, 1, 1, 2), d, 2)
         assert pset.home["w"] == (0, 0)
-        assert "w" not in pset.sub_positions[1]
+        assert "w" not in pset.sub_dictionaries[1]
         assert pset.sub_dictionaries[1] == ["v"]
 
     def test_tie_goes_to_lowest_partition(self):
-        d = KeywordDictionary.from_words(["w"])
+        d = ["w"]
         pset, _ = segment_dictionary(ids(1, 0), rows((1,), (1,)), ids(1, 2), ids(1, 2), d, 2)
         assert pset.home["w"][0] == 0
 
@@ -252,13 +252,13 @@ class TestSegmentDictionary:
         pset, compressed = cluster_indexes(counts, doc_ids, owner_ids, dictionary, 3, seed=1)
         row_of = {doc_id: i for i, doc_id in enumerate(doc_ids.tolist())}
         for p in range(pset.s):
-            dims = [dictionary.position[w] for w in pset.sub_dictionaries[p]]
+            dims = [dictionary.index(w) for w in pset.sub_dictionaries[p]]
             for row, (doc_id, _owner) in enumerate(pset.members[p]):
                 np.testing.assert_array_equal(compressed[p][row], counts[row_of[doc_id], dims])
 
     def test_missing_assignment_error(self):
         # Every row needs exactly one partition id in [0, s).
-        d = KeywordDictionary.from_words(["a"])
+        d = ["a"]
         for part in ([0], [0, 2], [-1, 0]):
             with pytest.raises(PartitioningError, match="partition id"):
                 segment_dictionary(ids(*part), rows((1,), (1,)), ids(1, 2), ids(1, 1), d, 2)
@@ -320,12 +320,12 @@ def reference_cluster(entries, dictionary, s, seed):
         group.sort()
     home_part = df.argmax(axis=0)
     sub_dictionaries = [[] for _ in range(s)]
-    for j, word in enumerate(dictionary.words):
+    for j, word in enumerate(dictionary):
         if df[home_part[j], j] > 0:
             sub_dictionaries[home_part[j]].append(word)
     compressed = []
     for p in range(s):
-        dims = [dictionary.position[w] for w in sub_dictionaries[p]]
+        dims = [dictionary.index(w) for w in sub_dictionaries[p]]
         mat = np.zeros((len(members[p]), len(dims)), dtype=np.uint8)
         for row, (doc_id, _) in enumerate(members[p]):
             mat[row] = by_id[doc_id][dims]
@@ -361,7 +361,7 @@ def test_cluster_indexes_matches_per_document_reference(corpus, data):
     # The matrix path reads term counts; the reference reads their 0/1
     # incidence.  Each compressed matrix is the cut of the counts.
     doc_ids, owner_ids, counts = corpus
-    dictionary = KeywordDictionary.from_words([f"w{j}" for j in range(counts.shape[1])])
+    dictionary = [f"w{j}" for j in range(counts.shape[1])]
     entries = list(zip(doc_ids.tolist(), owner_ids.tolist(), (counts > 0).astype(np.uint8)))
     s = data.draw(st.integers(1, len(reference_initials(entries))), label="s")
     seed = data.draw(st.integers(0, 3), label="seed")
@@ -374,7 +374,7 @@ def test_cluster_indexes_matches_per_document_reference(corpus, data):
         assert got.dtype == np.float64 and got.shape == want.shape
         np.testing.assert_array_equal(got > 0, want.astype(bool))
         rows_p = [row_of[doc_id] for doc_id, _owner in pset.members[p]]
-        dims = [dictionary.position[w] for w in pset.sub_dictionaries[p]]
+        dims = [dictionary.index(w) for w in pset.sub_dictionaries[p]]
         np.testing.assert_array_equal(got, counts[np.ix_(rows_p, dims)])
 
 
@@ -439,8 +439,8 @@ class TestClusterIndexes:
             np.testing.assert_array_equal(got, counts[owner_ids == owner] > 0)
 
     def test_round_trip(self, tmp_path, pset):
-        # The file holds the members and sub-dictionaries; the doc id map,
-        # positions and homes are rebuilt from them.
+        # The file holds the members and sub-dictionaries; the doc id map and
+        # the homes are rebuilt from them.
         ps, _, _ = pset
         path = tmp_path / "partitions.json"
         save_partition_set(ps, path)

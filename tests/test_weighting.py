@@ -69,17 +69,17 @@ def two_owner_fixture():
     return counts, owners, corr
 
 
-def reference_weights(docs_by_id, members, sub_positions, correlativity):
+def reference_weights(docs_by_id, members, sub_dictionary, correlativity):
     """Reference: the per-document loop, reading each member's term counts
-    from its document through the partition's word -> dimension map."""
-    n = len(sub_positions)
+    from its document at the word's position in the sub-dictionary."""
+    n = len(sub_dictionary)
     owners = sorted({owner for _, owner in members})
     tf = {o: np.zeros(n) for o in owners}
     df = {o: np.zeros(n) for o in owners}
     for doc_id, owner in members:
         for word, count in docs_by_id[doc_id].counts.items():
-            t = sub_positions.get(word)
-            if t is not None:
+            if word in sub_dictionary:
+                t = sub_dictionary.index(word)
                 tf[owner][t] += count
                 df[owner][t] += 1
     raw = {}
@@ -111,18 +111,18 @@ def partitions(draw):
         counts = {w: c for w, c in zip(words, row) if c} | {"elsewhere": 1}
         docs[doc_id] = Document(doc_id, owner, counts)
     members = [(d, docs[d].owner_id) for d in doc_ids]
-    return docs, members, {w: j for j, w in enumerate(words)}
+    return docs, members, words
 
 
 @settings(max_examples=200, deadline=None)
 @given(partitions())
 def test_compute_weights_matches_per_document_reference(partition):
-    docs, members, pos = partition
-    counts = np.array([[docs[d].counts.get(w, 0) for w in pos] for d, _ in members], dtype=float)
+    docs, members, words = partition
+    counts = np.array([[docs[d].counts.get(w, 0) for w in words] for d, _ in members], dtype=float)
     owners = ids(*(o for _, o in members))
     corr = build_correlativity(counts > 0)
     w, w_max = compute_weights(counts, owners, corr)
-    want, want_max = reference_weights(docs, members, pos, corr)
+    want, want_max = reference_weights(docs, members, words, corr)
     assert list(w) == list(want)
     for owner in want:
         assert w[owner].shape == want[owner].shape

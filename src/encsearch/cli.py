@@ -149,11 +149,13 @@ def cmd_update(args) -> int:
     if args.delete is not None:
         report = pipeline.delete_document(args.delete)
         print(f"deleted doc {report.doc_id} from partition {report.partition} "
-              f"(touched {report.touched_nodes} nodes)")
+              f"(touched {report.touched_nodes} nodes, re-encrypted {report.encrypted_rows} rows, "
+              f"rebuilt={report.rebuilt})")
     else:
         report = pipeline.insert_document(doc)
         print(f"inserted doc {report.doc_id} into partition {report.partition} "
-              f"(touched {report.touched_nodes} nodes, rebuilt={report.rebuilt})")
+              f"(touched {report.touched_nodes} nodes, re-encrypted {report.encrypted_rows} rows, "
+              f"rebuilt={report.rebuilt})")
     pipeline.save(args.run)
     return 0
 

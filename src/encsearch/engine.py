@@ -3,7 +3,9 @@
 Owners contribute documents and binary indexes; the trusted proxy clusters,
 weights, pads and encrypts them into an index forest and turns user requests
 into trapdoors; the server stores only the encrypted forest and answers
-trapdoor searches.
+trapdoor searches.  After an insert or delete the proxy fixes its plaintext
+tree and pushes the change: for most deletes only the re-encrypted ancestor
+rows, otherwise the whole re-encrypted tree.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class UpdateReport:
     partition: int
     touched_nodes: int
     rebuilt: bool
+    encrypted_rows: int  # rows re-encrypted and pushed to the server; 0 without keys
 
 
 def _check_k(k) -> None:
@@ -223,13 +226,22 @@ class Pipeline:
             [forest_mod.encrypt_tree(tree, key, rng) for tree, key in zip(self.trees, self.key)]
         )
 
-    def _reencrypt_tree(self, partition: int, tag: str) -> None:
-        """Proxy pushes one whole re-encrypted tree to the server."""
+    def _reencrypt_tree(
+        self, partition: int, tag: str, deletion: forest_mod.Deletion | None = None
+    ) -> int:
+        """Proxy pushes the changed tree to the server: with ``deletion``,
+        the server's tree with only the deletion's path rows re-encrypted,
+        else the whole tree re-encrypted.  Returns the rows encrypted."""
         if self.key is None:
-            return
+            return 0
         rng = np.random.default_rng(_derive_seed(self.config.seed, f"enc:{tag}"))
-        enc = forest_mod.encrypt_tree(self.trees[partition], self.key[partition], rng)
+        tree, key = self.trees[partition], self.key[partition]
+        if deletion is None:
+            enc = forest_mod.encrypt_tree(tree, key, rng)
+        else:
+            enc = forest_mod.reencrypt_path(self.server.trees[partition], tree, deletion, key, rng)
         self.server.replace_tree(partition, enc)
+        return len(tree.doc_ids) if deletion is None else len(deletion.path)
 
     # -- query path ---------------------------------------------------------
 
@@ -328,14 +340,12 @@ class Pipeline:
         if not isinstance(keywords, Mapping):
             keywords = {w: 1.0 for w in keywords}
         real = self.real_query_vectors(keywords)
-        ids, scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for p in range(self.s):
-            rows = self._real_rows(p)
-            if rows.size == 0:
-                continue
-            ids.append(self._member_ids(p))
-            scores.append(np.round(rows @ real[p], 9))  # round_score's grid
-        ids, scores = np.concatenate(ids), np.concatenate(scores)
+        # Every partition, also one without real columns, whose documents
+        # score 0, or without documents.
+        ids = np.concatenate([self._member_ids(p) for p in range(self.s)])
+        scores = np.concatenate(
+            [np.round(self._real_rows(p) @ real[p], 9) for p in range(self.s)]  # round_score's grid
+        )
         order = np.lexsort((ids, -scores))[:k]
         return list(zip(ids[order].tolist(), scores[order].tolist()))
 
@@ -420,7 +430,7 @@ class Pipeline:
 
     def insert_document(self, doc: Document, partition: int | None = None) -> UpdateReport:
         """Add one document: only its partition's tree is touched; the proxy
-        re-encrypts and pushes that single tree."""
+        re-encrypts that whole tree and pushes it."""
         if doc.doc_id in self.pset.assignments:
             raise EncSearchError(f"doc_id {doc.doc_id} already exists")
         p = partition if partition is not None else self._partition_for(doc)
@@ -435,10 +445,14 @@ class Pipeline:
         touched, needs_rebuild = forest_mod.insert_leaf(self.trees[p], doc.doc_id, vec)
         if needs_rebuild:
             self.trees[p] = forest_mod.rebuild_tree(self.trees[p])
-        self._reencrypt_tree(p, tag=f"ins:{doc.doc_id}")
-        return UpdateReport(doc.doc_id, p, touched, needs_rebuild)
+        rows = self._reencrypt_tree(p, tag=f"ins:{doc.doc_id}")
+        return UpdateReport(doc.doc_id, p, touched, needs_rebuild, rows)
 
     def delete_document(self, doc_id: int) -> UpdateReport:
+        """Remove one document from its partition's tree.  The proxy
+        re-encrypts only the ancestor rows whose bounds it recomputed and
+        splices them into the server's tree; a delete that rebuilds or
+        empties the tree re-encrypts the whole tree."""
         if doc_id not in self.pset.assignments:
             raise EncSearchError(f"unknown doc_id {doc_id}")
         p = self.pset.assignments.pop(doc_id)
@@ -448,11 +462,12 @@ class Pipeline:
         del self.pset.members[p][row]
         self.secure_mats[p] = np.delete(self.secure_mats[p], row, axis=0)
 
-        touched, needs_rebuild = forest_mod.delete_leaf(self.trees[p], doc_id)
-        if needs_rebuild:
+        deletion = forest_mod.delete_leaf(self.trees[p], doc_id)
+        if deletion.needs_rebuild:
             self.trees[p] = forest_mod.rebuild_tree(self.trees[p])
-        self._reencrypt_tree(p, tag=f"del:{doc_id}")
-        return UpdateReport(doc_id, p, touched, needs_rebuild)
+        whole = deletion.needs_rebuild or not len(self.trees[p].doc_ids)
+        rows = self._reencrypt_tree(p, tag=f"del:{doc_id}", deletion=None if whole else deletion)
+        return UpdateReport(doc_id, p, deletion.touched, deletion.needs_rebuild, rows)
 
     # -- persistence --------------------------------------------------------
 
@@ -505,9 +520,12 @@ class Pipeline:
         """Read a run directory written by ``save``; the noise models follow
         from the config.  Files older versions also saved (``corpus.jsonl``,
         ``dictionary.txt``, ``noise.json``, ``partitions.npz``) are not read.
-        Malformed JSON files, a missing array, and tree or key files that do
-        not hold one entry per partition, in partition order and of the
-        partition's width, raise EncSearchError."""
+        Malformed JSON files, a missing array, tree or key files that do not
+        hold one entry per partition, in partition order and of the
+        partition's width, and an encrypted tree whose doc ids differ from
+        its plaintext tree's raise EncSearchError: a delete splices
+        re-encrypted rows into the encrypted tree at the plaintext tree's
+        positions."""
         out = Path(out_dir)
         self = cls()
         self.config = _load_config(out / "config.json")
@@ -541,6 +559,12 @@ class Pipeline:
                 raise EncSearchError(f"{out / 'keys.bin'}: key dimensions {dims}, not {widths}")
             self.server = Server(forest_mod.load_forest(out / "forest_enc.bin"))
             _check_trees(out / "forest_enc.bin", self.server.trees, widths)
+            for plain, enc in zip(self.trees, self.server.trees):
+                if not np.array_equal(enc.doc_ids, plain.doc_ids):
+                    raise EncSearchError(
+                        f"{out / 'forest_enc.bin'}: tree {enc.partition} does not hold the "
+                        "doc ids of its plaintext tree"
+                    )
         return self
 
 

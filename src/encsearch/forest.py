@@ -18,7 +18,10 @@ right child is the node after the left subtree (``Tree.right_children``).  The
 leaves read in preorder are in likelihood order, so an insert or delete splices
 rows where one leaf was.  An encrypted tree shares ``doc_ids`` with the
 plaintext tree it was encrypted from; updates replace that array, never write
-into it.
+into it.  A delete that ``delete_leaf`` applied to a plaintext tree reaches
+its encrypted twin through ``reencrypt_path``, which re-encrypts only the
+refreshed ancestor rows; other changes re-encrypt the whole tree
+(``encrypt_tree``).
 
 File layout (magic ``ESF2``, little endian): the magic and the tree count
 (u32); then per tree a header of partition (u32), encrypted flag (u8),
@@ -63,6 +66,19 @@ class TreeNode(NamedTuple):
     @property
     def is_leaf(self) -> bool:
         return self.doc_id >= 0
+
+
+class Deletion(NamedTuple):
+    """What ``delete_leaf`` changed in a tree's preorder arrays."""
+
+    dropped: list[int]   # rows removed, indexed as before: the leaf's parent, if any, and the leaf
+    path: list[int]      # the other ancestors, root first, whose bounds were recomputed;
+                         # they lie above the dropped rows, so their indexes did not move
+    needs_rebuild: bool  # a non-empty tree has shrunk to half its size at the last build
+
+    @property
+    def touched(self) -> int:
+        return len(self.dropped) + len(self.path)
 
 
 @dataclass
@@ -130,9 +146,9 @@ class Tree:
         return best
 
 
-def _ancestors(tree: Tree, j: int) -> list[int]:
-    """Indexes on the path from the root down to node j, j excluded."""
-    right = tree.right_children()
+def _ancestors(right: np.ndarray, j: int) -> list[int]:
+    """Indexes on the path from the root down to node j, j excluded, in a
+    tree whose right children are ``right``."""
     path, i = [], 0
     while i != j:
         path.append(i)
@@ -140,11 +156,16 @@ def _ancestors(tree: Tree, j: int) -> list[int]:
     return path
 
 
-def _refresh_bounds(tree: Tree, path: list[int]) -> None:
-    """Recompute the node vectors on ``path`` bottom-up from their children."""
-    right = tree.right_children()
+def _refresh_bounds(
+    nodes: np.ndarray, path: list[int], right: np.ndarray, at: int, shift: int
+) -> None:
+    """Recompute the node vectors on ``path`` bottom-up from their children,
+    after an update that moved every row after row ``at`` by ``shift``.
+    ``right`` holds the right children from before the update: the path
+    lies above ``at``, so only a right child after ``at`` has moved."""
     for i in reversed(path):
-        tree.nodes[i] = np.maximum(tree.nodes[i + 1], tree.nodes[right[i]])
+        r = right[i] + shift if right[i] > at else right[i]
+        nodes[i] = np.maximum(nodes[i + 1], nodes[r])
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +266,23 @@ def encrypt_tree(tree: Tree, key: PartitionKey, rng: np.random.Generator) -> Tre
     if tree.nodes.shape[1] != key.dim:
         raise ForestError(f"node dimension {tree.nodes.shape[1]} does not match key dim {key.dim}")
     enc1, enc2 = encrypt_matrix(tree.nodes, key, rng)
+    return Tree(
+        tree.partition, tree.doc_ids, enc1=enc1, enc2=enc2, size_at_build=tree.size_at_build
+    )
+
+
+def reencrypt_path(
+    enc: Tree, tree: Tree, deletion: Deletion, key: PartitionKey, rng: np.random.Generator
+) -> Tree:
+    """The encrypted twin ``enc`` brought up to ``tree``, which
+    ``delete_leaf`` changed by ``deletion`` since ``enc`` was its twin:
+    ``enc``'s dropped rows removed, ``tree``'s doc ids shared, and the path
+    rows encrypted anew from ``tree`` and spliced in.  Every path row is
+    re-encrypted, changed bound or not, so the server learns only the path,
+    which it can derive from the doc ids."""
+    enc1 = np.delete(enc.enc1, deletion.dropped, axis=0)
+    enc2 = np.delete(enc.enc2, deletion.dropped, axis=0)
+    enc1[deletion.path], enc2[deletion.path] = encrypt_matrix(tree.nodes[deletion.path], key, rng)
     return Tree(
         tree.partition, tree.doc_ids, enc1=enc1, enc2=enc2, size_at_build=tree.size_at_build
     )
@@ -381,12 +419,13 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     rank = _insert_rank(tree, leaf_at, doc_id, vec)
     before = rank < len(leaf_at)
     target = int(leaf_at[rank] if before else leaf_at[-1])
-    path = _ancestors(tree, target)
+    right = tree.right_children()
+    path = _ancestors(right, target)
     at = [target, target] if before else [target, target + 1]
     parent_vec = np.maximum(vec, tree.nodes[target])
     tree.doc_ids = np.insert(tree.doc_ids, at, [-1, doc_id])
     tree.nodes = np.insert(tree.nodes, at, [parent_vec, vec], axis=0)
-    _refresh_bounds(tree, path)
+    _refresh_bounds(tree.nodes, path, right, target, 2)
 
     touched = 2 + len(path)  # new leaf + new internal node + ancestors
     depth = len(path) + 1
@@ -396,25 +435,24 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     return touched, needs_rebuild
 
 
-def delete_leaf(tree: Tree, doc_id: int) -> tuple[int, bool]:
+def delete_leaf(tree: Tree, doc_id: int) -> Deletion:
     """Remove a leaf; its sibling is promoted and ancestor bounds recomputed.
-    Returns (touched-node count, rebuild-recommended) where the flag is set
-    once a non-empty tree has shrunk to half its size at the last build."""
+    Returns the rows dropped and refreshed, and whether to rebuild."""
     if tree.encrypted:
         raise ForestError("delete from the plaintext tree, then re-encrypt")
     hit = np.flatnonzero(tree.doc_ids == doc_id)
     if doc_id < 0 or not len(hit):  # -1 would match an internal node
         raise ForestError(f"doc {doc_id} not found in tree")
     leaf = int(hit[0])
-    path = _ancestors(tree, leaf)
-    touched = len(path) + 1
+    right = tree.right_children()
+    path = _ancestors(right, leaf)
     # Dropping the parent row with the leaf row leaves the sibling's subtree
     # in the parent's place.
-    drop = [path.pop(), leaf] if path else [leaf]
-    tree.doc_ids = np.delete(tree.doc_ids, drop)
-    tree.nodes = np.delete(tree.nodes, drop, axis=0)
-    _refresh_bounds(tree, path)
-    return touched, 0 < len(tree.leaves) * 2 <= tree.size_at_build
+    dropped = [path.pop(), leaf] if path else [leaf]
+    tree.doc_ids = np.delete(tree.doc_ids, dropped)
+    tree.nodes = np.delete(tree.nodes, dropped, axis=0)
+    _refresh_bounds(tree.nodes, path, right, dropped[0], -2)
+    return Deletion(dropped, path, 0 < len(tree.leaves) * 2 <= tree.size_at_build)
 
 
 def rebuild_tree(tree: Tree) -> Tree:

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -92,9 +93,17 @@ def test_update_insert_and_delete(run_dir, tmp_path, capsys):
     rec = tmp_path / "doc.json"
     rec.write_text(json.dumps({"doc_id": 900, "owner_id": 1, "terms": ["kw00", "kw01"]}))
     assert main(["update", "--run", str(run_dir), "--insert", str(rec)]) == 0
-    assert "inserted doc 900" in capsys.readouterr().out
+    inserted = capsys.readouterr().out
+    assert "inserted doc 900" in inserted
     assert main(["update", "--run", str(run_dir), "--delete", "900"]) == 0
-    assert "deleted doc 900" in capsys.readouterr().out
+    deleted = capsys.readouterr().out
+    assert "deleted doc 900" in deleted
+
+    def rows(out):
+        return int(re.search(r"re-encrypted (\d+) rows", out)[1])
+
+    # The insert re-encrypts the whole tree, the delete only its path rows.
+    assert rows(inserted) > rows(deleted)
 
 
 def test_tune_writes_csv(run_dir, capsys):

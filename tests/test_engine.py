@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import shutil
+import tempfile
 import weakref
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from encsearch import forest as forest_mod, padding
 from encsearch.corpus import Document, build_dictionary, load_corpus, synthetic_corpus
-from encsearch.aspe import load_key, save_key
+from encsearch.aspe import load_key, make_trapdoor, save_key
 from encsearch.engine import Pipeline, PipelineConfig, QuerySpec
 from encsearch.errors import EncSearchError, ForestError
 from encsearch.forest import load_forest, order_by_likelihood, round_score, save_forest
@@ -401,6 +402,8 @@ class TestPartitionWithoutKeywords:
         for q in pipe.sample_queries(10, n_keywords=5, seed=3):
             assert_same_answer(pipe.run_query(q, k=10), brute_force(pipe, q, 10))
             assert_same_answer(pipe.exact_query(q, k=10), pipe.exact_search(q.keywords, 10))
+        # Partition 0's documents score 0 but are ranked.
+        assert len(pipe.exact_search(["kw00"])) == len(pipe.pset.assignments)
 
     def test_partitions_with_keywords_unchanged(self):
         cfg = PipelineConfig(s=2, u_ratio=0.0, seed=0)
@@ -490,6 +493,89 @@ def test_updates_keep_leaves_in_likelihood_order(corpus_seed, s, updates):
             assert order_by_likelihood(ids, rows, tree.probe).tolist() == list(range(len(ids)))
 
 
+def check_server_trees(pipe, rng):
+    """Each server tree holds its plaintext tree's doc ids and scores every
+    node, under random trapdoors, as a freshly encrypted twin does; queries
+    asking every tree for its top k answer as ``exact_search`` ranks."""
+    for p, (plain, enc) in enumerate(zip(pipe.trees, pipe.server.trees)):
+        np.testing.assert_array_equal(enc.doc_ids, plain.doc_ids)
+        key = pipe.key[p]
+        fresh = forest_mod.encrypt_tree(plain, key, rng)
+        for _ in range(2):
+            td = make_trapdoor(rng.random(key.dim), key, rng)
+            np.testing.assert_allclose(
+                enc.enc1 @ td.t1 + enc.enc2 @ td.t2,
+                fresh.enc1 @ td.t1 + fresh.enc2 @ td.t2,
+                rtol=0, atol=1e-9,
+            )
+    for q in pipe.sample_queries(2, 3, seed=int(rng.integers(1 << 30))):
+        assert_same_answer(pipe.run_query(q, 5), pipe.exact_search(q.keywords, 5))
+
+
+def check_encrypted_rows(pipe, report, deleted):
+    """A delete that neither rebuilds nor empties its tree re-encrypts the
+    refreshed ancestors, the touched nodes but the dropped leaf and parent;
+    every other update re-encrypts the whole tree."""
+    n = len(pipe.trees[report.partition].doc_ids)
+    whole = not deleted or report.rebuilt or n == 0
+    assert report.encrypted_rows == (n if whole else report.touched_nodes - 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    s=st.integers(2, 3),
+    updates=st.lists(st.tuples(st.booleans(), st.integers(0, 10_000)), max_size=12),
+    save_at=st.integers(0, 12),
+)
+def test_row_local_deletes_keep_server_trees_fresh(corpus_seed, s, updates, save_at):
+    """Through random deletes mixed with inserts, one save and load, and the
+    deletes that empty the largest partition, rebuilding it on the way, the
+    server trees stay in step with the plaintext trees (check_server_trees)
+    and each update reports the rows it re-encrypted."""
+    docs = synthetic_corpus(16, 40, 3, seed=corpus_seed)
+    config = PipelineConfig(s=s, sigma=0.0, u_ratio=0.0, probe_count=20, seed=corpus_seed)
+    pipe = Pipeline.build(docs, config)
+    rng = np.random.default_rng(corpus_seed)
+
+    def reloaded(pipe):
+        with tempfile.TemporaryDirectory() as tmp:
+            pipe.save(Path(tmp) / "run")
+            pipe = Pipeline.load(Path(tmp) / "run")
+        check_server_trees(pipe, rng)
+        return pipe
+
+    live = sorted(pipe.pset.assignments)
+    for i, (delete, seed) in enumerate(updates):
+        if i == save_at:
+            pipe = reloaded(pipe)
+        delete = delete and len(live) > 1
+        if delete:
+            report = pipe.delete_document(live.pop(seed % len(live)))
+        else:
+            new = synthetic_corpus(1, 40, 1, seed=seed)[0]
+            report = pipe.insert_document(Document(1000 + i, seed % 4, new.counts))
+            live.append(1000 + i)
+        check_encrypted_rows(pipe, report, delete)
+        check_server_trees(pipe, rng)
+    if save_at >= len(updates):
+        pipe = reloaded(pipe)
+
+    p = max(range(pipe.s), key=lambda q: len(pipe.pset.members[q]))
+    for j in range(2 - len(pipe.pset.members[p])):
+        new = synthetic_corpus(1, 40, 1, seed=j)[0]
+        pipe.insert_document(Document(2000 + j, 0, new.counts), partition=p)
+    victims = [doc_id for doc_id, _owner in pipe.pset.members[p]]
+    reports = []
+    for doc_id in rng.permutation(victims).tolist():
+        reports.append(pipe.delete_document(doc_id))
+        check_encrypted_rows(pipe, reports[-1], True)
+        check_server_trees(pipe, rng)
+    # From two leaves down to one halves any tree, so emptying one rebuilds.
+    assert any(r.rebuilt for r in reports)
+    assert len(pipe.server.trees[p].doc_ids) == 0 and reports[-1].encrypted_rows == 0
+
+
 class TestUpdates:
     def test_insert_then_searchable(self, ):
         docs = synthetic_corpus(20, 40, 3, seed=8)
@@ -559,6 +645,28 @@ class TestUpdates:
         golden = json.loads((Path(__file__).parent / "data" / "insert_golden.json").read_text())
         got = [[doc_id, p, row_digest(row)] for doc_id, p, row in inserted_rows()]
         assert got == golden
+
+    def test_delete_reencrypts_only_its_path(self):
+        """A delete that neither rebuilds nor empties the tree keeps every
+        server row but its path rows bit for bit, in preorder, and
+        re-encrypts the path rows, which are internal nodes."""
+        docs = synthetic_corpus(40, 60, 3, seed=8)
+        pipe = Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=9))
+        p = max(range(pipe.s), key=lambda q: len(pipe.pset.members[q]))
+        before = pipe.server.trees[p]
+        leaves = pipe.trees[p].leaves
+        report = pipe.delete_document(int(leaves[len(leaves) // 2]))
+        after = pipe.server.trees[p]
+        assert not report.rebuilt
+        assert 0 < report.encrypted_rows == report.touched_nodes - 2 < len(after.doc_ids)
+        for enc in ("enc1", "enc2"):
+            old = {row.tobytes(): i for i, row in enumerate(getattr(before, enc))}
+            new = [row.tobytes() for row in getattr(after, enc)]
+            kept = [i for i, row in enumerate(new) if row in old]
+            assert len(new) - len(kept) == report.encrypted_rows
+            assert (after.doc_ids[sorted(set(range(len(new))) - set(kept))] < 0).all()
+            positions = [old[new[i]] for i in kept]
+            assert positions == sorted(positions)
 
     def test_replaced_tree_freed_without_cyclic_gc(self):
         docs = synthetic_corpus(20, 40, 3, seed=8)
@@ -820,6 +928,18 @@ class TestPersistence:
     @pytest.fixture(scope="class")
     def small(self):
         return Pipeline.build(synthetic_corpus(40, 80, 3, seed=1), PipelineConfig(s=3, probe_count=50))
+
+    def test_load_rejects_encrypted_tree_of_other_doc_ids(self, tmp_path, small):
+        """A delete splices rows at the plaintext tree's positions, so an
+        encrypted tree must hold the same doc ids in the same order."""
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "forest_enc.bin"
+        trees = load_forest(path)
+        leaves = np.flatnonzero(trees[0].doc_ids >= 0)
+        trees[0].doc_ids[leaves[:2]] = trees[0].doc_ids[leaves[1::-1]]
+        save_forest(trees, path)
+        with pytest.raises(EncSearchError, match="forest_enc.bin: tree 0 does not hold the doc ids"):
+            Pipeline.load(tmp_path / "run")
 
     def test_load_rejects_plain_forest_without_a_tree(self, tmp_path, small):
         small.save(tmp_path / "run")

@@ -136,8 +136,9 @@ class TestRowArrays:
     @given(data=st.data())
     def test_rebuild_is_build_of_ordered_leaf_rows(self, data):
         """From leaves in likelihood order, random inserts and deletes, also
-        through an empty tree, keep the leaves in that order, and a rebuild
-        equals a bulk load of the live rows in likelihood order."""
+        through an empty tree, keep the leaves in that order and every
+        internal row the max of its children, and a rebuild equals a bulk
+        load of the live rows in likelihood order."""
         ids, rows, probe = data.draw(ids_rows_probe(max_rows=12))
         config = ProbeConfig(count=7, seed=3)
         tree = ordered_tree(ids, rows, probe, partition=1, probe_config=config)
@@ -155,6 +156,11 @@ class TestRowArrays:
                 live[new_id] = vec
             leaf_ids, leaf_rows = tree.leaf_rows()
             assert order_by_likelihood(leaf_ids, leaf_rows, probe).tolist() == list(range(len(live)))
+            right = tree.right_children()
+            for i in np.flatnonzero(tree.doc_ids < 0).tolist():
+                np.testing.assert_array_equal(
+                    tree.nodes[i], np.maximum(tree.nodes[i + 1], tree.nodes[right[i]])
+                )
         rebuilt = rebuild_tree(tree)
         live_ids = np.array(sorted(live), dtype=np.int64)
         live_rows = np.array([live[d] for d in live_ids.tolist()]).reshape(len(live), len(probe))
@@ -485,7 +491,9 @@ class TestInsertDelete:
 
     def test_delete_only_leaf_empties_tree(self):
         tree = build_tree([3], np.ones((1, 2)))
-        assert delete_leaf(tree, 3) == (1, False)  # an empty tree is not rebuilt
+        deletion = delete_leaf(tree, 3)
+        assert (deletion.touched, deletion.needs_rebuild) == (1, False)  # an empty tree is not rebuilt
+        assert (deletion.dropped, deletion.path) == ([0], [])
         assert len(tree.doc_ids) == 0 and len(tree.nodes) == 0
 
     def test_delete_then_search_absent(self):
@@ -524,7 +532,7 @@ class TestInsertDelete:
 
     def test_halving_triggers_rebuild_flag(self):
         tree = build_tree(*random_rows(8, 2, seed=0), probe=np.ones(2))
-        flags = [delete_leaf(tree, doc_id)[1] for doc_id in range(5)]
+        flags = [delete_leaf(tree, doc_id).needs_rebuild for doc_id in range(5)]
         # 7, 6, 5, 4 and 3 leaves left of the 8 at build: 4 is half.
         assert flags == [False, False, False, True, True]
 
@@ -649,9 +657,9 @@ def test_plaintext_forest_matches_recorded_behaviour():
     for i in range(5):
         p = i % pipe.s
         victim = int(pipe.trees[p].leaves[3 * i + 1])
-        touched, rebuild = delete_leaf(pipe.trees[p], victim)
-        assert not rebuild
-        deletes.append([p, victim, touched])
+        deletion = delete_leaf(pipe.trees[p], victim)
+        assert not deletion.needs_rebuild
+        deletes.append([p, victim, deletion.touched])
     assert deletes == golden["deletes"]
     assert preorder() == golden["preorder_after"]
     assert searches() == golden["searches_after"]

@@ -4,13 +4,14 @@ Owners contribute documents and binary indexes; the trusted proxy clusters,
 weights, pads and encrypts them into an index forest and turns user requests
 into trapdoors; the server stores only the encrypted forest and answers
 trapdoor searches.  After an insert or delete the proxy fixes its plaintext
-tree and pushes the change: for most deletes only the re-encrypted ancestor
-rows, otherwise the whole re-encrypted tree.
+tree, the one store of the padded rows, and pushes the change: for most
+deletes only the re-encrypted ancestor rows, else the whole re-encrypted tree.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import re
 import shutil
@@ -77,6 +78,18 @@ def _check_k(k) -> None:
         raise EncSearchError(f"k must be an integer >= 1, got {k!r}")
 
 
+def _query_weights(keywords: Mapping[str, float] | Sequence[str]) -> Mapping[str, float]:
+    """Checked word -> weight query weights; a list weighs each word 1.0."""
+    if not isinstance(keywords, Mapping):
+        return {w: 1.0 for w in keywords}
+    for word, weight in keywords.items():
+        if type(weight) is bool or not isinstance(weight, numbers.Real) or not np.isfinite(weight):
+            raise EncSearchError(f"non-finite or non-numeric weight {weight!r} for {word!r}")
+        if weight < 0:
+            raise EncSearchError(f"negative weight {weight!r} for {word!r}")
+    return keywords
+
+
 def _derive_seed(base: int, tag: str) -> int:
     return zlib.crc32(f"{base}:{tag}".encode()) & 0x7FFFFFFF
 
@@ -102,8 +115,8 @@ class Pipeline:
     The owners' documents and their term-count matrix are read only while
     building: the counts cluster and weight the index, and afterwards each
     document lives on as its id and owner in ``pset.members`` and as its
-    padded row, whose positive real entries mark its keywords, also for a
-    document inserted later.
+    padded row, stored once as a leaf row of its partition's plaintext tree,
+    whose positive real entries mark its keywords, also for a later insert.
     """
 
     def __init__(self):
@@ -113,7 +126,6 @@ class Pipeline:
         self.weights: list[dict[int, np.ndarray]] = []  # owner -> normalized weights
         self.w_max: list[np.ndarray] = []
         self.noise: list[padding.NoiseModel] = []
-        self.secure_mats: list[np.ndarray] = []  # padded rows, pset.members order
         self.trees: list[Tree] = []
         self.key: list[aspe.PartitionKey] | None = None  # one per partition
         self.server: Server | None = None
@@ -141,11 +153,10 @@ class Pipeline:
         weighted = self._build_weights(compressed)
         del compressed
         self._build_noise()
-        self._pad(weighted)
-        self._build_forest()
+        self._build_forest(weighted)
         if config.encrypt:
             self.key = aspe.keygen(
-                [mat.shape[1] for mat in self.secure_mats], seed=_derive_seed(config.seed, "keys")
+                [tree.nodes.shape[1] for tree in self.trees], seed=_derive_seed(config.seed, "keys")
             )
         self._encrypt_forest(tag="build")
         return self
@@ -182,39 +193,32 @@ class Pipeline:
                 )
             )
 
-    def _pad(self, weighted: Sequence[np.ndarray]) -> None:
-        self.secure_mats = [
-            padding.pad_matrix(weighted[p], self.noise[p]) for p in range(self.pset.s)
-        ]
-
-    def _real_rows(self, p: int) -> np.ndarray:
-        """Partition p's weighted rows: its padded rows without the pseudo
-        columns, which ``pad_matrix`` appends after the real ones."""
-        return self.secure_mats[p][:, : len(self.pset.sub_dictionaries[p])]
-
-    def _member_ids(self, p: int) -> np.ndarray:
-        """Partition p's doc ids in ``pset.members`` order, the order of its
-        padded rows."""
-        return np.array([doc_id for doc_id, _owner in self.pset.members[p]], dtype=np.int64)
+    @property
+    def secure_mats(self) -> _MemberRows:
+        """Each partition's padded rows in ``pset.members`` order."""
+        return _MemberRows(self)
 
     def _keyword_counts(self, p: int) -> np.ndarray:
         """Per keyword of partition p, the number of its documents holding
-        it: the positive entries of each real column."""
-        return np.count_nonzero(self._real_rows(p) > 0, axis=0).astype(np.float64)
+        it: the positive entries of its leaf rows' real (leading) columns."""
+        tree = self.trees[p]
+        real = tree.nodes[tree.doc_ids >= 0, : len(self.pset.sub_dictionaries[p])]
+        return np.count_nonzero(real > 0, axis=0).astype(np.float64)
 
-    def _build_forest(self) -> None:
+    def _build_forest(self, weighted: Sequence[np.ndarray]) -> None:
+        """One tree per partition of its weighted rows, padded."""
         self.trees = []
-        for p in range(self.pset.s):
-            n_real = len(self.pset.sub_dictionaries[p])
-            total = self.secure_mats[p].shape[1]
-            popularity = self._keyword_counts(p)
+        for p, noise in enumerate(self.noise):
+            rows = padding.pad_matrix(weighted[p], noise)
+            n_real = weighted[p].shape[1]
+            popularity = np.count_nonzero(weighted[p] > 0, axis=0).astype(np.float64)
             cfg = ProbeConfig(
                 count=self.config.probe_count,
                 zipf_a=self.config.zipf_a,
                 seed=_derive_seed(self.config.seed, f"probe{p}"),
             )
-            probe = forest_mod.probe_aggregate(n_real, total, popularity, cfg)
-            ids, rows = self._member_ids(p), self.secure_mats[p]
+            probe = forest_mod.probe_aggregate(n_real, rows.shape[1], popularity, cfg)
+            ids = np.array([doc_id for doc_id, _owner in self.pset.members[p]], dtype=np.int64)
             order = forest_mod.order_by_likelihood(ids, rows, probe)
             self.trees.append(forest_mod.build_tree(ids[order], rows[order], p, probe, cfg))
 
@@ -251,19 +255,11 @@ class Pipeline:
 
     def real_query_vectors(self, keywords: Mapping[str, float]) -> dict[int, np.ndarray]:
         """Per-partition query weights over the real dimensions only."""
-        out = {
-            p: np.zeros(len(self.pset.sub_dictionaries[p])) for p in range(self.s)
-        }
+        out = {p: np.zeros(len(words)) for p, words in enumerate(self.pset.sub_dictionaries)}
         for word, weight in keywords.items():
-            if not np.isfinite(weight):
-                raise EncSearchError(f"non-finite weight for keyword {word!r}")
-            if weight < 0:
-                raise EncSearchError(f"negative weight for keyword {word!r}")
-            loc = self.pset.home.get(word)
-            if loc is None:
-                continue  # unknown keyword: empty contribution
-            p, dim = loc
-            out[p][dim] = weight
+            if word in self.pset.home:  # an unknown keyword contributes nothing
+                p, dim = self.pset.home[word]
+                out[p][dim] = weight
         return out
 
     def _coverage(self, keywords: Mapping[str, float]) -> np.ndarray:
@@ -285,8 +281,8 @@ class Pipeline:
         ranked = sorted(range(self.s), key=lambda p: (-covered[p], p))
         if t is None:
             t = int(np.count_nonzero(covered > 0)) or self.s
-        elif not 1 <= t <= self.s:
-            raise EncSearchError(f"t={t} out of range [1, {self.s}]")
+        elif isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 1 <= t <= self.s:
+            raise EncSearchError(f"t must be an integer in [1, {self.s}], got {t!r}")
         return sorted(ranked[:t])
 
     def make_trapdoors(
@@ -321,8 +317,7 @@ class Pipeline:
         _check_k(k)
         if self.server is None:
             raise EncSearchError("pipeline was built without encryption")
-        if not isinstance(keywords, Mapping):
-            keywords = {w: 1.0 for w in keywords}
+        keywords = _query_weights(keywords)
         selected = self.select_partitions(keywords, t)
         start = time.perf_counter()
         trapdoors = self.make_trapdoors(keywords, selected, alphas)
@@ -337,15 +332,14 @@ class Pipeline:
         partitions, no per-tree quota.  ``k=None`` ranks every document."""
         if k is not None:
             _check_k(k)
-        if not isinstance(keywords, Mapping):
-            keywords = {w: 1.0 for w in keywords}
-        real = self.real_query_vectors(keywords)
+        real = self.real_query_vectors(_query_weights(keywords))
         # Every partition, also one without real columns, whose documents
-        # score 0, or without documents.
-        ids = np.concatenate([self._member_ids(p) for p in range(self.s)])
-        scores = np.concatenate(
-            [np.round(self._real_rows(p) @ real[p], 9) for p in range(self.s)]  # round_score's grid
+        # score 0, or without documents: its tree's nodes scored in place.
+        ids = np.concatenate([tree.doc_ids for tree in self.trees])
+        scores = np.concatenate(  # round_score's grid
+            [np.round(tree.nodes[:, : len(q)] @ q, 9) for tree, q in zip(self.trees, real.values())]
         )
+        ids, scores = ids[ids >= 0], scores[ids >= 0]
         order = np.lexsort((ids, -scores))[:k]
         return list(zip(ids[order].tolist(), scores[order].tolist()))
 
@@ -356,10 +350,9 @@ class Pipeline:
         forest ordering and re-encrypt.  Keys and dimensions are unchanged;
         ``config.sigma`` records ``sigma`` for ``save``."""
         self.config = replace(self.config, sigma=sigma)
-        weighted = [self._real_rows(p) for p in range(self.s)]
+        weighted = [m[:, : len(w)] for m, w in zip(self.secure_mats, self.pset.sub_dictionaries)]
         self._build_noise()
-        self._pad(weighted)
-        self._build_forest()
+        self._build_forest(weighted)
         self._encrypt_forest(tag=f"sigma:{sigma}")
 
     def run_query(self, query: QuerySpec, k: int) -> list[tuple[int, float]]:
@@ -378,6 +371,8 @@ class Pipeline:
 
         ``partition`` restricts keyword choice to one sub-dictionary
         (cluster-coherent workload)."""
+        if partition is not None and not 0 <= partition < self.s:
+            raise EncSearchError(f"partition {partition} out of range [0, {self.s})")
         rng = np.random.default_rng(seed)
         if partition is None:
             words = sorted(self.pset.home)
@@ -440,7 +435,6 @@ class Pipeline:
 
         self.pset.assignments[doc.doc_id] = p
         self.pset.members[p].append((doc.doc_id, doc.owner_id))
-        self.secure_mats[p] = np.vstack([self.secure_mats[p], vec])
 
         touched, needs_rebuild = forest_mod.insert_leaf(self.trees[p], doc.doc_id, vec)
         if needs_rebuild:
@@ -456,11 +450,7 @@ class Pipeline:
         if doc_id not in self.pset.assignments:
             raise EncSearchError(f"unknown doc_id {doc_id}")
         p = self.pset.assignments.pop(doc_id)
-        row = next(
-            i for i, (d, _o) in enumerate(self.pset.members[p]) if d == doc_id
-        )
-        del self.pset.members[p][row]
-        self.secure_mats[p] = np.delete(self.secure_mats[p], row, axis=0)
+        self.pset.members[p] = [m for m in self.pset.members[p] if m[0] != doc_id]
 
         deletion = forest_mod.delete_leaf(self.trees[p], doc_id)
         if deletion.needs_rebuild:
@@ -548,9 +538,8 @@ class Pipeline:
                 self.weights[int(m[1])][int(m[2])] = arrays[name]
         widths = [len(self.pset.sub_dictionaries[p]) + self.noise[p].pseudo_count for p in range(s)]
         self.trees = forest_mod.load_forest(out / "forest_plain.bin")
-        self.secure_mats = [
-            _member_rows(tree, members) for tree, members in zip(self.trees, self.pset.members)
-        ]
+        for tree, members in zip(self.trees, self.pset.members):
+            _member_positions(tree, members)
         _check_trees(out / "forest_plain.bin", self.trees, widths)
         if (out / "keys.bin").exists():
             self.key = aspe.load_key(out / "keys.bin")
@@ -594,10 +583,24 @@ def _check_trees(path: Path, trees: Sequence[Tree], widths: Sequence[int]) -> No
         )
 
 
-def _member_rows(tree: Tree, members: Sequence[tuple[int, int]]) -> np.ndarray:
-    """A plaintext tree's leaf rows, which are the partition's padded rows,
-    in ``members`` order."""
-    at = {doc_id: i for i, doc_id in enumerate(tree.doc_ids.tolist()) if doc_id >= 0}
-    if sorted(at) != sorted(doc_id for doc_id, _owner in members):
+class _MemberRows:
+    """``[p]``: partition p's padded rows, tree p's leaf rows copied in
+    ``pset.members`` order.  Only the partition read is copied."""
+
+    def __init__(self, pipeline: Pipeline):
+        self.pipeline = pipeline
+
+    def __getitem__(self, p: int) -> np.ndarray:
+        tree = self.pipeline.trees[p]  # IndexError past the last partition ends iteration
+        return tree.nodes[_member_positions(tree, self.pipeline.pset.members[p])]
+
+
+def _member_positions(tree: Tree, members: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The preorder index of each member's leaf in ``tree``, in ``members``
+    order.  The tree's leaves must be the members."""
+    ids = np.array([doc_id for doc_id, _owner in members], dtype=np.int64)
+    at = np.flatnonzero(tree.doc_ids >= 0)
+    by_id = at[np.argsort(tree.doc_ids[at])]
+    if not np.array_equal(tree.doc_ids[by_id], np.sort(ids)):
         raise ForestError(f"tree {tree.partition}: leaves do not match the partition's members")
-    return tree.nodes[np.array([at[doc_id] for doc_id, _owner in members], dtype=np.int64)]
+    return by_id[np.searchsorted(tree.doc_ids[by_id], ids)]

@@ -53,6 +53,28 @@ def empty_smallest_partition(pipe):
     return p
 
 
+def assert_rows_stored_once(pipe, queries):
+    """The padded rows live only as tree leaves: the pipeline stores no
+    ``secure_mats``, each ``secure_mats[p]`` is tree p's leaf rows in
+    ``pset.members`` order, and ``exact_search`` ranks every document as the
+    per-row scores of those rows do."""
+    assert "secure_mats" not in vars(pipe)
+    mats = pipe.secure_mats
+    for tree, members, rows in zip(pipe.trees, pipe.pset.members, mats):
+        ids, leaf_rows = tree.leaf_rows()
+        at = {doc_id: i for i, doc_id in enumerate(ids.tolist())}
+        assert rows.shape == (len(members), tree.nodes.shape[1])
+        np.testing.assert_array_equal(rows, leaf_rows[[at[d] for d, _ in members]])
+    for q in queries:
+        real = pipe.real_query_vectors(q.keywords)
+        want = []
+        for p, rows in enumerate(mats):
+            scores = [round_score(row[: len(real[p])] @ real[p]) for row in rows]
+            want.extend(zip([d for d, _ in pipe.pset.members[p]], scores))
+        want.sort(key=lambda e: (-e[1], e[0]))
+        assert pipe.exact_search(q.keywords) == want
+
+
 def assert_answers_esk1_queries(pipe):
     """The answers tests/data/esk1_queries.json recorded for
     tests/data/esk1_run, with the same seeded trapdoors."""
@@ -167,10 +189,10 @@ class TestQueryPath:
         with pytest.raises(EncSearchError, match="negative"):
             pipe.exact_search({"kw": -1.0})
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1", None, True])
     def test_non_finite_weight_rejected_by_query(self, toy, bad):
-        """Rejected before any trapdoor draw: the query generator does not
-        move."""
+        """Rejected before partition selection and any trapdoor draw: the
+        query generator does not move."""
         pipe, _ = toy
         words = pipe.pset.sub_dictionaries[0][:2]
         state = pipe._query_rng.bit_generator.state
@@ -180,8 +202,9 @@ class TestQueryPath:
 
     def test_nan_weight_rejected_by_exact_search(self, toy):
         pipe, _ = toy
-        with pytest.raises(EncSearchError, match="non-finite"):
-            pipe.exact_search({pipe.pset.sub_dictionaries[0][0]: float("nan")})
+        for bad in (float("nan"), "1", None):
+            with pytest.raises(EncSearchError, match="non-finite"):
+                pipe.exact_search({pipe.pset.sub_dictionaries[0][0]: bad})
 
     @pytest.mark.parametrize("k", [0, -2, 1.5, 2.0, True, "3", None])
     def test_query_k_must_be_positive_integer(self, toy, k):
@@ -289,10 +312,12 @@ class TestPartitionSelection:
         assert multi.select_partitions({"nope": 1.0}, None) == [0, 1, 2]
 
     def test_t_out_of_range(self, multi):
-        with pytest.raises(EncSearchError):
-            multi.select_partitions({"nope": 1.0}, t=0)
-        with pytest.raises(EncSearchError):
-            multi.select_partitions({"nope": 1.0}, t=9)
+        for t in (0, 9, 2.5, True, "2"):
+            with pytest.raises(EncSearchError, match="t must be an integer"):
+                multi.select_partitions({"nope": 1.0}, t=t)
+        words = multi.pset.sub_dictionaries[0][:2]
+        with pytest.raises(EncSearchError, match="t must be an integer"):
+            multi.query(words, k=3, t=2.5)
 
     def test_t_pads_with_remaining_partitions(self, multi):
         pipe = multi
@@ -437,10 +462,10 @@ def test_padded_rows_carry_the_incidence(corpus_seed, n_docs, s, inserts, delete
     to the build) and deletes."""
     docs = synthetic_corpus(n_docs, 40, 3, seed=corpus_seed)
     pipe = Pipeline.build(docs, PipelineConfig(s=s, probe_count=20, seed=corpus_seed, encrypt=False))
-    for p in range(pipe.s):
+    for p, rows in enumerate(pipe.secure_mats):
         for row, (doc_id, _owner) in enumerate(pipe.pset.members[p]):
             bits = [w in docs[doc_id].counts for w in pipe.pset.sub_dictionaries[p]]
-            np.testing.assert_array_equal(pipe._real_rows(p)[row] > 0, bits)
+            np.testing.assert_array_equal(rows[row, : len(bits)] > 0, bits)
     live = {d.doc_id: d for d in docs}
     for i, (owner, pick, seed) in enumerate(inserts):
         new = synthetic_corpus(1, 40, 1, seed=seed)[0]
@@ -453,10 +478,10 @@ def test_padded_rows_carry_the_incidence(corpus_seed, n_docs, s, inserts, delete
         del live[doc_id]
 
     recount = [np.zeros(len(words)) for words in pipe.pset.sub_dictionaries]
-    for p in range(pipe.s):
+    for p, rows in enumerate(pipe.secure_mats):
         for row, (doc_id, _owner) in enumerate(pipe.pset.members[p]):
             want = expected_incidence(pipe, live[doc_id], p)
-            np.testing.assert_array_equal(pipe._real_rows(p)[row] > 0, want)
+            np.testing.assert_array_equal(rows[row, : len(want)] > 0, want)
             recount[p] += want
 
     def sampled_keywords():
@@ -703,15 +728,21 @@ class TestPersistence:
     def test_load_rebuilds_padded_rows_after_updates(self, tmp_path):
         docs = synthetic_corpus(80, 160, 5, seed=2)
         pipe = Pipeline.build(docs, PipelineConfig(s=3, probe_count=50, seed=3))
+        checks = pipe.sample_queries(3, n_keywords=5, seed=8)
+        assert_rows_stored_once(pipe, checks)
         for i, d in enumerate(synthetic_corpus(12, 160, 5, seed=21)):
             pipe.insert_document(Document(1000 + i, d.owner_id, d.counts))
+        assert_rows_stored_once(pipe, checks)
         back = next(d for d in docs if d.doc_id == 17)
         for doc_id in (4, 17, 33, 1003, 1007):
             pipe.delete_document(doc_id)
         pipe.insert_document(back)  # members out of doc id order
+        assert_rows_stored_once(pipe, checks)
         emptied = empty_smallest_partition(pipe)
+        assert_rows_stored_once(pipe, checks)
         pipe.save(tmp_path / "run")
         loaded = Pipeline.load(tmp_path / "run")
+        assert_rows_stored_once(loaded, checks)
         assert loaded.secure_mats[emptied].shape == (0, pipe.key[emptied].dim)
         for a, b in zip(pipe.secure_mats, loaded.secure_mats):
             assert a.shape == b.shape and a.dtype == b.dtype
@@ -722,6 +753,8 @@ class TestPersistence:
             assert_same_answer(loaded.run_query(q, k=8), pipe.run_query(q, k=8))
         pipe.set_sigma(0.1)
         loaded.set_sigma(0.1)
+        assert_rows_stored_once(pipe, checks)
+        assert_rows_stored_once(loaded, checks)
         for a, b in zip(pipe.secure_mats, loaded.secure_mats):
             np.testing.assert_array_equal(a, b)
         for q in queries:
@@ -1008,3 +1041,12 @@ def test_empty_subdictionary_query_sampling_error():
     pipe.pset.sub_dictionaries[0] = []
     with pytest.raises(EncSearchError, match="empty sub-dictionary"):
         pipe.sample_queries(1, partition=0)
+
+
+@pytest.mark.parametrize("partition", [-1, 1])
+def test_query_sampling_partition_out_of_range(partition):
+    # Not the last partition for -1, nor an IndexError for s.
+    pipe = Pipeline.build(synthetic_corpus(8, 16, 2, seed=14), toy_config(seed=14))
+    assert pipe.s == 1
+    with pytest.raises(EncSearchError, match=f"partition {partition} out of range"):
+        pipe.sample_queries(1, partition=partition)

@@ -646,7 +646,7 @@ def test_plaintext_forest_matches_recorded_behaviour():
     inserts = []
     for i in range(10):
         p = i % pipe.s
-        dim = pipe.secure_mats[p].shape[1]
+        dim = pipe.trees[p].nodes.shape[1]
         vec = np.round(rng.random(dim) * (rng.random(dim) < 0.05), 2)
         touched, rebuild = insert_leaf(pipe.trees[p], 1000 + i, vec)
         if rebuild:

@@ -58,6 +58,8 @@ _TRI_BLOCK = 64
 _FACTORS = 3
 _COND_CAP = 1e6
 _MAX_TRIES = 10
+# Entries per row block of _split_index's temporaries (512 KB of float64).
+_SPLIT_BLOCK = 1 << 16
 
 # The second thread that runs one independent half of keygen and encryption;
 # made on first use.  Only np.matmul, into arrays the caller allocated, runs
@@ -279,14 +281,19 @@ def keygen(dims: Sequence[int], seed: int = 0) -> list[PartitionKey]:
 
 
 def _split_index(values: np.ndarray, key: PartitionKey, rng: np.random.Generator):
-    """Index-side split: copy where S=0, random split where S=1.  The
-    random draw fills ``v1`` in place, so the split allocates its two
-    outputs and nothing else."""
+    """Index-side split: copy where S=0, random split where S=1.  One
+    random draw fills ``v1``; then each block of ``_SPLIT_BLOCK`` entries'
+    worth of rows selects its two halves with ``np.where``, so besides the
+    two outputs the split holds only one block's temporaries."""
     ones = key.indicator.astype(bool)
     v1 = rng.uniform(0.0, 1.0, size=values.shape)
-    v2 = values.copy()
-    np.subtract(values, v1, out=v2, where=ones)
-    np.copyto(v1, values, where=~ones)
+    v2 = np.empty_like(v1)
+    x_rows, r_rows, out_rows = np.atleast_2d(values, v1, v2)
+    step = max(1, _SPLIT_BLOCK // key.dim)
+    for i in range(0, len(x_rows), step):
+        x, r = x_rows[i : i + step], r_rows[i : i + step]
+        out_rows[i : i + step] = np.where(ones, x - r, x)
+        r[...] = np.where(ones, r, x)
     return v1, v2
 
 

@@ -78,16 +78,25 @@ def _check_k(k) -> None:
         raise EncSearchError(f"k must be an integer >= 1, got {k!r}")
 
 
-def _query_weights(keywords: Mapping[str, float] | Sequence[str]) -> Mapping[str, float]:
-    """Checked word -> weight query weights; a list weighs each word 1.0."""
+class _CheckedWeights(dict):
+    """Word -> weight query weights that ``_query_weights`` has checked."""
+
+
+def _query_weights(keywords: Mapping[str, float] | Sequence[str]) -> _CheckedWeights:
+    """Checked word -> weight query weights; a list weighs each word 1.0.
+    Weights it returned pass through unchecked, so a query checks once."""
+    if isinstance(keywords, _CheckedWeights):
+        return keywords
     if not isinstance(keywords, Mapping):
-        return {w: 1.0 for w in keywords}
+        return _CheckedWeights.fromkeys(keywords, 1.0)
+    checked = _CheckedWeights()
     for word, weight in keywords.items():
         if type(weight) is bool or not isinstance(weight, numbers.Real) or not np.isfinite(weight):
             raise EncSearchError(f"non-finite or non-numeric weight {weight!r} for {word!r}")
         if weight < 0:
             raise EncSearchError(f"negative weight {weight!r} for {word!r}")
-    return keywords
+        checked[word] = weight
+    return checked
 
 
 def _derive_seed(base: int, tag: str) -> int:
@@ -234,18 +243,18 @@ class Pipeline:
         self, partition: int, tag: str, deletion: forest_mod.Deletion | None = None
     ) -> int:
         """Proxy pushes the changed tree to the server: with ``deletion``,
-        the server's tree with only the deletion's path rows re-encrypted,
-        else the whole tree re-encrypted.  Returns the rows encrypted."""
+        the deletion's rows dropped from the server's tree in place and only
+        its path rows re-encrypted, else the whole tree re-encrypted and
+        replaced.  Returns the rows encrypted."""
         if self.key is None:
             return 0
         rng = np.random.default_rng(_derive_seed(self.config.seed, f"enc:{tag}"))
         tree, key = self.trees[partition], self.key[partition]
-        if deletion is None:
-            enc = forest_mod.encrypt_tree(tree, key, rng)
-        else:
-            enc = forest_mod.reencrypt_path(self.server.trees[partition], tree, deletion, key, rng)
-        self.server.replace_tree(partition, enc)
-        return len(tree.doc_ids) if deletion is None else len(deletion.path)
+        if deletion is not None:
+            forest_mod.reencrypt_path(self.server.trees[partition], tree, deletion, key, rng)
+            return len(deletion.path)
+        self.server.replace_tree(partition, forest_mod.encrypt_tree(tree, key, rng))
+        return len(tree.doc_ids)
 
     # -- query path ---------------------------------------------------------
 
@@ -277,7 +286,7 @@ class Pipeline:
         """The first t partitions, ascending, in the ranking by covered weight
         descending, partition id ascending.  With no t, the partitions the
         query covers, or all of them when it covers none."""
-        covered = self._coverage(keywords)
+        covered = self._coverage(_query_weights(keywords))
         ranked = sorted(range(self.s), key=lambda p: (-covered[p], p))
         if t is None:
             t = int(np.count_nonzero(covered > 0)) or self.s
@@ -291,7 +300,9 @@ class Pipeline:
         selected: Sequence[int],
         alphas: Mapping[int, np.ndarray] | None = None,
     ) -> dict[int, aspe.Trapdoor]:
-        real = self.real_query_vectors(keywords)
+        """One trapdoor per selected partition; the weights are checked
+        before the first random draw."""
+        real = self.real_query_vectors(_query_weights(keywords))
         trapdoors = {}
         for p in selected:
             u = self.noise[p].pseudo_count

@@ -18,10 +18,17 @@ right child is the node after the left subtree (``Tree.right_children``).  The
 leaves read in preorder are in likelihood order, so an insert or delete splices
 rows where one leaf was.  An encrypted tree shares ``doc_ids`` with the
 plaintext tree it was encrypted from; updates replace that array, never write
-into it.  A delete that ``delete_leaf`` applied to a plaintext tree reaches
-its encrypted twin through ``reencrypt_path``, which re-encrypts only the
-refreshed ancestor rows; other changes re-encrypt the whole tree
-(``encrypt_tree``).
+into it, and a tree caches the lists its search reads until they do.  A delete
+that ``delete_leaf`` applied to a plaintext tree reaches its encrypted twin
+through ``reencrypt_path``, which re-encrypts only the refreshed ancestor rows;
+other changes re-encrypt the whole tree (``encrypt_tree``).
+
+Deletes move rows in place.  ``delete_leaf`` and ``reencrypt_path`` drop
+their rows from ``nodes``, ``enc1`` and ``enc2`` by moving the later rows up
+inside the same buffer (``_drop_rows``) and keep a leading view of it, so a
+delete copies no whole matrix and frees nothing.  The slack is at most two
+rows per delete since the tree's last whole-tree operation (build, insert,
+rebuild or load), and a delete that halves the tree rebuilds it.
 
 File layout (magic ``ESF2``, little endian): the magic and the tree count
 (u32); then per tree a header of partition (u32), encrypted flag (u8),
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappush, heapreplace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -99,6 +106,9 @@ class Tree:
     probe: np.ndarray | None = None        # aggregate of all probe queries
     probe_config: ProbeConfig | None = None
     size_at_build: int = 0
+    # (doc_ids, doc_ids.tolist(), right_children().tolist()) of the doc_ids
+    # array they were computed from; see ``search_lists``.
+    _lists: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def encrypted(self) -> bool:
@@ -133,6 +143,13 @@ class Tree:
         following[order[:-1]] = order[1:]
         return np.where(step > 0, following, -1)
 
+    def search_lists(self) -> tuple[list[int], list[int]]:
+        """``doc_ids`` and ``right_children()`` as lists, computed once per
+        ``doc_ids`` array: an update replaces the array, which drops them."""
+        if self._lists is None or self._lists[0] is not self.doc_ids:
+            self._lists = (self.doc_ids, self.doc_ids.tolist(), self.right_children().tolist())
+        return self._lists[1], self._lists[2]
+
     def depth(self) -> int:
         """Longest root-to-leaf edge count."""
         best, d, pending = 0, 0, []  # pending: depths of right children still to visit
@@ -146,18 +163,18 @@ class Tree:
         return best
 
 
-def _ancestors(right: np.ndarray, j: int) -> list[int]:
+def _ancestors(right: list[int], j: int) -> list[int]:
     """Indexes on the path from the root down to node j, j excluded, in a
     tree whose right children are ``right``."""
     path, i = [], 0
     while i != j:
         path.append(i)
-        i = i + 1 if j < right[i] else int(right[i])
+        i = i + 1 if j < right[i] else right[i]
     return path
 
 
 def _refresh_bounds(
-    nodes: np.ndarray, path: list[int], right: np.ndarray, at: int, shift: int
+    nodes: np.ndarray, path: list[int], right: list[int], at: int, shift: int
 ) -> None:
     """Recompute the node vectors on ``path`` bottom-up from their children,
     after an update that moved every row after row ``at`` by ``shift``.
@@ -166,6 +183,24 @@ def _refresh_bounds(
     for i in reversed(path):
         r = right[i] + shift if right[i] > at else right[i]
         nodes[i] = np.maximum(nodes[i + 1], nodes[r])
+
+
+def _drop_rows(a: np.ndarray, dropped: Sequence[int]) -> np.ndarray:
+    """``np.delete(a, dropped, axis=0)`` in ``a``'s own buffer: each run of
+    rows between and after the distinct ``dropped`` rows moves up over the
+    gaps before it, and the result is the leading view of the rows left.
+    ``a`` must be C-contiguous: its flat view is made by setting the shape,
+    which raises where ``reshape`` would copy and lose the writes.  Each run
+    moves with one 1-D slice assignment, which numpy copies forward through
+    the overlap without a temporary."""
+    flat = a.view()
+    flat.shape = (-1,)
+    width = flat.size // len(a) if len(a) else 0
+    gone = sorted(set(dropped))
+    for shift, (row, end) in enumerate(zip(gone, gone[1:] + [len(a)]), 1):
+        start = (row + 1) * width
+        flat[start - shift * width : (end - shift) * width] = flat[start : end * width]
+    return a[: len(a) - len(gone)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +308,18 @@ def encrypt_tree(tree: Tree, key: PartitionKey, rng: np.random.Generator) -> Tre
 
 def reencrypt_path(
     enc: Tree, tree: Tree, deletion: Deletion, key: PartitionKey, rng: np.random.Generator
-) -> Tree:
-    """The encrypted twin ``enc`` brought up to ``tree``, which
-    ``delete_leaf`` changed by ``deletion`` since ``enc`` was its twin:
-    ``enc``'s dropped rows removed, ``tree``'s doc ids shared, and the path
-    rows encrypted anew from ``tree`` and spliced in.  Every path row is
-    re-encrypted, changed bound or not, so the server learns only the path,
-    which it can derive from the doc ids."""
-    enc1 = np.delete(enc.enc1, deletion.dropped, axis=0)
-    enc2 = np.delete(enc.enc2, deletion.dropped, axis=0)
+) -> None:
+    """Bring the encrypted twin ``enc`` up to ``tree``, which
+    ``delete_leaf`` changed by ``deletion`` since ``enc`` was its twin, in
+    place: ``enc``'s dropped rows are moved out of its ``enc1``/``enc2``
+    buffers (``_drop_rows``), ``tree``'s new doc ids are shared, and the path
+    rows are encrypted anew from ``tree`` and written over their old rows.
+    Every path row is re-encrypted, changed bound or not, so the server
+    learns only the path, which it can derive from the doc ids."""
+    enc1 = _drop_rows(enc.enc1, deletion.dropped)
+    enc2 = _drop_rows(enc.enc2, deletion.dropped)
     enc1[deletion.path], enc2[deletion.path] = encrypt_matrix(tree.nodes[deletion.path], key, rng)
-    return Tree(
-        tree.partition, tree.doc_ids, enc1=enc1, enc2=enc2, size_at_build=tree.size_at_build
-    )
+    enc.doc_ids, enc.enc1, enc.enc2 = tree.doc_ids, enc1, enc2
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +352,7 @@ def gdfs(
     if not len(tree.doc_ids):
         return [], 0
     scores = node_scores(tree, query).tolist()
-    doc_ids = tree.doc_ids.tolist()
-    right = tree.right_children().tolist()
+    doc_ids, right = tree.search_lists()
     heap: list[tuple[float, int]] = []  # (score, -doc_id); heap[0] = worst
     visited = 1
     stack = [0]
@@ -419,7 +452,7 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     rank = _insert_rank(tree, leaf_at, doc_id, vec)
     before = rank < len(leaf_at)
     target = int(leaf_at[rank] if before else leaf_at[-1])
-    right = tree.right_children()
+    right = tree.search_lists()[1]
     path = _ancestors(right, target)
     at = [target, target] if before else [target, target + 1]
     parent_vec = np.maximum(vec, tree.nodes[target])
@@ -444,13 +477,14 @@ def delete_leaf(tree: Tree, doc_id: int) -> Deletion:
     if doc_id < 0 or not len(hit):  # -1 would match an internal node
         raise ForestError(f"doc {doc_id} not found in tree")
     leaf = int(hit[0])
-    right = tree.right_children()
+    right = tree.search_lists()[1]
     path = _ancestors(right, leaf)
     # Dropping the parent row with the leaf row leaves the sibling's subtree
-    # in the parent's place.
+    # in the parent's place.  ``doc_ids`` is replaced, never written into:
+    # an encrypted twin may share it.
     dropped = [path.pop(), leaf] if path else [leaf]
     tree.doc_ids = np.delete(tree.doc_ids, dropped)
-    tree.nodes = np.delete(tree.nodes, dropped, axis=0)
+    tree.nodes = _drop_rows(tree.nodes, dropped)
     _refresh_bounds(tree.nodes, path, right, dropped[0], -2)
     return Deletion(dropped, path, 0 < len(tree.leaves) * 2 <= tree.size_at_build)
 

@@ -226,6 +226,35 @@ class TestSplit:
         np.testing.assert_allclose(total[[0, 2]], 2 * v[[0, 2]])
         np.testing.assert_allclose(total[[1, 3]], v[[1, 3]])
 
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("shape", [(5,), (0, 5), (1, 5), (3, 5), (70, 5), (139, 961)])
+    def test_matches_masked_split_bit_for_bit(self, monkeypatch, shape, block):
+        """The row-block ``np.where`` split equals the two masked passes it
+        replaced bit for bit, signed zeros included, for vectors and for
+        row counts over, at and under a block."""
+        if block is not None:
+            monkeypatch.setattr(aspe, "_SPLIT_BLOCK", block * shape[-1])
+        dim = shape[-1]
+        ind = np.random.default_rng(dim).integers(0, 2, dim).astype(np.uint8)
+        ind[:2] = (0, 1)
+        key = identity_key(dim, ones=np.flatnonzero(ind))
+        values = np.random.default_rng(1).uniform(-1.0, 1.0, size=shape)
+        values[values > 0.5] = 0.0
+        values[values < -0.5] = -0.0
+        original = values.copy()
+
+        ones = ind.astype(bool)
+        rng = np.random.default_rng(2)
+        want1 = rng.uniform(0.0, 1.0, size=values.shape)
+        want2 = values.copy()
+        np.subtract(values, want1, out=want2, where=ones)
+        np.copyto(want1, values, where=~ones)
+
+        got1, got2 = _split_index(values, key, np.random.default_rng(2))
+        for got, want in ((got1, want1), (got2, want2)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert values.tobytes() == original.tobytes()
+
     def test_identity_key_all_zero_indicator(self):
         key = identity_key(3)
         enc = encrypt_vector(np.array([1.0, 2.0, 3.0]), key, np.random.default_rng(0))

@@ -206,6 +206,38 @@ class TestQueryPath:
             with pytest.raises(EncSearchError, match="non-finite"):
                 pipe.exact_search({pipe.pset.sub_dictionaries[0][0]: bad})
 
+    @pytest.mark.parametrize("bad", ["1", None, True, float("nan"), -1.0])
+    def test_select_and_trapdoors_check_weights(self, multi, bad):
+        """Both public steps of a query reject bad weights with
+        ``EncSearchError``; ``make_trapdoors`` does so before its first draw,
+        even when the bad weight belongs to the last selected partition."""
+        pipe = multi
+        words = [pipe.pset.sub_dictionaries[p][0] for p in range(pipe.s)]
+        weights = {**{w: 1.0 for w in words[:-1]}, words[-1]: bad}
+        with pytest.raises(EncSearchError, match="weight"):
+            pipe.select_partitions(weights, None)
+        state = pipe._query_rng.bit_generator.state
+        with pytest.raises(EncSearchError, match="weight"):
+            pipe.make_trapdoors(weights, list(range(pipe.s)))
+        assert pipe._query_rng.bit_generator.state == state
+
+    def test_query_checks_weights_once(self, multi):
+        """``query`` hands its checked weights to ``select_partitions`` and
+        ``make_trapdoors``, which do not check them again."""
+
+        class Weight(float):
+            checks = 0
+
+            def __lt__(self, other):  # the sign check compares each weight once
+                Weight.checks += 1
+                return float(self) < other
+
+        pipe = multi
+        words = pipe.pset.sub_dictionaries[0][:2]
+        result = pipe.query({w: Weight(1.0) for w in words}, k=3)
+        assert Weight.checks == len(words)
+        assert [d for d, _ in result.results] == [d for d, _ in pipe.query(words, k=3).results]
+
     @pytest.mark.parametrize("k", [0, -2, 1.5, 2.0, True, "3", None])
     def test_query_k_must_be_positive_integer(self, toy, k):
         pipe, _ = toy
@@ -674,24 +706,47 @@ class TestUpdates:
     def test_delete_reencrypts_only_its_path(self):
         """A delete that neither rebuilds nor empties the tree keeps every
         server row but its path rows bit for bit, in preorder, and
-        re-encrypts the path rows, which are internal nodes."""
+        re-encrypts the path rows, which are internal nodes.  The delete
+        moves the server's rows in place, so the rows from before are
+        copies."""
         docs = synthetic_corpus(40, 60, 3, seed=8)
         pipe = Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=9))
         p = max(range(pipe.s), key=lambda q: len(pipe.pset.members[q]))
-        before = pipe.server.trees[p]
+        before = {enc: getattr(pipe.server.trees[p], enc).copy() for enc in ("enc1", "enc2")}
         leaves = pipe.trees[p].leaves
         report = pipe.delete_document(int(leaves[len(leaves) // 2]))
         after = pipe.server.trees[p]
         assert not report.rebuilt
         assert 0 < report.encrypted_rows == report.touched_nodes - 2 < len(after.doc_ids)
         for enc in ("enc1", "enc2"):
-            old = {row.tobytes(): i for i, row in enumerate(getattr(before, enc))}
+            old = {row.tobytes(): i for i, row in enumerate(before[enc])}
             new = [row.tobytes() for row in getattr(after, enc)]
             kept = [i for i, row in enumerate(new) if row in old]
             assert len(new) - len(kept) == report.encrypted_rows
             assert (after.doc_ids[sorted(set(range(len(new))) - set(kept))] < 0).all()
             positions = [old[new[i]] for i in kept]
             assert positions == sorted(positions)
+
+    def test_row_local_delete_moves_rows_in_place(self):
+        """A row-local delete drops its rows inside the plaintext node matrix
+        and the server's ciphertext halves, and replaces the doc ids, which
+        the two trees share."""
+        docs = synthetic_corpus(40, 60, 3, seed=8)
+        pipe = Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=9))
+        p = max(range(pipe.s), key=lambda q: len(pipe.pset.members[q]))
+        plain, enc = pipe.trees[p], pipe.server.trees[p]
+        arrays = {"nodes": plain.nodes, "enc1": enc.enc1, "enc2": enc.enc2}
+        doc_ids = plain.doc_ids
+        leaves = plain.leaves
+        report = pipe.delete_document(int(leaves[len(leaves) // 3]))
+        assert not report.rebuilt and report.encrypted_rows == report.touched_nodes - 2
+        assert pipe.trees[p] is plain and pipe.server.trees[p] is enc
+        for name, before in arrays.items():
+            after = getattr(plain if name == "nodes" else enc, name)
+            assert after.shape == (len(before) - 2, before.shape[1])
+            assert np.shares_memory(after, before)
+        assert plain.doc_ids is not doc_ids and not np.shares_memory(plain.doc_ids, doc_ids)
+        assert enc.doc_ids is plain.doc_ids
 
     def test_replaced_tree_freed_without_cyclic_gc(self):
         docs = synthetic_corpus(20, 40, 3, seed=8)

@@ -537,6 +537,70 @@ class TestInsertDelete:
         assert flags == [False, False, False, True, True]
 
 
+class TestDropRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_np_delete(self, data):
+        """Moved in place, as ``np.delete`` would copy: one row, or two rows
+        adjacent or apart, the first and last rows among the draws."""
+        n = data.draw(st.integers(1, 12), label="rows")
+        width = data.draw(st.integers(1, 5), label="width")
+        a = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((n, width))
+        first = data.draw(st.sampled_from(sorted({0, n - 1})) | st.integers(0, n - 1))
+        dropped = [first]
+        if first < n - 1 and data.draw(st.booleans()):
+            later = st.sampled_from([first + 1, n - 1]) | st.integers(first + 1, n - 1)
+            dropped.append(data.draw(later))
+        want = np.delete(a, dropped, axis=0)
+        got = forest._drop_rows(a, dropped)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # The leading rows of a's own buffer, also when none are left.
+        assert got.flags.c_contiguous and got.base is a
+        assert got.__array_interface__["data"][0] == a.__array_interface__["data"][0]
+
+    def test_repeated_drops_keep_shrinking_one_buffer(self):
+        a = np.arange(40.0).reshape(10, 4)
+        want, got = a.copy(), a
+        for dropped in ([2, 7], [0, 1], [5]):
+            want = np.delete(want, dropped, axis=0)
+            got = forest._drop_rows(got, dropped)
+            assert got.tolist() == want.tolist() and np.shares_memory(got, a)
+
+    def test_non_contiguous_input_raises_unchanged(self):
+        base = np.arange(24.0).reshape(6, 4)
+        for a in (base[:, :3], base[::2], np.asfortranarray(base)):
+            before, whole = a.copy(), base.copy()
+            with pytest.raises(AttributeError):
+                forest._drop_rows(a, [1])
+            assert a.tolist() == before.tolist() and base.tolist() == whole.tolist()
+
+
+class TestSearchLists:
+    def test_cached_search_follows_updates(self):
+        """The lists gdfs reads are computed once per doc-id array and equal
+        a fresh computation after an insert, a delete and a rebuild."""
+        ids, rows = random_rows(30, 6, seed=3)
+        rng = np.random.default_rng(4)
+        tree = ordered_tree(ids, rows, rng.random(6))
+        query = rng.random(6)
+
+        def check(t):
+            first = gdfs(t, query, 5)
+            doc_list, right = t.search_lists()
+            assert t.search_lists()[1] is right  # cached
+            assert doc_list == t.doc_ids.tolist() and right == t.right_children().tolist()
+            assert first == gdfs(Tree(t.partition, t.doc_ids.copy(), t.nodes.copy()), query, 5)
+            return right
+
+        lists = [check(tree)]
+        insert_leaf(tree, 100, rng.random(6))
+        lists.append(check(tree))
+        delete_leaf(tree, int(tree.leaves[4]))
+        lists.append(check(tree))
+        lists.append(check(rebuild_tree(tree)))
+        assert len({id(right) for right in lists}) == len(lists)  # recomputed after each update
+
+
 class TestForestFile:
     def test_plaintext_round_trip(self, tmp_path):
         probe = np.abs(np.random.default_rng(0).normal(size=4))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import numbers
 import os
-import re
 import shutil
 import tempfile
 import time
@@ -479,10 +478,11 @@ class Pipeline:
         ``out_dir`` whole: an existing directory is moved aside, the new one
         renamed into its place and the old one removed.  A save that fails
         leaves ``out_dir`` as it was, and a save over an earlier run leaves
-        none of its files behind.  It holds ``config.json``,
-        ``partitions.json``, ``arrays.npz``, ``forest_plain.bin`` and, if
-        encrypted, ``keys.bin`` and ``forest_enc.bin``: not the owners'
-        documents, nor anything ``load`` derives."""
+        none of its files behind, such as an older run's ``arrays.npz``.
+        It holds ``config.json``, ``partitions.json``, ``weights.bin``,
+        ``forest_plain.bin`` and, if encrypted, ``keys.bin`` and
+        ``forest_enc.bin``: not the owners' documents, nor anything ``load``
+        derives."""
         out = Path(out_dir)
         if out.exists() and not out.is_dir():
             raise EncSearchError(f"{out} exists and is not a directory")
@@ -504,13 +504,7 @@ class Pipeline:
     def _write(self, out: Path) -> None:
         (out / "config.json").write_text(json.dumps(asdict(self.config)))
         partitioning.save_partition_set(self.pset, out / "partitions.json")
-        arrays = {}
-        for p in range(self.s):
-            arrays[f"corr{p}"] = self.correlativity[p]
-            arrays[f"wmax{p}"] = self.w_max[p]
-            for owner, vec in self.weights[p].items():
-                arrays[f"w{p}_{owner}"] = vec
-        np.savez(out / "arrays.npz", **arrays)
+        weighting.save_weights(out / "weights.bin", self.correlativity, self.w_max, self.weights)
         forest_mod.save_forest(self.trees, out / "forest_plain.bin")
         if self.key is not None:
             aspe.save_key(self.key, out / "keys.bin")
@@ -519,40 +513,43 @@ class Pipeline:
     @classmethod
     def load(cls, out_dir: str | Path) -> "Pipeline":
         """Read a run directory written by ``save``; the noise models follow
-        from the config.  Files older versions also saved (``corpus.jsonl``,
-        ``dictionary.txt``, ``noise.json``, ``partitions.npz``) are not read.
-        Malformed JSON files, a missing array, tree or key files that do not
-        hold one entry per partition, in partition order and of the
-        partition's width, and an encrypted tree whose doc ids differ from
-        its plaintext tree's raise EncSearchError: a delete splices
-        re-encrypted rows into the encrypted tree at the plaintext tree's
-        positions."""
+        from the config.  Without ``weights.bin`` the weights come from an
+        older run's ``arrays.npz``.  Files older versions also saved
+        (``corpus.jsonl``, ``dictionary.txt``, ``noise.json``,
+        ``partitions.npz``) are not read.
+
+        Each of these raises EncSearchError naming the file: a missing file,
+        ``keys.bin`` and ``forest_enc.bin`` present when ``config.json``
+        says the run is unencrypted, malformed JSON, a damaged weights file
+        or one of other dimensions, tree or key files that do not hold one
+        entry per partition, in partition order and of the partition's
+        width, and an encrypted tree whose doc ids differ from its plaintext
+        tree's: a delete splices re-encrypted rows into the encrypted tree
+        at the plaintext tree's positions."""
         out = Path(out_dir)
         self = cls()
-        self.config = _load_config(out / "config.json")
-        self.pset = partitioning.load_partition_set(out / "partitions.json")
+        self.config = _load_config(_required(out / "config.json"))
+        self.pset = partitioning.load_partition_set(_required(out / "partitions.json"))
         s = self.pset.s
         self._build_noise()
-        arrays = np.load(out / "arrays.npz")
-        missing = [f"{n}{p}" for p in range(s) for n in ("corr", "wmax") if f"{n}{p}" not in arrays]
-        if missing:
-            raise EncSearchError(f"{out / 'arrays.npz'}: missing arrays {missing}")
-        self.correlativity = [arrays[f"corr{p}"] for p in range(s)]
-        self.w_max = [arrays[f"wmax{p}"] for p in range(s)]
-        # Every saved owner, also one whose documents in the partition were
-        # all deleted: its next document is weighted as before the save.
-        self.weights = [{} for _ in range(s)]
-        for name in arrays.files:
-            if m := re.fullmatch(r"w(\d+)_(-?\d+)", name):
-                if int(m[1]) >= s:
-                    raise EncSearchError(f"{out / 'arrays.npz'}: {name} is of no partition")
-                self.weights[int(m[1])][int(m[2])] = arrays[name]
+        weights = out / "weights.bin"
+        if not weights.exists() and (out / "arrays.npz").exists():
+            weights = out / "arrays.npz"
+        self.correlativity, self.w_max, self.weights = weighting.load_weights(
+            _required(weights), self.pset.sizes
+        )
         widths = [len(self.pset.sub_dictionaries[p]) + self.noise[p].pseudo_count for p in range(s)]
-        self.trees = forest_mod.load_forest(out / "forest_plain.bin")
+        self.trees = forest_mod.load_forest(_required(out / "forest_plain.bin"))
         for tree, members in zip(self.trees, self.pset.members):
             _member_positions(tree, members)
         _check_trees(out / "forest_plain.bin", self.trees, widths)
-        if (out / "keys.bin").exists():
+        for name in ("keys.bin", "forest_enc.bin"):
+            if (out / name).exists() != self.config.encrypt:
+                state = "missing" if self.config.encrypt else "present"
+                raise EncSearchError(
+                    f"{out / name}: {state}, but config.json has encrypt={self.config.encrypt}"
+                )
+        if self.config.encrypt:
             self.key = aspe.load_key(out / "keys.bin")
             dims = [pk.dim for pk in self.key]
             if dims != widths:
@@ -566,6 +563,12 @@ class Pipeline:
                         "doc ids of its plaintext tree"
                     )
         return self
+
+
+def _required(path: Path) -> Path:
+    if not path.exists():
+        raise EncSearchError(f"{path}: missing from the run directory")
+    return path
 
 
 def _load_config(path: Path) -> PipelineConfig:

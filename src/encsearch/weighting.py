@@ -8,15 +8,29 @@ smoothed through the correlativity matrix and then normalized per keyword by
 the maximum raw weight across owners in the partition, giving weights in
 [0, 1].  Weighted index vectors are the elementwise product of a document's
 compressed bits with its owner's weights.
+
+``save_weights`` and ``load_weights`` move a pipeline's correlativity,
+``w_max`` and owner weights between memory and ``weights.bin``, one write
+and one ``readinto`` per array; ``load_weights`` also reads the
+``arrays.npz`` of older run directories.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import re
+import struct
+import zipfile
+from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .binfile import BinaryReader
 from .errors import WeightingError
+
+WEIGHTS_MAGIC = b"ESW1"
+_U32 = struct.Struct("<I")
+_PARTITION_HEADER = struct.Struct("<II")  # real dimension n, owner count
 
 
 def build_correlativity(compressed: np.ndarray) -> np.ndarray:
@@ -90,3 +104,82 @@ def weighted_matrix(bits: np.ndarray, owner_weights: np.ndarray) -> np.ndarray:
             f"dimension mismatch: index {bits.shape} vs weights {owner_weights.shape}"
         )
     return bits.astype(np.float64) * owner_weights
+
+
+def save_weights(
+    path: str | Path,
+    correlativity: Sequence[np.ndarray],
+    w_max: Sequence[np.ndarray],
+    weights: Sequence[Mapping[int, np.ndarray]],
+) -> None:
+    """Write ``weights.bin``: the magic and the partition count, then per
+    partition its real dimension n and owner count, the n x n
+    correlativity, ``w_max``, the owner ids (int64) and the owners' weight
+    rows, all little-endian."""
+    with open(path, "wb") as fh:
+        fh.write(WEIGHTS_MAGIC)
+        fh.write(_U32.pack(len(correlativity)))
+        for corr, wmax, owner_weights in zip(correlativity, w_max, weights):
+            fh.write(_PARTITION_HEADER.pack(len(wmax), len(owner_weights)))
+            fh.write(np.ascontiguousarray(corr, dtype="<f8"))
+            fh.write(np.ascontiguousarray(wmax, dtype="<f8"))
+            fh.write(np.array(list(owner_weights), dtype="<i8"))
+            for vec in owner_weights.values():
+                fh.write(np.ascontiguousarray(vec, dtype="<f8"))
+
+
+def load_weights(
+    path: str | Path, sizes: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray], list[dict[int, np.ndarray]]]:
+    """The correlativity, ``w_max`` and owner -> weights of each partition,
+    from a file ``save_weights`` wrote for partitions of the real dimensions
+    ``sizes``, or from an older run directory's ``arrays.npz``.  A file of
+    another partition count or dimension, or shorter or longer than its
+    headers say, raises ``WeightingError``."""
+    if Path(path).suffix == ".npz":
+        return _load_npz_weights(path, len(sizes))
+    correlativity, w_max, weights = [], [], []
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, path, "weights file", WeightingError)
+        reader.magic((WEIGHTS_MAGIC,))
+        (s,) = reader.unpack(_U32)
+        if s != len(sizes):
+            raise WeightingError(f"{path}: holds {s} partitions, not {len(sizes)}")
+        for p, size in enumerate(sizes):
+            n, owners = reader.unpack(_PARTITION_HEADER)
+            if n != size:
+                raise WeightingError(f"{path}: partition {p} has dimension {n}, not {size}")
+            correlativity.append(reader.array("<f8", (n, n)))
+            w_max.append(reader.array("<f8", (n,)))
+            ids = reader.array("<i8", (owners,)).tolist()
+            weights.append(dict(zip(ids, reader.array("<f8", (owners, n)))))
+        reader.end()
+    return correlativity, w_max, weights
+
+
+def _load_npz_weights(
+    path: str | Path, s: int
+) -> tuple[list[np.ndarray], list[np.ndarray], list[dict[int, np.ndarray]]]:
+    """The arrays ``corr{p}``, ``wmax{p}`` and ``w{p}_{owner}`` of an
+    ``arrays.npz``; its ``secure*``, ``weighted*`` and ``raw*`` arrays are
+    not read."""
+    try:
+        # np.load leaves a file it opened itself open when it is no zip.
+        with open(path, "rb") as fh, np.load(fh) as arrays:
+            names = [f"{n}{p}" for p in range(s) for n in ("corr", "wmax")]
+            missing = [name for name in names if name not in arrays]
+            if missing:
+                raise WeightingError(f"{path}: missing arrays {missing}")
+            correlativity = [arrays[f"corr{p}"] for p in range(s)]
+            w_max = [arrays[f"wmax{p}"] for p in range(s)]
+            # Every saved owner, also one whose documents in the partition
+            # were all deleted: its next document is weighted as before.
+            weights = [{} for _ in range(s)]
+            for name in arrays.files:
+                if m := re.fullmatch(r"w(\d+)_(-?\d+)", name):
+                    if int(m[1]) >= s:
+                        raise WeightingError(f"{path}: {name} is of no partition")
+                    weights[int(m[1])][int(m[2])] = arrays[name]
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise WeightingError(f"{path}: damaged ({exc})") from None
+    return correlativity, w_max, weights

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -44,8 +45,8 @@ def test_tune_rejects_bad_grid_before_loading(tmp_path, capsys, grid, message):
 
 def test_build_writes_artifacts(run_dir):
     assert sorted(f.name for f in run_dir.iterdir()) == [
-        "arrays.npz", "config.json", "forest_enc.bin", "forest_plain.bin", "keys.bin",
-        "partitions.json",
+        "config.json", "forest_enc.bin", "forest_plain.bin", "keys.bin", "partitions.json",
+        "weights.bin",
     ]
 
 
@@ -207,3 +208,14 @@ def test_build_rejects_float_doc_id(tmp_path, capsys):
     assert main(["build", "--corpus", str(corpus), "--out", str(run)]) == 1
     assert capsys.readouterr().err == f"error: {corpus}:2: doc_id 1.5 and owner_id 1 must be 64-bit integers\n"
     assert not run.exists()
+
+
+def test_search_on_damaged_older_run_prints_error(tmp_path, capsys):
+    """A half-truncated arrays.npz fails with a message naming it, not a
+    traceback."""
+    run = tmp_path / "run"
+    shutil.copytree(Path(__file__).parent / "data" / "esk1_run", run)
+    path = run / "arrays.npz"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    assert main(["search", "--run", str(run), "--keywords", "kw000", "--k", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: damaged")

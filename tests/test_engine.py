@@ -1,8 +1,10 @@
 import gc
 import hashlib
 import json
+import re
 import shutil
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from encsearch import forest as forest_mod, padding
+from encsearch import forest as forest_mod, padding, weighting
 from encsearch.corpus import Document, build_dictionary, load_corpus, synthetic_corpus
 from encsearch.aspe import load_key, make_trapdoor, save_key
 from encsearch.engine import Pipeline, PipelineConfig, QuerySpec
@@ -19,7 +21,7 @@ from encsearch.errors import EncSearchError, ForestError
 from encsearch.forest import load_forest, order_by_likelihood, round_score, save_forest
 from encsearch.partitioning import PartitionSet
 
-RUN_FILES = {"config.json", "partitions.json", "arrays.npz", "forest_plain.bin",
+RUN_FILES = {"config.json", "partitions.json", "weights.bin", "forest_plain.bin",
              "keys.bin", "forest_enc.bin"}
 # Saved by older versions and no longer read: load derives what they held.
 OLDER_FILES = {"corpus.jsonl", "dictionary.txt", "noise.json", "partitions.npz"}
@@ -83,6 +85,41 @@ def assert_answers_esk1_queries(pipe):
         res = pipe.query(entry["keywords"], k=entry["k"], t=entry["t"])
         assert [[d, sc] for d, sc in res.results] == entry["results"]
         assert {str(p): v for p, v in res.visited.items()} == entry["visited"]
+
+
+def legacy_arrays(pipe):
+    """The weighting arrays under the names older versions saved them by
+    in ``arrays.npz``."""
+    arrays = {}
+    for p in range(pipe.s):
+        arrays[f"corr{p}"] = pipe.correlativity[p]
+        arrays[f"wmax{p}"] = pipe.w_max[p]
+        for owner, vec in pipe.weights[p].items():
+            arrays[f"w{p}_{owner}"] = vec
+    return arrays
+
+
+def write_legacy_arrays(run, arrays):
+    """Make ``run`` an older run directory: ``arrays`` in ``arrays.npz``
+    and no ``weights.bin``."""
+    (run / "weights.bin").unlink()
+    np.savez(run / "arrays.npz", **arrays)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_weights(got, want):
+    """Every correlativity, w_max and owner weight array bit for bit, the
+    owners in the same order."""
+    assert len(got.correlativity) == len(want.correlativity) == got.s
+    for p in range(got.s):
+        assert same_bits(got.correlativity[p], want.correlativity[p])
+        assert same_bits(got.w_max[p], want.w_max[p])
+        assert list(got.weights[p]) == list(want.weights[p])
+        for owner, vec in want.weights[p].items():
+            assert same_bits(got.weights[p][owner], vec)
 
 
 def toy_config(**overrides):
@@ -774,11 +811,17 @@ class TestPersistence:
             assert loaded.exact_query(q, k=8) == pipe.exact_query(q, k=8)
 
     def test_arrays_hold_no_rows_or_raw_weights(self, tmp_path, multi):
+        """weights.bin holds its headers and, per partition, the
+        correlativity, w_max, owner ids and one weight row per owner:
+        nothing else, so no index rows and no raw weights."""
         multi.save(tmp_path / "run")
-        with np.load(tmp_path / "run" / "arrays.npz") as arrays:
-            names = arrays.files
-        assert names
-        assert not [n for n in names if n.startswith(("secure", "weighted", "raw"))]
+        path = tmp_path / "run" / "weights.bin"
+        held = 8 + sum(
+            8 + corr.nbytes + wmax.nbytes + 8 * len(w) + sum(v.nbytes for v in w.values())
+            for corr, wmax, w in zip(multi.correlativity, multi.w_max, multi.weights)
+        )
+        assert all(multi.weights)
+        assert path.stat().st_size == held
 
     def test_load_rebuilds_padded_rows_after_updates(self, tmp_path):
         docs = synthetic_corpus(80, 160, 5, seed=2)
@@ -874,10 +917,12 @@ class TestPersistence:
         assert (run / "keys.bin").read_bytes()[:4] == b"ESK1"
         Pipeline.load(run).save(tmp_path / "run")
         names = {f.name for f in (tmp_path / "run").iterdir()}
-        assert names == {f.name for f in run.iterdir()} - OLDER_FILES
+        assert names == {f.name for f in run.iterdir()} - OLDER_FILES - {"arrays.npz"} | {"weights.bin"}
         for name in names:
             rewritten = (tmp_path / "run" / name).read_bytes()
-            if name == "keys.bin":
+            if name == "weights.bin":  # arrays.npz's arrays: see test_resaved_older_run_*
+                assert rewritten[:4] == b"ESW1"
+            elif name == "keys.bin":
                 assert rewritten[:4] == b"ESK2" and len(rewritten) == (run / name).stat().st_size
             elif name == "partitions.json":  # version 2 -> 3: no assignments
                 old = json.loads((run / name).read_text())
@@ -1038,19 +1083,113 @@ class TestPersistence:
 
     def test_load_rejects_arrays_without_a_correlativity(self, tmp_path, small):
         small.save(tmp_path / "run")
-        path = tmp_path / "run" / "arrays.npz"
-        arrays = dict(np.load(path))
+        arrays = legacy_arrays(small)
         del arrays["corr2"]
-        np.savez(path, **arrays)
+        write_legacy_arrays(tmp_path / "run", arrays)
         with pytest.raises(EncSearchError, match="corr2"):
             Pipeline.load(tmp_path / "run")
 
     def test_load_rejects_weights_of_no_partition(self, tmp_path, small):
         small.save(tmp_path / "run")
-        path = tmp_path / "run" / "arrays.npz"
-        arrays = dict(np.load(path))
-        np.savez(path, **arrays, w3_0=arrays["corr0"])
+        arrays = legacy_arrays(small)
+        write_legacy_arrays(tmp_path / "run", {**arrays, "w3_0": arrays["corr0"]})
         with pytest.raises(EncSearchError, match="w3_0"):
+            Pipeline.load(tmp_path / "run")
+
+    def test_weights_round_trip_bit_for_bit(self, tmp_path):
+        """weights.bin loads every array as it was saved and as arrays.npz
+        loads it, also the weights of a negative owner id and of an owner
+        whose documents in the partition were all deleted."""
+        docs = [
+            Document(d.doc_id, -7 if d.owner_id == 0 else d.owner_id, d.counts)
+            for d in synthetic_corpus(60, 120, 4, seed=5)
+        ]
+        pipe = Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=5))
+        p = max(range(pipe.s), key=lambda i: len(pipe.pset.members[i]))
+        gone = pipe.pset.members[p][0][1]
+        for doc_id, owner in list(pipe.pset.members[p]):
+            if owner == gone:
+                pipe.delete_document(doc_id)
+        assert gone not in {owner for _id, owner in pipe.pset.members[p]}
+        assert gone in pipe.weights[p]
+        assert any(-7 in w for w in pipe.weights)
+        run = tmp_path / "run"
+        pipe.save(run)
+        loaded = Pipeline.load(run)
+        assert_same_weights(loaded, pipe)
+        write_legacy_arrays(run, legacy_arrays(pipe))
+        assert_same_weights(Pipeline.load(run), loaded)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated", "truncated weights file"),
+        ("trailing bytes", "1 bytes after the last record"),
+        ("partitions", "holds 2 partitions, not 3"),
+        ("dimension", "partition 0 has dimension"),
+    ])
+    def test_load_rejects_damaged_weights_file(self, tmp_path, small, damage, message):
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "weights.bin"
+        data = path.read_bytes()
+        corr, wmax, weights = small.correlativity, small.w_max, small.weights
+        if damage == "truncated":
+            path.write_bytes(data[:-8])
+        elif damage == "trailing bytes":
+            path.write_bytes(data + b"\0")
+        elif damage == "partitions":
+            weighting.save_weights(path, corr[:2], wmax[:2], weights[:2])
+        else:  # partition 0 one keyword short
+            weighting.save_weights(
+                path,
+                [corr[0][:-1, :-1], *corr[1:]],
+                [wmax[0][:-1], *wmax[1:]],
+                [{o: v[:-1] for o, v in weights[0].items()}, *weights[1:]],
+            )
+        with pytest.raises(EncSearchError, match=f"weights.bin: .*{message}"):
+            Pipeline.load(tmp_path / "run")
+
+    def test_resaved_older_run_holds_weights_bin(self, tmp_path):
+        """Saving over a copy of tests/data/esk1_run replaces its arrays.npz
+        with a weights.bin of the same arrays, bit for bit, and the run
+        still answers esk1_queries.json."""
+        copy = tmp_path / "run"
+        shutil.copytree(DATA / "esk1_run", copy)
+        older = Pipeline.load(copy)
+        older.save(copy)
+        assert {f.name for f in copy.iterdir()} == RUN_FILES
+        loaded = Pipeline.load(copy)
+        assert_same_weights(loaded, older)
+        assert_answers_esk1_queries(loaded)
+
+    def test_damaged_arrays_npz_fails_load_and_closes_it(self, tmp_path):
+        copy = tmp_path / "run"
+        shutil.copytree(DATA / "esk1_run", copy)
+        path = copy / "arrays.npz"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EncSearchError, match="arrays.npz"):
+                Pipeline.load(copy)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("name", sorted(RUN_FILES))
+    def test_load_names_a_missing_file(self, tmp_path, small, name):
+        small.save(tmp_path / "run")
+        (tmp_path / "run" / name).unlink()
+        with pytest.raises(EncSearchError, match=re.escape(f"{name}: missing")):
+            Pipeline.load(tmp_path / "run")
+
+    @pytest.mark.parametrize("name", ["keys.bin", "forest_enc.bin"])
+    def test_load_rejects_key_files_of_an_unencrypted_run(self, tmp_path, small, name):
+        """Key files beside a config that builds without encryption fail
+        the load rather than go unread."""
+        small.save(tmp_path / "enc")
+        plain = Pipeline.build(
+            synthetic_corpus(40, 80, 3, seed=1), PipelineConfig(s=3, probe_count=50, encrypt=False)
+        )
+        plain.save(tmp_path / "run")
+        shutil.copy(tmp_path / "enc" / name, tmp_path / "run" / name)
+        with pytest.raises(EncSearchError, match=re.escape(f"{name}: present")):
             Pipeline.load(tmp_path / "run")
 
     def test_load_rejects_swapped_encrypted_trees(self, tmp_path, small):

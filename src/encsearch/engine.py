@@ -26,7 +26,7 @@ import numpy as np
 from . import aspe, forest as forest_mod, padding, partitioning, weighting
 from .corpus import Document, build_binary_indexes, build_dictionary, id_arrays
 from .errors import EncSearchError, ForestError
-from .forest import ProbeConfig, Tree
+from .forest import Tree
 
 
 @dataclass
@@ -160,7 +160,7 @@ class Pipeline:
         del counts
         weighted = self._build_weights(compressed)
         del compressed
-        self._build_noise()
+        self._build_noise(config)
         self._build_forest(weighted)
         if config.encrypt:
             self.key = aspe.keygen(
@@ -186,32 +186,34 @@ class Pipeline:
             weighted_mats.append(weighting.weighted_matrix(bits, owner_weights))
         return weighted_mats
 
-    def _build_noise(self) -> None:
-        self.noise = []
+    def _build_noise(self, config: PipelineConfig) -> None:
+        """Set the noise models of ``config``; a bad setting raises and
+        changes nothing."""
+        if not np.isfinite(config.u_ratio) or config.u_ratio < 0:
+            raise EncSearchError(f"u_ratio must be finite and >= 0, got {config.u_ratio!r}")
+        noise = []
         for p in range(self.pset.s):
             n_real = len(self.pset.sub_dictionaries[p])
             # A partition whose documents have no home keyword still needs one
             # key dimension: it gets a single pseudo dimension.
-            u = int(np.ceil(self.config.u_ratio * n_real)) if n_real else 1
-            omega = self.config.omega if self.config.omega is not None else -(-u // 2)
+            u = int(np.ceil(config.u_ratio * n_real)) if n_real else 1
+            omega = config.omega if config.omega is not None else -(-u // 2)
             omega = min(omega, u)
-            self.noise.append(
-                padding.NoiseModel(
-                    u, self.config.sigma, omega, seed=_derive_seed(self.config.seed, f"pad{p}")
-                )
+            noise.append(
+                padding.NoiseModel(u, config.sigma, omega, seed=_derive_seed(config.seed, f"pad{p}"))
             )
+        self.noise = noise
 
     @property
     def secure_mats(self) -> _MemberRows:
         """Each partition's padded rows in ``pset.members`` order."""
         return _MemberRows(self)
 
-    def _keyword_counts(self, p: int) -> np.ndarray:
+    def _leaf_keyword_counts(self, p: int) -> np.ndarray:
         """Per keyword of partition p, the number of its documents holding
-        it: the positive entries of its leaf rows' real (leading) columns."""
+        it, counted in its leaf rows' real (leading) columns."""
         tree = self.trees[p]
-        real = tree.nodes[tree.doc_ids >= 0, : len(self.pset.sub_dictionaries[p])]
-        return np.count_nonzero(real > 0, axis=0).astype(np.float64)
+        return _keyword_counts(tree.nodes[tree.doc_ids >= 0, : len(self.pset.sub_dictionaries[p])])
 
     def _build_forest(self, weighted: Sequence[np.ndarray]) -> None:
         """One tree per partition of its weighted rows, padded."""
@@ -219,16 +221,14 @@ class Pipeline:
         for p, noise in enumerate(self.noise):
             rows = padding.pad_matrix(weighted[p], noise)
             n_real = weighted[p].shape[1]
-            popularity = np.count_nonzero(weighted[p] > 0, axis=0).astype(np.float64)
-            cfg = ProbeConfig(
-                count=self.config.probe_count,
-                zipf_a=self.config.zipf_a,
-                seed=_derive_seed(self.config.seed, f"probe{p}"),
+            popularity = _keyword_counts(weighted[p])
+            seed = _derive_seed(self.config.seed, f"probe{p}")
+            probe = forest_mod.probe_aggregate(
+                n_real, rows.shape[1], popularity, self.config.probe_count, self.config.zipf_a, seed
             )
-            probe = forest_mod.probe_aggregate(n_real, rows.shape[1], popularity, cfg)
             ids = np.array([doc_id for doc_id, _owner in self.pset.members[p]], dtype=np.int64)
             order = forest_mod.order_by_likelihood(ids, rows, probe)
-            self.trees.append(forest_mod.build_tree(ids[order], rows[order], p, probe, cfg))
+            self.trees.append(forest_mod.build_tree(ids[order], rows[order], p, probe))
 
     def _encrypt_forest(self, tag: str) -> None:
         if self.key is None:
@@ -358,10 +358,12 @@ class Pipeline:
     def set_sigma(self, sigma: float) -> None:
         """Re-pad with the same noise pattern scaled to ``sigma``, rebuild the
         forest ordering and re-encrypt.  Keys and dimensions are unchanged;
-        ``config.sigma`` records ``sigma`` for ``save``."""
-        self.config = replace(self.config, sigma=sigma)
+        ``config.sigma`` records ``sigma`` for ``save``.  A bad ``sigma``
+        raises and changes nothing."""
+        config = replace(self.config, sigma=sigma)
         weighted = [m[:, : len(w)] for m, w in zip(self.secure_mats, self.pset.sub_dictionaries)]
-        self._build_noise()
+        self._build_noise(config)
+        self.config = config
         self._build_forest(weighted)
         self._encrypt_forest(tag=f"sigma:{sigma}")
 
@@ -381,24 +383,25 @@ class Pipeline:
 
         ``partition`` restricts keyword choice to one sub-dictionary
         (cluster-coherent workload)."""
+        if count < 1 or n_keywords < 1:
+            raise EncSearchError(
+                f"count and n_keywords must be >= 1, got count={count}, n_keywords={n_keywords}"
+            )
         if partition is not None and not 0 <= partition < self.s:
             raise EncSearchError(f"partition {partition} out of range [0, {self.s})")
         rng = np.random.default_rng(seed)
         if partition is None:
             words = sorted(self.pset.home)
-            counts = [self._keyword_counts(p) for p in range(self.s)]
+            counts = [self._leaf_keyword_counts(p) for p in range(self.s)]
             df = np.array([counts[p][dim] for p, dim in map(self.pset.home.get, words)])
         else:
             words = list(self.pset.sub_dictionaries[partition])
-            df = self._keyword_counts(partition)
+            df = self._leaf_keyword_counts(partition)
         if not words:
             raise EncSearchError(
                 f"cannot sample queries: partition {partition} has an empty sub-dictionary"
             )
-        ranks = np.empty(len(words), dtype=np.int64)
-        ranks[np.argsort(-df, kind="stable")] = np.arange(1, len(words) + 1)
-        pmf = 1.0 / ranks.astype(np.float64) ** self.config.zipf_a
-        pmf /= pmf.sum()
+        pmf = forest_mod.zipf_by_rank(df, self.config.zipf_a)
         queries = []
         for _ in range(count):
             picks = rng.choice(len(words), size=min(n_keywords, len(words)), replace=False, p=pmf)
@@ -523,15 +526,21 @@ class Pipeline:
         says the run is unencrypted, malformed JSON, a damaged weights file
         or one of other dimensions, tree or key files that do not hold one
         entry per partition, in partition order and of the partition's
-        width, and an encrypted tree whose doc ids differ from its plaintext
-        tree's: a delete splices re-encrypted rows into the encrypted tree
-        at the plaintext tree's positions."""
+        width, a probe of a plaintext tree that is not empty or of its
+        width, a probe on an encrypted tree, noise settings that
+        ``config.json`` holds and no noise model takes, and an encrypted tree
+        whose doc ids differ from its plaintext tree's: a delete splices
+        re-encrypted rows into the encrypted tree at the plaintext tree's
+        positions."""
         out = Path(out_dir)
         self = cls()
         self.config = _load_config(_required(out / "config.json"))
         self.pset = partitioning.load_partition_set(_required(out / "partitions.json"))
         s = self.pset.s
-        self._build_noise()
+        try:
+            self._build_noise(self.config)
+        except EncSearchError as exc:
+            raise EncSearchError(f"{out / 'config.json'}: {exc}") from None
         weights = out / "weights.bin"
         if not weights.exists() and (out / "arrays.npz").exists():
             weights = out / "arrays.npz"
@@ -565,6 +574,12 @@ class Pipeline:
         return self
 
 
+def _keyword_counts(real: np.ndarray) -> np.ndarray:
+    """Per keyword, the number of rows holding it: the positive entries in
+    each column of ``real``, a partition's rows over its real dimensions."""
+    return np.count_nonzero(real > 0, axis=0).astype(np.float64)
+
+
 def _required(path: Path) -> Path:
     if not path.exists():
         raise EncSearchError(f"{path}: missing from the run directory")
@@ -595,6 +610,13 @@ def _check_trees(path: Path, trees: Sequence[Tree], widths: Sequence[int]) -> No
         raise EncSearchError(
             f"{path}: holds (partition, width) {got}, not {list(enumerate(widths))}"
         )
+    for tree, width in zip(trees, widths):
+        # An insert scores its row against the probe; the server holds none.
+        if tree.probe is not None and (tree.encrypted or len(tree.probe) != width):
+            raise EncSearchError(
+                f"{path}: tree {tree.partition} holds a probe of length {len(tree.probe)}, "
+                f"not {0 if tree.encrypted else f'0 or {width}'}"
+            )
 
 
 class _MemberRows:

@@ -30,14 +30,15 @@ delete copies no whole matrix and frees nothing.  The slack is at most two
 rows per delete since the tree's last whole-tree operation (build, insert,
 rebuild or load), and a delete that halves the tree rebuilds it.
 
-File layout (magic ``ESF2``, little endian): the magic and the tree count
+File layout (magic ``ESF3``, little endian): the magic and the tree count
 (u32); then per tree a header of partition (u32), encrypted flag (u8),
-dimension (u32), probe length (u32), node count n (u64), probe config (count
-u32, keywords per probe u32, zipf_a f64, seed u32) and size at build (u64),
-followed by the probe (f64), ``doc_ids`` (n i64) and the node matrix (n rows
-of f64), or ``enc1`` then ``enc2``.  The file holds nothing else, so the
-arrays go between disk and memory as they are: written from the arrays, and
-read each with one ``readinto`` into a writable array of the file's dtype.
+dimension (u32), probe length (u32), node count n (u64) and size at build
+(u64), followed by the probe (f64), ``doc_ids`` (n i64) and the node matrix
+(n rows of f64), or ``enc1`` then ``enc2``.  The file holds nothing else, so
+the arrays go between disk and memory as they are: written from the arrays,
+and read each with one ``readinto`` into a writable array of the file's
+dtype.  An ``ESF2`` file still loads: its tree headers also held the probe
+settings (count, keywords per probe, zipf_a, seed) before the size at build.
 """
 
 from __future__ import annotations
@@ -55,9 +56,13 @@ from .aspe import PartitionKey, Trapdoor, encrypt_matrix
 from .binfile import BinaryReader
 from .errors import ForestError
 
-FOREST_MAGIC = b"ESF2"
+FOREST_MAGIC = b"ESF3"
+_ESF2_MAGIC = b"ESF2"
 _U32 = struct.Struct("<I")
-_TREE_HEADER = struct.Struct("<IBIIQIIdIQ")
+_TREE_HEADER = struct.Struct("<IBIIQQ")
+_ESF2_TREE_HEADER = struct.Struct("<IBIIQIIdIQ")
+# Keywords drawn per probe query (at most the real dimension).
+_KEYWORDS_PER_PROBE = 10
 
 
 def round_score(x: float) -> float:
@@ -88,14 +93,6 @@ class Deletion(NamedTuple):
         return len(self.dropped) + len(self.path)
 
 
-@dataclass
-class ProbeConfig:
-    count: int = 1000          # number of random probe queries
-    keywords_per_probe: int = 10
-    zipf_a: float = 1.0
-    seed: int = 0
-
-
 @dataclass(eq=False)
 class Tree:
     partition: int
@@ -104,8 +101,7 @@ class Tree:
     enc1: np.ndarray | None = None         # (n, dim) ciphertext halves of an encrypted tree
     enc2: np.ndarray | None = None
     probe: np.ndarray | None = None        # aggregate of all probe queries
-    probe_config: ProbeConfig | None = None
-    size_at_build: int = 0
+    size_at_build: int = 0                 # leaves at the last build (plaintext trees)
     # (doc_ids, doc_ids.tolist(), right_children().tolist()) of the doc_ids
     # array they were computed from; see ``search_lists``.
     _lists: tuple | None = field(default=None, init=False, repr=False)
@@ -206,31 +202,41 @@ def _drop_rows(a: np.ndarray, dropped: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Probe queries and likelihood ordering.
 
+def zipf_by_rank(popularity: np.ndarray, a: float) -> np.ndarray:
+    """A pmf over the entries of ``popularity`` that falls with their rank:
+    rank 1 is the most popular entry, ties ranked by position (a stable
+    sort), and the probability of rank r is proportional to 1/r^a."""
+    ranks = np.empty(len(popularity), dtype=np.int64)
+    ranks[np.argsort(-popularity, kind="stable")] = np.arange(1, len(popularity) + 1)
+    pmf = 1.0 / ranks.astype(np.float64) ** a
+    pmf /= pmf.sum()
+    return pmf
+
+
 def probe_aggregate(
     real_dims: int,
     total_dims: int,
     popularity: np.ndarray,
-    config: ProbeConfig,
+    count: int,
+    zipf_a: float,
+    seed: int,
 ) -> np.ndarray:
-    """Sum of R random non-negative probe queries over the real dimensions.
+    """Sum of ``count`` random non-negative probe queries over the real dimensions.
 
-    Keyword selection is Zipf-weighted by popularity rank, keyword weights are
-    uniform (0, 1]; pseudo dimensions stay zero.  Accumulated scores against
-    the probe set reduce to a single dot product with this aggregate.
+    Each probe draws ``_KEYWORDS_PER_PROBE`` keywords, Zipf-weighted by
+    popularity rank (``zipf_by_rank``), with uniform (0, 1] weights; pseudo
+    dimensions stay zero.  Accumulated scores against the probe set reduce to
+    a single dot product with this aggregate.
     """
-    if config.count < 1:
+    if count < 1:
         raise ForestError("probe count must be >= 1")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     agg = np.zeros(total_dims)
     if real_dims == 0:
         return agg
-    ranks = np.empty(real_dims, dtype=np.int64)
-    ranks[np.argsort(-popularity, kind="stable")] = np.arange(1, real_dims + 1)
-    pmf = 1.0 / ranks.astype(np.float64) ** config.zipf_a
-    pmf /= pmf.sum()
-    n_pick = min(config.keywords_per_probe, real_dims)
-    dims = rng.choice(real_dims, size=(config.count, n_pick), p=pmf)
-    weights = 1.0 - rng.random(size=(config.count, n_pick))  # (0, 1]
+    n_pick = min(_KEYWORDS_PER_PROBE, real_dims)
+    dims = rng.choice(real_dims, size=(count, n_pick), p=zipf_by_rank(popularity, zipf_a))
+    weights = 1.0 - rng.random(size=(count, n_pick))  # (0, 1]
     np.add.at(agg, dims.ravel(), weights.ravel())
     return agg
 
@@ -256,7 +262,6 @@ def build_tree(
     rows: np.ndarray,
     partition: int = 0,
     probe: np.ndarray | None = None,
-    probe_config: ProbeConfig | None = None,
 ) -> Tree:
     """Bottom-up bulk load: the rows as leaves in the given order, with doc
     ids ``ids``, adjacent pairs merged level by level, internal vectors the
@@ -292,18 +297,17 @@ def build_tree(
     doc_ids[pos[:m]] = ids
     nodes = np.empty_like(vecs)
     nodes[pos] = vecs
-    return Tree(partition, doc_ids, nodes, probe=probe, probe_config=probe_config, size_at_build=m)
+    return Tree(partition, doc_ids, nodes, probe=probe, size_at_build=m)
 
 
 def encrypt_tree(tree: Tree, key: PartitionKey, rng: np.random.Generator) -> Tree:
     """Encrypted twin: the node matrix encrypted row by row, the structure
-    shared with the plaintext tree."""
+    shared with the plaintext tree.  It carries none of the proxy's state:
+    no probe, and a size at build of 0."""
     if tree.nodes.shape[1] != key.dim:
         raise ForestError(f"node dimension {tree.nodes.shape[1]} does not match key dim {key.dim}")
     enc1, enc2 = encrypt_matrix(tree.nodes, key, rng)
-    return Tree(
-        tree.partition, tree.doc_ids, enc1=enc1, enc2=enc2, size_at_build=tree.size_at_build
-    )
+    return Tree(tree.partition, tree.doc_ids, enc1=enc1, enc2=enc2)
 
 
 def reencrypt_path(
@@ -494,7 +498,7 @@ def rebuild_tree(tree: Tree) -> Tree:
     balance bound is violated or the size has doubled/halved since the last
     build.  Inserts take their rank and deletes keep the order, so the leaves
     are still in likelihood order."""
-    return build_tree(*tree.leaf_rows(), tree.partition, tree.probe, tree.probe_config)
+    return build_tree(*tree.leaf_rows(), tree.partition, tree.probe)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +511,6 @@ def save_forest(trees: Sequence[Tree], path: str | Path) -> None:
         for tree in trees:
             mats = (tree.enc1, tree.enc2) if tree.encrypted else (tree.nodes,)
             probe = tree.probe if tree.probe is not None else np.zeros(0)
-            cfg = tree.probe_config or ProbeConfig()
             fh.write(
                 _TREE_HEADER.pack(
                     tree.partition,
@@ -515,10 +518,6 @@ def save_forest(trees: Sequence[Tree], path: str | Path) -> None:
                     mats[0].shape[1],
                     probe.shape[0],
                     len(tree.doc_ids),
-                    cfg.count,
-                    cfg.keywords_per_probe,
-                    cfg.zipf_a,
-                    cfg.seed,
                     tree.size_at_build,
                 )
             )
@@ -532,19 +531,16 @@ def load_forest(path: str | Path) -> list[Tree]:
     trees = []
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path, "forest file", ForestError)
-        reader.magic((FOREST_MAGIC,))
+        magic = reader.magic((FOREST_MAGIC, _ESF2_MAGIC))
+        header = _TREE_HEADER if magic == FOREST_MAGIC else _ESF2_TREE_HEADER
         for _ in range(reader.unpack(_U32)[0]):
-            (partition, encrypted, dim, probe_len, n_nodes,
-             count, kpp, zipf_a, seed, size_at_build) = reader.unpack(_TREE_HEADER)
+            fields = reader.unpack(header)
+            partition, encrypted, dim, probe_len, n_nodes = fields[:5]
             probe = reader.array("<f8", (probe_len,))
             doc_ids = reader.array("<i8", (n_nodes,))
             mats = [reader.array("<f8", (n_nodes, dim)) for _ in range(1 + encrypted)]
             tree = Tree(
-                partition,
-                doc_ids,
-                probe=probe if probe_len else None,
-                probe_config=ProbeConfig(count, kpp, zipf_a, seed),
-                size_at_build=size_at_build,
+                partition, doc_ids, probe=probe if probe_len else None, size_at_build=fields[-1]
             )
             if encrypted:
                 tree.enc1, tree.enc2 = mats

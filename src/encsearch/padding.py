@@ -39,8 +39,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.pseudo_count < 0:
             raise PaddingError("pseudo_count must be >= 0")
-        if self.sigma < 0:
-            raise PaddingError("sigma must be >= 0")
+        if not np.isfinite(self.sigma) or self.sigma < 0:
+            raise PaddingError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if self.omega < 0:
+            raise PaddingError(f"omega must be >= 0, got {self.omega!r}")
         if self.omega > self.pseudo_count:
             raise PaddingError(
                 f"omega={self.omega} exceeds pseudo_count={self.pseudo_count}"
@@ -171,6 +173,8 @@ def optimize_noise(
     return the grid row maximizing f = x^2/95 + y^2/80."""
     if len(sigma_grid) == 0:
         raise PaddingError("sigma grid is empty")
+    if len(queries) == 0:
+        raise PaddingError("no queries to evaluate the sigma grid with")
 
     exact: list[list[tuple[int, float]]] = [handle.exact_query(q, k) for q in queries]
     exact_scores = np.array([s for res in exact for _, s in res])

@@ -119,6 +119,29 @@ def test_tune_writes_csv(run_dir, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("queries", ["0", "-3"])
+def test_tune_rejects_no_queries(run_dir, tmp_path, capsys, queries):
+    out = tmp_path / "tune"
+    assert main(["tune", "--run", str(run_dir), "--grid", "0.05:0.05:0.05", "--k", "5",
+                 "--queries", queries, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: count and n_keywords must be >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--sigma", "nan"), ("--omega", "-1"), ("--U-ratio", "nan"), ("--U-ratio", "inf"),
+])
+def test_build_rejects_bad_noise_settings(tmp_path, capsys, flag, value):
+    """An error line, not NaN scores or a numpy traceback, and no run
+    directory."""
+    run = tmp_path / "run"
+    argv = ["build", "--synthetic", "60:80:3", "--s", "2", flag, value, "--out", str(run)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err and err.count("\n") == 1
+    assert sorted(f.name for f in tmp_path.iterdir()) == []
+
+
 def test_tune_csv_survives_update(tmp_path, capsys):
     """tune writes beside the run directory, which the next save replaces."""
     run = tmp_path / "run"

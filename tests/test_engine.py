@@ -87,6 +87,18 @@ def assert_answers_esk1_queries(pipe):
         assert {str(p): v for p, v in res.visited.items()} == entry["visited"]
 
 
+def assert_same_trees(got, want):
+    """The same trees, array for array and bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.partition == b.partition
+        for name in ("doc_ids", "nodes", "enc1", "enc2", "probe"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            if x is not None:
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def legacy_arrays(pipe):
     """The weighting arrays under the names older versions saved them by
     in ``arrays.npz``."""
@@ -418,6 +430,11 @@ class TestPartitionSelection:
 
 
 class TestSampleQueries:
+    @pytest.mark.parametrize("count, n_keywords", [(0, 5), (-2, 5), (3, 0), (3, -1)])
+    def test_rejects_counts_below_one(self, multi, count, n_keywords):
+        with pytest.raises(EncSearchError, match="count and n_keywords must be >= 1"):
+            multi.sample_queries(count, n_keywords=n_keywords)
+
     def test_shapes_and_determinism(self, multi):
         pipe = multi
         a = pipe.sample_queries(3, n_keywords=4, seed=5)
@@ -436,6 +453,51 @@ class TestSampleQueries:
         sub = set(pipe.pset.sub_dictionaries[2])
         for q in qs:
             assert set(q.keywords) <= sub
+
+
+class TestNoiseSettings:
+    """A bad noise setting fails with the package's error wherever it
+    enters, and leaves nothing behind."""
+
+    DOCS = synthetic_corpus(30, 60, 3, seed=6)
+
+    @pytest.mark.parametrize("setting", [
+        {"sigma": float("nan")},
+        {"sigma": float("inf")},
+        {"omega": -1},
+        {"u_ratio": float("nan")},
+        {"u_ratio": float("inf")},
+        {"u_ratio": -0.1},
+    ])
+    def test_build_rejects(self, setting):
+        name = next(iter(setting))
+        with pytest.raises(EncSearchError, match=f"{name} must be"):
+            Pipeline.build(self.DOCS, PipelineConfig(s=2, probe_count=50, **setting))
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_set_sigma_rejects_and_changes_nothing(self, sigma):
+        pipe = Pipeline.build(self.DOCS, PipelineConfig(s=2, probe_count=50, seed=7))
+        q = pipe.sample_queries(2, n_keywords=5, seed=2)
+        before = [pipe.run_query(x, k=8) for x in q]
+        noise, config = list(pipe.noise), pipe.config
+        with pytest.raises(EncSearchError, match="sigma must be finite and >= 0"):
+            pipe.set_sigma(sigma)
+        assert pipe.noise == noise and pipe.config is config
+        assert [pipe.run_query(x, k=8) for x in q] == before
+        word = pipe.pset.sub_dictionaries[0][0]
+        report = pipe.insert_document(Document.from_terms(999, 1, [word] * 3), partition=0)
+        assert report.partition == 0
+        assert np.isfinite(pipe.trees[0].nodes).all()
+
+    @pytest.mark.parametrize("key", ["sigma", "u_ratio"])
+    def test_load_rejects_nan_in_config(self, tmp_path, key):
+        """json.loads reads a bare NaN; the load fails naming config.json."""
+        Pipeline.build(self.DOCS, PipelineConfig(s=2, probe_count=50)).save(tmp_path / "run")
+        path = tmp_path / "run" / "config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: float("nan")}))
+        assert f'"{key}": NaN' in path.read_text()
+        with pytest.raises(EncSearchError, match=re.escape(f"{path}: {key} must be finite")):
+            Pipeline.load(tmp_path / "run")
 
 
 class TestSigmaSweep:
@@ -910,11 +972,14 @@ class TestPersistence:
         """tests/data/esk1_run was written (synthetic_corpus(20, 40, 3, seed=1),
         PipelineConfig(s=2, seed=1)) by the code that stored keys.bin as ESK1,
         with the square inverses row-major; esk1_queries.json holds that
-        code's answers to queries with seeded trapdoors.  Loaded now, and once
-        saved again as ESK2, the run answers them the same, and only keys.bin
-        changes, at the same size."""
+        code's answers to queries with seeded trapdoors, and its forest files
+        are ESF2.  Loaded now, and once saved again as ESK2 and ESF3, the run
+        answers them the same; keys.bin keeps its size, and the forest files
+        hold the same arrays."""
         run = DATA / "esk1_run"
         assert (run / "keys.bin").read_bytes()[:4] == b"ESK1"
+        for name in ("forest_plain.bin", "forest_enc.bin"):
+            assert (run / name).read_bytes()[:4] == b"ESF2"
         Pipeline.load(run).save(tmp_path / "run")
         names = {f.name for f in (tmp_path / "run").iterdir()}
         assert names == {f.name for f in run.iterdir()} - OLDER_FILES - {"arrays.npz"} | {"weights.bin"}
@@ -924,6 +989,9 @@ class TestPersistence:
                 assert rewritten[:4] == b"ESW1"
             elif name == "keys.bin":
                 assert rewritten[:4] == b"ESK2" and len(rewritten) == (run / name).stat().st_size
+            elif name in ("forest_plain.bin", "forest_enc.bin"):
+                assert rewritten[:4] == b"ESF3"
+                assert_same_trees(load_forest(tmp_path / "run" / name), load_forest(run / name))
             elif name == "partitions.json":  # version 2 -> 3: no assignments
                 old = json.loads((run / name).read_text())
                 del old["assignments"]
@@ -1073,6 +1141,30 @@ class TestPersistence:
         save_forest(trees, path)
         with pytest.raises(EncSearchError, match="forest_enc.bin: tree 0 does not hold the doc ids"):
             Pipeline.load(tmp_path / "run")
+
+    @pytest.mark.parametrize("name", ["forest_plain.bin", "forest_enc.bin"])
+    def test_load_rejects_probe_that_does_not_fit(self, tmp_path, small, name):
+        """A plaintext tree's probe is empty or of the tree's width, and an
+        encrypted tree holds none: a short probe would fail the first insert
+        with a numpy error."""
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / name
+        trees = load_forest(path)
+        for tree, plain in zip(trees, small.trees):
+            tree.probe = plain.probe[:-1] if name == "forest_plain.bin" else plain.probe
+        save_forest(trees, path)
+        want = "not 0 or" if name == "forest_plain.bin" else "not 0$"
+        with pytest.raises(EncSearchError, match=f"{name}: tree 0 holds a probe of length .*{want}"):
+            Pipeline.load(tmp_path / "run")
+
+    def test_load_accepts_plain_tree_without_probe(self, tmp_path, small):
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "forest_plain.bin"
+        trees = load_forest(path)
+        trees[1].probe = None
+        save_forest(trees, path)
+        loaded = Pipeline.load(tmp_path / "run")
+        assert loaded.trees[1].probe is None and loaded.trees[0].probe is not None
 
     def test_load_rejects_plain_forest_without_a_tree(self, tmp_path, small):
         small.save(tmp_path / "run")

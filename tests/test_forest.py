@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from encsearch.engine import Pipeline, PipelineConfig
 from encsearch.errors import ForestError
 from encsearch import forest
 from encsearch.forest import (
-    ProbeConfig,
     Tree,
     build_tree,
     delete_leaf,
@@ -26,6 +26,7 @@ from encsearch.forest import (
     round_score,
     save_forest,
     search_forest,
+    zipf_by_rank,
     _insert_rank,
     _probe_scores,
 )
@@ -68,21 +69,43 @@ class TestOrdering:
         assert ids[order].tolist() == want
 
     def test_probe_aggregate_shape_and_pseudo_zero(self):
-        agg = probe_aggregate(5, 8, np.arange(5, dtype=float), ProbeConfig(count=50, seed=1))
+        agg = probe_aggregate(5, 8, np.arange(5, dtype=float), count=50, zipf_a=1.0, seed=1)
         assert agg.shape == (8,)
         assert not agg[5:].any()
         assert (agg[:5] >= 0).all() and agg[:5].sum() > 0
 
     def test_probe_aggregate_deterministic(self):
-        cfg = ProbeConfig(count=20, seed=4)
         pop = np.arange(6, dtype=float)
         np.testing.assert_array_equal(
-            probe_aggregate(6, 6, pop, cfg), probe_aggregate(6, 6, pop, cfg)
+            probe_aggregate(6, 6, pop, 20, 1.0, 4), probe_aggregate(6, 6, pop, 20, 1.0, 4)
         )
 
     def test_probe_count_error(self):
         with pytest.raises(ForestError):
-            probe_aggregate(3, 3, np.ones(3), ProbeConfig(count=0))
+            probe_aggregate(3, 3, np.ones(3), count=0, zipf_a=1.0, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        popularity=st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=1, max_size=30),
+        a=st.sampled_from([0.0, 0.5, 1.0, 1.1, 2.0]),
+    )
+    def test_zipf_by_rank_matches_both_former_formulas(self, popularity, a):
+        """Bit for bit the pmf the probes and the sampled queries each
+        computed in place before: ranks by a stable sort of descending
+        popularity, so tied entries rank by position."""
+        pop = np.array(popularity)
+        n = len(pop)
+        ranks = np.empty(n, dtype=np.int64)  # the probes' form
+        ranks[np.argsort(-pop, kind="stable")] = np.arange(1, n + 1)
+        probes = 1.0 / ranks.astype(np.float64) ** a
+        probes /= probes.sum()
+        ranks = np.empty(len(popularity), dtype=np.int64)  # the sampled queries' form
+        ranks[np.argsort(-pop, kind="stable")] = np.arange(1, len(popularity) + 1)
+        queries = 1.0 / ranks.astype(np.float64) ** a
+        queries /= queries.sum()
+        got = zipf_by_rank(pop, a)
+        assert got.tobytes() == probes.tobytes() == queries.tobytes()
+        assert got.dtype == np.float64 and got.shape == (n,)
 
 
 # Small integer cells: scores tie often, and exactly.
@@ -140,8 +163,7 @@ class TestRowArrays:
         internal row the max of its children, and a rebuild equals a bulk
         load of the live rows in likelihood order."""
         ids, rows, probe = data.draw(ids_rows_probe(max_rows=12))
-        config = ProbeConfig(count=7, seed=3)
-        tree = ordered_tree(ids, rows, probe, partition=1, probe_config=config)
+        tree = ordered_tree(ids, rows, probe, partition=1)
         live = dict(zip(ids.tolist(), rows))
         vector = st.lists(CELLS, min_size=len(probe), max_size=len(probe))
         for _ in range(data.draw(st.integers(0, 16), label="updates")):
@@ -164,11 +186,11 @@ class TestRowArrays:
         rebuilt = rebuild_tree(tree)
         live_ids = np.array(sorted(live), dtype=np.int64)
         live_rows = np.array([live[d] for d in live_ids.tolist()]).reshape(len(live), len(probe))
-        want = ordered_tree(live_ids, live_rows, probe, partition=1, probe_config=config)
+        want = ordered_tree(live_ids, live_rows, probe, partition=1)
         np.testing.assert_array_equal(rebuilt.doc_ids, want.doc_ids)
         np.testing.assert_array_equal(rebuilt.nodes, want.nodes)
         assert rebuilt.size_at_build == want.size_at_build == len(live)
-        assert (rebuilt.partition, rebuilt.probe_config) == (1, config)
+        assert rebuilt.partition == 1
         assert rebuilt.probe is probe
 
 
@@ -605,12 +627,7 @@ class TestForestFile:
     def test_plaintext_round_trip(self, tmp_path):
         probe = np.abs(np.random.default_rng(0).normal(size=4))
         trees = [
-            ordered_tree(
-                *random_rows(9 + p, 4, seed=p),
-                probe,
-                partition=p,
-                probe_config=ProbeConfig(count=10, seed=p),
-            )
+            ordered_tree(*random_rows(9 + p, 4, seed=p), probe, partition=p)
             for p in range(2)
         ]
         path = tmp_path / "forest.bin"
@@ -622,7 +639,6 @@ class TestForestFile:
             assert a.partition == b.partition
             assert a.size_at_build == b.size_at_build
             np.testing.assert_array_equal(a.probe, b.probe)
-            assert a.probe_config == b.probe_config
             query = np.abs(np.random.default_rng(9).normal(size=4))
             assert gdfs(a, query, 5)[0] == gdfs(b, query, 5)[0]
 
@@ -636,6 +652,9 @@ class TestForestFile:
         loaded = load_forest(path)[0]
         assert loaded.encrypted
         np.testing.assert_array_equal(loaded.doc_ids, enc.doc_ids)
+        # The proxy's state stays with the plaintext tree.
+        for twin in (enc, loaded):
+            assert twin.probe is None and twin.size_at_build == 0
         trap = make_trapdoor(np.abs(rng.normal(size=3)), key, rng)
         assert gdfs(loaded, trap, 4)[0] == gdfs(enc, trap, 4)[0]
 
@@ -675,9 +694,64 @@ class TestForestFile:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "forest.bin"
-        path.write_bytes(b"XXXX1234")
-        with pytest.raises(ForestError, match="magic"):
-            load_forest(path)
+        for magic in (b"XXXX", b"ESF1"):
+            path.write_bytes(magic + b"1234")
+            with pytest.raises(ForestError, match="magic"):
+                load_forest(path)
+
+    def test_file_holds_headers_and_arrays_only(self, tmp_path):
+        """An ESF3 file is its magic, the tree count, and per tree a 29-byte
+        header and the probe, doc ids and node rows or ciphertext halves."""
+        ids, rows = random_rows(9, 4, seed=5)
+        plain = ordered_tree(ids, rows, np.ones(4), partition=0)
+        enc = encrypt_tree(plain, keygen([4], seed=2)[0], np.random.default_rng(3))
+        empty = Tree(1, np.empty(0, dtype=np.int64), np.zeros((0, 4)))
+        for trees in ([plain, empty], [enc]):
+            path = tmp_path / "forest.bin"
+            save_forest(trees, path)
+            raw = path.read_bytes()
+            assert raw[:4] == b"ESF3"
+            held = 8 + sum(
+                29 + (0 if t.probe is None else t.probe.nbytes) + t.doc_ids.nbytes
+                + sum(m.nbytes for m in ((t.enc1, t.enc2) if t.encrypted else (t.nodes,)))
+                for t in trees
+            )
+            assert len(raw) == held
+
+    def test_loads_esf2_file(self, tmp_path):
+        """An ESF2 file, whose tree headers also held the probe settings,
+        loads the same trees; saved again it is ESF3, 20 bytes shorter per
+        tree."""
+        ids, rows = random_rows(9, 4, seed=6)
+        plain = ordered_tree(ids, rows, np.ones(4), partition=0)
+        insert_leaf(plain, 50, np.full(4, 0.5))  # size at build 9, not the leaf count
+        enc = encrypt_tree(plain, keygen([4], seed=2)[0], np.random.default_rng(3))
+        old = tmp_path / "esf2.bin"
+        with open(old, "wb") as fh:
+            fh.write(b"ESF2" + (2).to_bytes(4, "little"))
+            for t in (plain, enc):
+                mats = (t.enc1, t.enc2) if t.encrypted else (t.nodes,)
+                probe = t.probe if t.probe is not None else np.zeros(0)
+                fh.write(struct.pack(
+                    "<IBIIQIIdIQ",
+                    t.partition, int(t.encrypted), 4, len(probe), len(t.doc_ids),
+                    1000, 10, 1.0, 77, t.size_at_build,
+                ))
+                for a in (probe, t.doc_ids, *mats):
+                    fh.write(a.tobytes())
+        loaded = load_forest(old)
+        for a, b in zip((plain, enc), loaded):
+            assert b.partition == a.partition and b.size_at_build == a.size_at_build
+            for name in ("probe", "doc_ids", "nodes", "enc1", "enc2"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert x.tobytes() == y.tobytes() and x.shape == y.shape
+        assert plain.size_at_build == 9
+        new = tmp_path / "esf3.bin"
+        save_forest(loaded, new)
+        assert new.read_bytes()[:4] == b"ESF3"
+        assert new.stat().st_size == old.stat().st_size - 2 * 20
 
 
 def test_plaintext_forest_matches_recorded_behaviour():

@@ -27,6 +27,16 @@ class TestNoiseModel:
         with pytest.raises(PaddingError):
             NoiseModel(pseudo_count=4, sigma=-0.1, omega=2)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sigma(self, sigma):
+        # A NaN sigma would give every padded row, and so every score, NaN.
+        with pytest.raises(PaddingError, match="sigma must be finite"):
+            NoiseModel(pseudo_count=4, sigma=sigma, omega=2)
+
+    def test_negative_omega(self):
+        with pytest.raises(PaddingError, match="omega must be >= 0"):
+            NoiseModel(pseudo_count=4, sigma=0.1, omega=-1)
+
     def test_default_sizing(self):
         # A pipeline sizes each partition's noise as U = ceil(0.1 * N_i)
         # pseudo dimensions, omega = ceil(U / 2) of them nonzero per row.
@@ -135,6 +145,11 @@ class TestOptimizeNoise:
     def test_empty_grid(self):
         with pytest.raises(PaddingError):
             optimize_noise(FakeHandle(), [], 5, [0])
+
+    def test_no_queries(self):
+        # No queries give no precision to average and no scores to compare.
+        with pytest.raises(PaddingError, match="no queries"):
+            optimize_noise(FakeHandle(), [0.01], 5, [])
 
     def test_rows_and_argmax(self):
         report = optimize_noise(FakeHandle(), [0.01, 0.05, 0.1], 10, [0])

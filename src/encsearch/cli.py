@@ -28,7 +28,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s", type=int, default=None, help="partition count (default: ~1000 keywords each)")
     p.add_argument("--sigma", type=float, default=0.05, help="pseudo-keyword noise std")
     p.add_argument("--U-ratio", dest="u_ratio", type=float, default=0.1,
-                   help="pseudo dimensions per partition as a fraction of real ones")
+                   help="pseudo dimensions per partition as a fraction in [0, 1] of real ones")
     p.add_argument("--omega", type=int, default=None, help="nonzero pseudo entries per vector")
     p.add_argument("--R", dest="probe_count", type=int, default=1000,
                    help="probe queries for leaf ordering")

@@ -17,7 +17,7 @@ import shutil
 import tempfile
 import time
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,7 +32,7 @@ from .forest import Tree
 @dataclass
 class PipelineConfig:
     s: int | None = None        # partition count; None -> ceil(n/1000)
-    u_ratio: float = 0.1        # pseudo dimensions as a fraction of N_i
+    u_ratio: float = 0.1        # pseudo dimensions as a fraction of N_i, in [0, 1]
     sigma: float = 0.05         # noise std
     omega: int | None = None    # nonzero pseudo entries per vector; None -> ceil(U/2)
     probe_count: int = 1000     # R probe queries for leaf ordering
@@ -189,8 +189,12 @@ class Pipeline:
     def _build_noise(self, config: PipelineConfig) -> None:
         """Set the noise models of ``config``; a bad setting raises and
         changes nothing."""
-        if not np.isfinite(config.u_ratio) or config.u_ratio < 0:
-            raise EncSearchError(f"u_ratio must be finite and >= 0, got {config.u_ratio!r}")
+        if not 0 <= config.u_ratio <= 1:  # also NaN
+            raise EncSearchError(f"u_ratio must be finite and in [0, 1], got {config.u_ratio!r}")
+        if config.omega is not None and (
+            isinstance(config.omega, bool) or not isinstance(config.omega, numbers.Integral)
+        ):
+            raise EncSearchError(f"omega must be an integer, got {config.omega!r}")
         noise = []
         for p in range(self.pset.s):
             n_real = len(self.pset.sub_dictionaries[p])
@@ -422,11 +426,7 @@ class Pipeline:
         """Compressed, weighted, padded vector for a new document, padded by
         ``pad_matrix`` with the partition's noise model seeded by the doc id."""
         n_real = len(self.pset.sub_dictionaries[p])
-        tf = np.zeros(n_real)
-        for word, count in doc.counts.items():
-            home = self.pset.home.get(word)
-            if home is not None and home[0] == p:
-                tf[home[1]] = count
+        tf = self.real_query_vectors(doc.counts)[p]
         # Where its owner's build weight is 0 (everywhere for an owner the
         # partition does not know), the document is weighted through the
         # stored correlativity and per-keyword maxima, whose unit diagonal
@@ -586,6 +586,20 @@ def _required(path: Path) -> Path:
     return path
 
 
+# The JSON types of the ``PipelineConfig`` fields in config.json, and their
+# names; a bool is never taken for a number.
+_CONFIG_TYPES = {
+    "s": ((int, type(None)), "an integer or null"),
+    "u_ratio": ((int, float), "a number"),
+    "sigma": ((int, float), "a number"),
+    "omega": ((int, type(None)), "an integer or null"),
+    "probe_count": ((int,), "an integer"),
+    "zipf_a": ((int, float), "a number"),
+    "seed": ((int,), "an integer"),
+    "encrypt": ((bool,), "true or false"),
+}
+
+
 def _load_config(path: Path) -> PipelineConfig:
     try:
         raw = json.loads(path.read_text())
@@ -596,9 +610,13 @@ def _load_config(path: Path) -> PipelineConfig:
     # Former fields, now constants; older files hold them at those values.
     for key in ("probe_keywords", "cond_cap"):
         raw.pop(key, None)
-    unknown = sorted(set(raw) - {f.name for f in fields(PipelineConfig)})
+    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
     if unknown:
         raise EncSearchError(f"{path}: unknown config keys {unknown}")
+    for key, value in raw.items():
+        kinds, name = _CONFIG_TYPES[key]
+        if not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,)):
+            raise EncSearchError(f"{path}: {key} must be {name}, got {value!r}")
     return PipelineConfig(**raw)
 
 

@@ -2,12 +2,14 @@
 
 Leaves, the rows of one (m, dim) matrix named by an int64 doc id array, are
 ordered by accumulated score against random non-negative probe queries
-(popular-keyword-biased), so likely hits sit on early search paths.  Trees
-are built bottom-up by pairing adjacent nodes level by level; an odd last
-node is promoted unpaired, and no rows give an empty tree.  Internal node
-vectors are the elementwise maximum of their children, which makes them upper
-bounds for any non-negative query and lets the depth-first search prune
-subtrees that cannot reach the current candidate list.
+(popular-keyword-biased), so likely hits sit on early search paths.  A tree
+has the shape of pairing adjacent nodes level by level, an odd last node
+promoted unpaired: a block of b > 1 leaves is a node over its first
+2^floor(log2(b-1)) leaves and the rest.  ``build_tree`` lays that out in
+preorder top down; no rows give an empty tree.  Internal node vectors are the
+elementwise maximum of their children, which makes them upper bounds for any
+non-negative query and lets the depth-first search prune subtrees that cannot
+reach the current candidate list.
 
 Layout.  A tree of m leaves has 2m-1 nodes, every internal node has two
 children, and the nodes are stored in preorder as parallel arrays: ``doc_ids``
@@ -16,19 +18,19 @@ the plaintext node matrix ``nodes``, or of the ciphertext halves ``enc1`` and
 ``enc2`` in an encrypted tree.  The left child of internal node i is i+1; its
 right child is the node after the left subtree (``Tree.right_children``).  The
 leaves read in preorder are in likelihood order, so an insert or delete splices
-rows where one leaf was.  An encrypted tree shares ``doc_ids`` with the
-plaintext tree it was encrypted from; updates replace that array, never write
-into it, and a tree caches the lists its search reads until they do.  A delete
-that ``delete_leaf`` applied to a plaintext tree reaches its encrypted twin
-through ``reencrypt_path``, which re-encrypts only the refreshed ancestor rows;
-other changes re-encrypt the whole tree (``encrypt_tree``).
+rows where one leaf was.  Each tree owns its arrays: an encrypted twin shares
+none with its plaintext tree.  A tree caches the lists its search reads until
+an update gives it a new ``doc_ids`` array object.  A delete that
+``delete_leaf`` applied to a plaintext tree reaches its encrypted twin through
+``reencrypt_path``, which re-encrypts only the refreshed ancestor rows; other
+changes re-encrypt the whole tree (``encrypt_tree``).
 
 Deletes move rows in place.  ``delete_leaf`` and ``reencrypt_path`` drop
-their rows from ``nodes``, ``enc1`` and ``enc2`` by moving the later rows up
-inside the same buffer (``_drop_rows``) and keep a leading view of it, so a
-delete copies no whole matrix and frees nothing.  The slack is at most two
-rows per delete since the tree's last whole-tree operation (build, insert,
-rebuild or load), and a delete that halves the tree rebuilds it.
+their rows from each of their tree's arrays by moving the later rows up inside
+its buffer (``_drop_rows``) and keep a leading view of it, so a delete copies
+no whole array and frees nothing.  The slack is at most two rows per delete
+since the tree's last whole-tree operation (build, insert, rebuild or load),
+and a delete that halves the tree rebuilds it.
 
 File layout (magic ``ESF3``, little endian): the magic and the tree count
 (u32); then per tree a header of partition (u32), encrypted flag (u8),
@@ -263,51 +265,48 @@ def build_tree(
     partition: int = 0,
     probe: np.ndarray | None = None,
 ) -> Tree:
-    """Bottom-up bulk load: the rows as leaves in the given order, with doc
-    ids ``ids``, adjacent pairs merged level by level, internal vectors the
-    elementwise max of their children.  No rows give an empty tree of the
-    rows' width."""
+    """Bulk load of the rows, with doc ids ``ids``, as leaves in the given
+    order, laid out in preorder top down: a block of b > 1 leaves is an
+    internal node, then the block of its first 2^floor(log2(b-1)) leaves,
+    then the block of the rest.  Internal rows, the max of their children,
+    are filled from the deepest level up.  No rows give an empty tree."""
     ids = np.asarray(ids, dtype=np.int64)
     m = len(ids)
     if rows.shape[0] != m:
         raise ForestError(f"{m} doc ids for {rows.shape[0]} rows")
     if (ids < 0).any():
         raise ForestError("doc ids must be non-negative")
-    # Build order: the leaves, then each level's new internal nodes.
     n = max(2 * m - 1, 0)
-    vecs = np.empty((n, rows.shape[1]))
-    vecs[:m] = rows
-    size = np.ones(n, dtype=np.int64)
-    merges = []
-    level, top = np.arange(m), m
-    while len(level) > 1:
-        half = len(level) // 2
-        left, right = level[0 : 2 * half : 2], level[1 : 2 * half : 2]
-        new = np.arange(top, top + half)
-        vecs[new] = np.maximum(vecs[left], vecs[right])
-        size[new] = size[left] + size[right] + 1
-        merges.append((new, left, right))
-        level, top = np.concatenate([new, level[2 * half :]]), top + half
-    # Preorder positions, from the root (built last, position 0) down.
-    pos = np.zeros(n, dtype=np.int64)
-    for new, left, right in reversed(merges):
-        pos[left] = pos[new] + 1
-        pos[right] = pos[new] + 1 + size[left]
-    doc_ids = np.full(n, -1, dtype=np.int64)
-    doc_ids[pos[:m]] = ids
-    nodes = np.empty_like(vecs)
-    nodes[pos] = vecs
-    return Tree(partition, doc_ids, nodes, probe=probe, size_at_build=m)
+    leaf = np.zeros(n, dtype=bool)
+    levels: list[list[int]] = []  # the internal nodes at each depth
+    blocks = [(m, 0)] if m else []  # (leaves, depth) still to lay out, the next last
+    for i in range(n):
+        b, d = blocks.pop()
+        if b == 1:
+            leaf[i] = True
+            continue
+        if d == len(levels):
+            levels.append([])
+        levels[d].append(i)
+        half = 1 << ((b - 1).bit_length() - 1)  # the largest power of two below b
+        blocks += [(b - half, d + 1), (half, d + 1)]
+    tree = Tree(partition, np.full(n, -1, dtype=np.int64), np.empty((n, rows.shape[1])),
+                probe=probe, size_at_build=m)
+    tree.doc_ids[leaf], tree.nodes[leaf] = ids, rows
+    right = tree.right_children()
+    for at in map(np.array, reversed(levels)):
+        tree.nodes[at] = np.maximum(tree.nodes[at + 1], tree.nodes[right[at]])
+    return tree
 
 
 def encrypt_tree(tree: Tree, key: PartitionKey, rng: np.random.Generator) -> Tree:
-    """Encrypted twin: the node matrix encrypted row by row, the structure
-    shared with the plaintext tree.  It carries none of the proxy's state:
-    no probe, and a size at build of 0."""
+    """Encrypted twin: the node matrix encrypted row by row and a copy of the
+    doc ids, no array shared.  It carries none of the proxy's state: no
+    probe, and a size at build of 0."""
     if tree.nodes.shape[1] != key.dim:
         raise ForestError(f"node dimension {tree.nodes.shape[1]} does not match key dim {key.dim}")
     enc1, enc2 = encrypt_matrix(tree.nodes, key, rng)
-    return Tree(tree.partition, tree.doc_ids, enc1=enc1, enc2=enc2)
+    return Tree(tree.partition, tree.doc_ids.copy(), enc1=enc1, enc2=enc2)
 
 
 def reencrypt_path(
@@ -315,15 +314,16 @@ def reencrypt_path(
 ) -> None:
     """Bring the encrypted twin ``enc`` up to ``tree``, which
     ``delete_leaf`` changed by ``deletion`` since ``enc`` was its twin, in
-    place: ``enc``'s dropped rows are moved out of its ``enc1``/``enc2``
-    buffers (``_drop_rows``), ``tree``'s new doc ids are shared, and the path
-    rows are encrypted anew from ``tree`` and written over their old rows.
-    Every path row is re-encrypted, changed bound or not, so the server
-    learns only the path, which it can derive from the doc ids."""
-    enc1 = _drop_rows(enc.enc1, deletion.dropped)
-    enc2 = _drop_rows(enc.enc2, deletion.dropped)
-    enc1[deletion.path], enc2[deletion.path] = encrypt_matrix(tree.nodes[deletion.path], key, rng)
-    enc.doc_ids, enc.enc1, enc.enc2 = tree.doc_ids, enc1, enc2
+    place: the dropped rows are moved out of ``enc``'s own arrays
+    (``_drop_rows``), and the path rows are encrypted anew from ``tree`` and
+    written over their old rows.  Every path row is re-encrypted, changed
+    bound or not, so the server learns only the path, which it can derive
+    from the doc ids."""
+    arrays = (enc.doc_ids, enc.enc1, enc.enc2)
+    enc.doc_ids, enc.enc1, enc.enc2 = (_drop_rows(a, deletion.dropped) for a in arrays)
+    enc.enc1[deletion.path], enc.enc2[deletion.path] = encrypt_matrix(
+        tree.nodes[deletion.path], key, rng
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +484,9 @@ def delete_leaf(tree: Tree, doc_id: int) -> Deletion:
     right = tree.search_lists()[1]
     path = _ancestors(right, leaf)
     # Dropping the parent row with the leaf row leaves the sibling's subtree
-    # in the parent's place.  ``doc_ids`` is replaced, never written into:
-    # an encrypted twin may share it.
+    # in the parent's place.
     dropped = [path.pop(), leaf] if path else [leaf]
-    tree.doc_ids = np.delete(tree.doc_ids, dropped)
+    tree.doc_ids = _drop_rows(tree.doc_ids, dropped)
     tree.nodes = _drop_rows(tree.nodes, dropped)
     _refresh_bounds(tree.nodes, path, right, dropped[0], -2)
     return Deletion(dropped, path, 0 < len(tree.leaves) * 2 <= tree.size_at_build)

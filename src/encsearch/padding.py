@@ -11,6 +11,7 @@ the value maximizing the equilibrium score f(precision%, rank-privacy%).
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -37,6 +38,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("pseudo_count", "omega"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise PaddingError(f"{name} must be an integer, got {value!r}")
         if self.pseudo_count < 0:
             raise PaddingError("pseudo_count must be >= 0")
         if not np.isfinite(self.sigma) or self.sigma < 0:

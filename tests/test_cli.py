@@ -130,6 +130,7 @@ def test_tune_rejects_no_queries(run_dir, tmp_path, capsys, queries):
 
 @pytest.mark.parametrize("flag, value", [
     ("--sigma", "nan"), ("--omega", "-1"), ("--U-ratio", "nan"), ("--U-ratio", "inf"),
+    ("--U-ratio", "1.5"), ("--U-ratio", "1e9"),
 ])
 def test_build_rejects_bad_noise_settings(tmp_path, capsys, flag, value):
     """An error line, not NaN scores or a numpy traceback, and no run

@@ -468,6 +468,9 @@ class TestNoiseSettings:
         {"u_ratio": float("nan")},
         {"u_ratio": float("inf")},
         {"u_ratio": -0.1},
+        {"u_ratio": 1.5},
+        {"u_ratio": 1e9},
+        {"omega": 1.5},
     ])
     def test_build_rejects(self, setting):
         name = next(iter(setting))
@@ -498,6 +501,39 @@ class TestNoiseSettings:
         assert f'"{key}": NaN' in path.read_text()
         with pytest.raises(EncSearchError, match=re.escape(f"{path}: {key} must be finite")):
             Pipeline.load(tmp_path / "run")
+
+    def test_u_ratio_of_one_builds(self):
+        pipe = Pipeline.build(self.DOCS, PipelineConfig(s=2, probe_count=50, u_ratio=1))
+        for p, noise in enumerate(pipe.noise):
+            assert noise.pseudo_count == max(len(pipe.pset.sub_dictionaries[p]), 1)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("omega", 1.5, "an integer or null"),
+        ("omega", True, "an integer or null"),
+        ("s", "2", "an integer or null"),
+        ("probe_count", None, "an integer"),
+        ("seed", 0.0, "an integer"),
+        ("u_ratio", "0.1", "a number"),
+        ("sigma", False, "a number"),
+        ("zipf_a", [1.0], "a number"),
+        ("encrypt", 1, "true or false"),
+    ])
+    def test_load_rejects_mistyped_config(self, tmp_path, key, value, kind):
+        """A config field of the wrong JSON type fails the load naming
+        config.json, before a later update trips over it."""
+        Pipeline.build(self.DOCS, PipelineConfig(s=2, probe_count=50)).save(tmp_path / "run")
+        path = tmp_path / "run" / "config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        message = f"{path}: {key} must be {kind}, got {value!r}"
+        with pytest.raises(EncSearchError, match=re.escape(message)):
+            Pipeline.load(tmp_path / "run")
+
+    def test_load_takes_integral_numbers_and_null(self, tmp_path):
+        Pipeline.build(self.DOCS, PipelineConfig(s=2, probe_count=50)).save(tmp_path / "run")
+        path = tmp_path / "run" / "config.json"
+        config = {**json.loads(path.read_text()), "sigma": 0, "zipf_a": 1, "omega": None}
+        path.write_text(json.dumps(config))
+        assert Pipeline.load(tmp_path / "run").config == PipelineConfig(**config)
 
 
 class TestSigmaSweep:
@@ -827,25 +863,60 @@ class TestUpdates:
             assert positions == sorted(positions)
 
     def test_row_local_delete_moves_rows_in_place(self):
-        """A row-local delete drops its rows inside the plaintext node matrix
-        and the server's ciphertext halves, and replaces the doc ids, which
-        the two trees share."""
+        """A row-local delete drops its rows inside each tree's own arrays:
+        the plaintext doc ids and node matrix, and the server's doc ids and
+        ciphertext halves.  Each tree's new doc ids are a view of its own
+        array from before, not of the other tree's."""
         docs = synthetic_corpus(40, 60, 3, seed=8)
         pipe = Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=9))
         p = max(range(pipe.s), key=lambda q: len(pipe.pset.members[q]))
         plain, enc = pipe.trees[p], pipe.server.trees[p]
-        arrays = {"nodes": plain.nodes, "enc1": enc.enc1, "enc2": enc.enc2}
-        doc_ids = plain.doc_ids
+        arrays = {
+            (plain, "doc_ids"): plain.doc_ids, (plain, "nodes"): plain.nodes,
+            (enc, "doc_ids"): enc.doc_ids, (enc, "enc1"): enc.enc1, (enc, "enc2"): enc.enc2,
+        }
         leaves = plain.leaves
         report = pipe.delete_document(int(leaves[len(leaves) // 3]))
         assert not report.rebuilt and report.encrypted_rows == report.touched_nodes - 2
         assert pipe.trees[p] is plain and pipe.server.trees[p] is enc
-        for name, before in arrays.items():
-            after = getattr(plain if name == "nodes" else enc, name)
-            assert after.shape == (len(before) - 2, before.shape[1])
+        for (tree, name), before in arrays.items():
+            after = getattr(tree, name)
+            assert after.shape == (len(before) - 2,) + before.shape[1:]
             assert np.shares_memory(after, before)
-        assert plain.doc_ids is not doc_ids and not np.shares_memory(plain.doc_ids, doc_ids)
-        assert enc.doc_ids is plain.doc_ids
+        np.testing.assert_array_equal(enc.doc_ids, plain.doc_ids)
+        assert not np.shares_memory(plain.doc_ids, arrays[enc, "doc_ids"])
+        assert not np.shares_memory(enc.doc_ids, arrays[plain, "doc_ids"])
+
+    def test_server_trees_share_no_array_with_plaintext_trees(self, tmp_path):
+        """No array of a server tree shares memory with an array of its
+        plaintext tree after a build, a save and load, an insert, a
+        row-local delete, a rebuilding delete and a sigma change."""
+        docs = synthetic_corpus(40, 60, 3, seed=8)
+        pipe = Pipeline.build(docs, PipelineConfig(s=2, probe_count=50, seed=9))
+
+        def check(pipe):
+            for plain, enc in zip(pipe.trees, pipe.server.trees):
+                ours = [a for a in vars(plain).values() if isinstance(a, np.ndarray)]
+                theirs = [a for a in vars(enc).values() if isinstance(a, np.ndarray)]
+                assert len(ours) >= 2 and len(theirs) == 3
+                assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
+
+        check(pipe)
+        pipe.save(tmp_path / "run")
+        pipe = Pipeline.load(tmp_path / "run")
+        check(pipe)
+        word = pipe.pset.sub_dictionaries[0][0]
+        pipe.insert_document(Document.from_terms(999, 1, [word] * 3), partition=0)
+        check(pipe)
+        p = max(range(pipe.s), key=lambda q: len(pipe.pset.members[q]))
+        reports = []
+        while not reports or not reports[-1].rebuilt:
+            leaves = pipe.trees[p].leaves
+            reports.append(pipe.delete_document(int(leaves[len(leaves) // 2])))
+            check(pipe)
+        assert len(reports) > 1 and 0 < reports[0].encrypted_rows == reports[0].touched_nodes - 2
+        pipe.set_sigma(0.1)
+        check(pipe)
 
     def test_replaced_tree_freed_without_cyclic_gc(self):
         docs = synthetic_corpus(20, 40, 3, seed=8)

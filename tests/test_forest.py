@@ -194,7 +194,53 @@ class TestRowArrays:
         assert rebuilt.probe is probe
 
 
+def paired_tree(ids, rows):
+    """Reference bulk load: adjacent nodes paired level by level, an odd
+    last node promoted unpaired, each parent the elementwise max of its
+    (left, right) children.  Returns the preorder doc ids and node rows."""
+    level = [(doc_id, row, ()) for doc_id, row in zip(ids.tolist(), rows)]
+    while len(level) > 1:
+        pairs = [(-1, np.maximum(a[1], b[1]), (a, b)) for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[2 * len(pairs):]
+    preorder, stack = [], level
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(reversed(node[2]))
+    return (
+        np.array([doc_id for doc_id, _, _ in preorder], dtype=np.int64),
+        np.array([row for _, row, _ in preorder]).reshape(len(preorder), rows.shape[1]),
+    )
+
+
+@st.composite
+def repeated_rows(draw):
+    """Doc ids and up to 300 rows of width 1-6, picked from a few distinct
+    rows whose cells include -0.0, so equal rows and signed zeros are
+    common."""
+    dim = draw(st.integers(1, 6), label="dim")
+    cell = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0])
+    pool = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=300), label="picks")
+    ids = np.array(draw(st.permutations(range(len(picks)))), dtype=np.int64) * 3
+    return ids, np.array([pool[j] for j in picks], dtype=np.float64).reshape(len(picks), dim)
+
+
 class TestBuildTree:
+    @settings(max_examples=60, deadline=None)
+    @given(case=repeated_rows(), with_probe=st.booleans())
+    def test_matches_level_by_level_pairing(self, case, with_probe):
+        """The top-down preorder layout is the tree that pairing adjacent
+        nodes level by level gives, byte for byte."""
+        ids, rows = case
+        probe = np.ones(rows.shape[1]) if with_probe else None
+        tree = build_tree(ids, rows, 5, probe)
+        want_ids, want_nodes = paired_tree(ids, rows)
+        assert tree.doc_ids.tobytes() == want_ids.tobytes()
+        assert tree.nodes.shape == want_nodes.shape
+        assert tree.nodes.tobytes() == want_nodes.tobytes()
+        assert tree.size_at_build == len(ids) and tree.probe is probe and tree.partition == 5
+
     def test_single_leaf(self):
         tree = build_tree([7], np.array([[1.0, 2.0]]))
         assert tree.doc_ids.tolist() == [7]
@@ -382,7 +428,8 @@ class TestEncryptedTree:
         rng = np.random.default_rng(3)
         enc = encrypt_tree(tree, key, rng)
         assert enc.encrypted
-        assert enc.doc_ids is tree.doc_ids
+        np.testing.assert_array_equal(enc.doc_ids, tree.doc_ids)
+        assert not np.shares_memory(enc.doc_ids, tree.doc_ids)
         query = np.abs(np.random.default_rng(5).normal(size=5))
         trap = make_trapdoor(query, key, rng)
         plain, _ = gdfs(tree, query, 6)

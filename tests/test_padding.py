@@ -37,6 +37,16 @@ class TestNoiseModel:
         with pytest.raises(PaddingError, match="omega must be >= 0"):
             NoiseModel(pseudo_count=4, sigma=0.1, omega=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("omega", 1.5), ("omega", True), ("pseudo_count", 4.0), ("pseudo_count", "4"),
+    ])
+    def test_non_integer_counts(self, name, value):
+        # pad_matrix draws omega of pseudo_count positions; a float fails there.
+        settings = {"pseudo_count": 4, "sigma": 0.1, "omega": 2, name: value}
+        with pytest.raises(PaddingError, match=f"{name} must be an integer"):
+            NoiseModel(**settings)
+        NoiseModel(pseudo_count=np.int64(4), sigma=0.1, omega=np.int64(2))
+
     def test_default_sizing(self):
         # A pipeline sizes each partition's noise as U = ceil(0.1 * N_i)
         # pseudo dimensions, omega = ceil(U / 2) of them nonzero per row.

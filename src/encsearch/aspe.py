@@ -26,8 +26,7 @@ Key file layout (magic ``ESK2``, little endian): the magic and the partition
 count (u32); then per partition its dimension V (u32), the indicator (V u8),
 ``m1`` and ``m2`` (V x V f8 each, row-major), and each inverse as
 ``PartitionKey`` keeps it (V x V f8 each): row j is column ``_split[j]`` of
-the inverse, S=0 columns first.  This is the byte count of the older ``ESK1``
-layout, which stored the square inverses row-major; such files still load.
+the inverse, S=0 columns first.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .binfile import BinaryReader
 from .errors import AspeError
 
 KEY_MAGIC = b"ESK2"
-# The layout before the inverses were stored column-wise; read, never written.
-_KEY_MAGIC_ESK1 = b"ESK1"
 _U32 = struct.Struct("<I")
 # Largest diagonal block that _unit_lower_inverse hands to np.linalg.inv, and
 # the rows per block of the triangular solves.
@@ -210,9 +207,8 @@ class PartitionKey:
     inverses are kept column by column with the S=0 columns first: row j of
     ``_inv_columns[i]`` is column ``_split[j]`` of inverse i.  A trapdoor then
     reads the S=0 block and the query's own S=1 columns, about half of each
-    matrix.  The constructor takes the square inverses and regroups them;
-    ``from_columns`` takes them already in this layout, which is also the key
-    file's.
+    matrix.  The key file holds them in this layout too; they are kept as
+    given, not copied.
     """
 
     def __init__(
@@ -220,27 +216,8 @@ class PartitionKey:
         indicator: np.ndarray,  # (V,), uint8 in {0, 1}
         m1: np.ndarray,
         m2: np.ndarray,
-        m1_inv: np.ndarray,
-        m2_inv: np.ndarray,
-    ):
-        split = np.argsort(indicator, kind="stable")
-        self._set(indicator, m1, m2, (m1_inv.T[split], m2_inv.T[split]))
-
-    @classmethod
-    def from_columns(
-        cls,
-        indicator: np.ndarray,
-        m1: np.ndarray,
-        m2: np.ndarray,
         inv_columns: tuple[np.ndarray, np.ndarray],
-    ) -> "PartitionKey":
-        """Key whose inverses are already in ``_inv_columns`` order; they are
-        kept as given, not copied."""
-        key = cls.__new__(cls)
-        key._set(indicator, m1, m2, inv_columns)
-        return key
-
-    def _set(self, indicator, m1, m2, inv_columns) -> None:
+    ):
         self.indicator = indicator
         self.m1 = m1
         self.m2 = m2
@@ -269,7 +246,8 @@ def _partition_key(dim: int, rng: np.random.Generator) -> PartitionKey:
     indicator = rng.integers(0, 2, size=dim).astype(np.uint8)
     m1, m1_inv = random_invertible(dim, rng)
     m2, m2_inv = random_invertible(dim, rng)
-    return PartitionKey(indicator, m1, m2, m1_inv, m2_inv)
+    split = np.argsort(indicator, kind="stable")
+    return PartitionKey(indicator, m1, m2, (m1_inv.T[split], m2_inv.T[split]))
 
 
 def keygen(dims: Sequence[int], seed: int = 0) -> list[PartitionKey]:
@@ -373,15 +351,12 @@ def save_key(keys: Sequence[PartitionKey], path: str | Path) -> None:
 def load_key(path: str | Path) -> list[PartitionKey]:
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path, "key file", AspeError)
-        magic = reader.magic((KEY_MAGIC, _KEY_MAGIC_ESK1))
+        reader.magic(KEY_MAGIC)
         keys = []
         for _ in range(reader.unpack(_U32)[0]):
             (dim,) = reader.unpack(_U32)
             indicator = reader.array(np.uint8, (dim,))
             m1, m2, inv1, inv2 = (reader.array("<f8", (dim, dim)) for _ in range(4))
-            if magic == KEY_MAGIC:
-                keys.append(PartitionKey.from_columns(indicator, m1, m2, (inv1, inv2)))
-            else:
-                keys.append(PartitionKey(indicator, m1, m2, inv1, inv2))
+            keys.append(PartitionKey(indicator, m1, m2, (inv1, inv2)))
         reader.end()
     return keys

@@ -33,13 +33,14 @@ class BinaryReader:
             raise self._error(f"{self._path}: truncated {self._kind}")
         self._left -= nbytes
 
-    def magic(self, expected: tuple[bytes, ...]) -> bytes:
-        """The 4-byte magic, which must be one of ``expected``."""
+    def magic(self, expected: bytes) -> None:
+        """Check the 4-byte magic against the one ``save`` writes."""
         magic = self._fh.read(4)
-        if magic not in expected:
-            raise self._error(f"{self._path}: not a {self._kind} (bad magic)")
+        if magic != expected:
+            raise self._error(
+                f"{self._path}: not a {self._kind} (magic {magic!r}, expected {expected!r})"
+            )
         self._left -= 4
-        return magic
 
     def unpack(self, layout: struct.Struct) -> tuple:
         buf = bytearray(layout.size)

@@ -391,8 +391,8 @@ class Pipeline:
             raise EncSearchError(
                 f"count and n_keywords must be >= 1, got count={count}, n_keywords={n_keywords}"
             )
-        if partition is not None and not 0 <= partition < self.s:
-            raise EncSearchError(f"partition {partition} out of range [0, {self.s})")
+        if partition is not None:
+            partition = self._check_partition(partition)
         rng = np.random.default_rng(seed)
         if partition is None:
             words = sorted(self.pset.home)
@@ -419,6 +419,15 @@ class Pipeline:
 
     # -- dynamic maintenance ------------------------------------------------
 
+    def _check_partition(self, partition) -> int:
+        """``partition`` as an int, if it is an integer in [0, s): numpy
+        integers are, bools are not."""
+        if isinstance(partition, bool) or not isinstance(partition, (int, np.integer)):
+            raise ForestError(f"partition must be an integer, got {partition!r}")
+        if not 0 <= partition < self.s:
+            raise ForestError(f"partition {partition} out of range [0, {self.s})")
+        return int(partition)
+
     def _partition_for(self, doc: Document) -> int:
         return int(self._coverage(doc.counts).argmax())  # ties -> lowest partition id
 
@@ -441,9 +450,7 @@ class Pipeline:
         re-encrypts that whole tree and pushes it."""
         if doc.doc_id in self.pset.assignments:
             raise EncSearchError(f"doc_id {doc.doc_id} already exists")
-        p = partition if partition is not None else self._partition_for(doc)
-        if not 0 <= p < self.s:
-            raise ForestError(f"unknown partition {p}")
+        p = self._check_partition(partition) if partition is not None else self._partition_for(doc)
         vec = self._secure_vector_for(doc, p)
 
         self.pset.assignments[doc.doc_id] = p
@@ -481,10 +488,10 @@ class Pipeline:
         ``out_dir`` whole: an existing directory is moved aside, the new one
         renamed into its place and the old one removed.  A save that fails
         leaves ``out_dir`` as it was, and a save over an earlier run leaves
-        none of its files behind, such as an older run's ``arrays.npz``.
-        It holds ``config.json``, ``partitions.json``, ``weights.bin``,
-        ``forest_plain.bin`` and, if encrypted, ``keys.bin`` and
-        ``forest_enc.bin``: not the owners' documents, nor anything ``load``
+        none of its files behind.  It holds ``config.json``,
+        ``partitions.json``, ``weights.bin``, ``forest_plain.bin`` and, if
+        encrypted, ``keys.bin`` and ``forest_enc.bin``, each in the one format
+        ``load`` reads: not the owners' documents, nor anything ``load``
         derives."""
         out = Path(out_dir)
         if out.exists() and not out.is_dir():
@@ -516,17 +523,18 @@ class Pipeline:
     @classmethod
     def load(cls, out_dir: str | Path) -> "Pipeline":
         """Read a run directory written by ``save``; the noise models follow
-        from the config.  Without ``weights.bin`` the weights come from an
-        older run's ``arrays.npz``.  Files older versions also saved
-        (``corpus.jsonl``, ``dictionary.txt``, ``noise.json``,
-        ``partitions.npz``) are not read.
+        from the config.  Each file is read in the one format ``save``
+        writes; no other file of the directory is read.
 
         Each of these raises EncSearchError naming the file: a missing file,
-        ``keys.bin`` and ``forest_enc.bin`` present when ``config.json``
-        says the run is unencrypted, malformed JSON, a damaged weights file
-        or one of other dimensions, tree or key files that do not hold one
-        entry per partition, in partition order and of the partition's
-        width, a probe of a plaintext tree that is not empty or of its
+        a file in an older format (another magic, partition-set version or
+        config key), ``keys.bin`` and ``forest_enc.bin`` present when
+        ``config.json`` says the run is unencrypted, malformed JSON or JSON
+        fields of the wrong type, a damaged weights file or one of other
+        dimensions or with an owner listed twice, tree or key files that do
+        not hold one entry per partition, in partition order and of the
+        partition's width, doc ids that are not the preorder of a full
+        binary tree, a probe of a plaintext tree that is not empty or of its
         width, a probe on an encrypted tree, noise settings that
         ``config.json`` holds and no noise model takes, and an encrypted tree
         whose doc ids differ from its plaintext tree's: a delete splices
@@ -541,11 +549,8 @@ class Pipeline:
             self._build_noise(self.config)
         except EncSearchError as exc:
             raise EncSearchError(f"{out / 'config.json'}: {exc}") from None
-        weights = out / "weights.bin"
-        if not weights.exists() and (out / "arrays.npz").exists():
-            weights = out / "arrays.npz"
         self.correlativity, self.w_max, self.weights = weighting.load_weights(
-            _required(weights), self.pset.sizes
+            _required(out / "weights.bin"), self.pset.sizes
         )
         widths = [len(self.pset.sub_dictionaries[p]) + self.noise[p].pseudo_count for p in range(s)]
         self.trees = forest_mod.load_forest(_required(out / "forest_plain.bin"))
@@ -607,9 +612,6 @@ def _load_config(path: Path) -> PipelineConfig:
         raise EncSearchError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise EncSearchError(f"{path}: not a JSON object")
-    # Former fields, now constants; older files hold them at those values.
-    for key in ("probe_keywords", "cond_cap"):
-        raw.pop(key, None)
     unknown = sorted(set(raw) - set(_CONFIG_TYPES))
     if unknown:
         raise EncSearchError(f"{path}: unknown config keys {unknown}")

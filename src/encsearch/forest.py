@@ -39,8 +39,8 @@ dimension (u32), probe length (u32), node count n (u64) and size at build
 (n rows of f64), or ``enc1`` then ``enc2``.  The file holds nothing else, so
 the arrays go between disk and memory as they are: written from the arrays,
 and read each with one ``readinto`` into a writable array of the file's
-dtype.  An ``ESF2`` file still loads: its tree headers also held the probe
-settings (count, keywords per probe, zipf_a, seed) before the size at build.
+dtype.  A file of another magic, or a tree whose doc ids are no preorder,
+fails the load.
 """
 
 from __future__ import annotations
@@ -59,10 +59,8 @@ from .binfile import BinaryReader
 from .errors import ForestError
 
 FOREST_MAGIC = b"ESF3"
-_ESF2_MAGIC = b"ESF2"
 _U32 = struct.Struct("<I")
 _TREE_HEADER = struct.Struct("<IBIIQQ")
-_ESF2_TREE_HEADER = struct.Struct("<IBIIQIIdIQ")
 # Keywords drawn per probe query (at most the real dimension).
 _KEYWORDS_PER_PROBE = 10
 
@@ -526,21 +524,34 @@ def save_forest(trees: Sequence[Tree], path: str | Path) -> None:
                 fh.write(np.ascontiguousarray(mat, dtype="<f8"))
 
 
+def _is_preorder(doc_ids: np.ndarray) -> bool:
+    """Whether ``doc_ids`` (-1 at an internal node, >= 0 at a leaf) is the
+    preorder of a full binary tree, the invariant ``Tree.right_children``
+    relies on: counting +1 per internal node and -1 per leaf, the total stays
+    >= 0 before the last node and is -1 after it.  An empty tree is one."""
+    total = np.cumsum(np.where(doc_ids < 0, 1, -1))
+    if not len(total):
+        return True
+    return total[-1] == -1 and total[:-1].min(initial=0) >= 0 and doc_ids.min() >= -1
+
+
 def load_forest(path: str | Path) -> list[Tree]:
     trees = []
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path, "forest file", ForestError)
-        magic = reader.magic((FOREST_MAGIC, _ESF2_MAGIC))
-        header = _TREE_HEADER if magic == FOREST_MAGIC else _ESF2_TREE_HEADER
+        reader.magic(FOREST_MAGIC)
         for _ in range(reader.unpack(_U32)[0]):
-            fields = reader.unpack(header)
-            partition, encrypted, dim, probe_len, n_nodes = fields[:5]
+            partition, encrypted, dim, probe_len, n_nodes, built = reader.unpack(_TREE_HEADER)
+            if encrypted > 1:
+                raise ForestError(f"{path}: tree {partition} has encrypted flag {encrypted}")
             probe = reader.array("<f8", (probe_len,))
             doc_ids = reader.array("<i8", (n_nodes,))
+            if not _is_preorder(doc_ids):
+                raise ForestError(
+                    f"{path}: tree {partition}'s doc ids are not the preorder of a full binary tree"
+                )
             mats = [reader.array("<f8", (n_nodes, dim)) for _ in range(1 + encrypted)]
-            tree = Tree(
-                partition, doc_ids, probe=probe if probe_len else None, size_at_build=fields[-1]
-            )
+            tree = Tree(partition, doc_ids, probe=probe if probe_len else None, size_at_build=built)
             if encrypted:
                 tree.enc1, tree.enc2 = mats
             else:

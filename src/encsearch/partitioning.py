@@ -231,8 +231,7 @@ def cluster_indexes(
 
 # ---------------------------------------------------------------------------
 # Serialization: a versioned JSON record of the members and sub-dictionaries.
-# The rest of a PartitionSet indexes them and is rebuilt on load.  Version 2
-# also held the doc id -> partition map, which is not read.
+# The rest of a PartitionSet indexes them and is rebuilt on load.
 
 def save_partition_set(pset: PartitionSet, path: str | Path) -> None:
     payload = {
@@ -245,24 +244,51 @@ def save_partition_set(pset: PartitionSet, path: str | Path) -> None:
 
 
 def load_partition_set(path: str | Path) -> PartitionSet:
-    """Read a partition set written by ``save_partition_set``, of this or
-    the previous version.  A record that is not valid JSON, lacks a key,
-    does not hold ``s`` partitions or lists a doc id twice raises
-    PartitioningError."""
+    """Read a partition set written by ``save_partition_set``.  A record
+    that is not valid JSON, is of another version, lacks a key, holds a field
+    of the wrong type (``s`` an integer >= 1, ``sub_dictionaries`` s lists
+    of words, ``members`` s lists of [doc id, owner id] pairs of 64-bit
+    integers), lists a word or a doc id twice or does not hold ``s``
+    partitions raises PartitioningError."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise PartitioningError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("version") not in (2, FORMAT_VERSION):
-        raise PartitioningError(f"unsupported partition-set version in {path}")
+    if not isinstance(payload, dict) or payload.get("version") != FORMAT_VERSION:
+        raise PartitioningError(f"{path}: not a version-{FORMAT_VERSION} partition set")
     missing = sorted({"s", "sub_dictionaries", "members"} - set(payload))
     if missing:
         raise PartitioningError(f"{path}: missing keys {missing}")
-    s, sub_dictionaries = payload["s"], payload["sub_dictionaries"]
-    members = [[tuple(t) for t in group] for group in payload["members"]]
-    if len(sub_dictionaries) != s or len(members) != s:
-        raise PartitioningError(f"{path}: does not hold s={s} partitions")
-    ids = [doc_id for group in members for doc_id, _owner in group]
+    s, sub_dictionaries, members = payload["s"], payload["sub_dictionaries"], payload["members"]
+    if type(s) is not int or s < 1:
+        raise PartitioningError(f"{path}: s must be an integer >= 1, got {s!r}")
+    for name, groups in (("sub_dictionaries", sub_dictionaries), ("members", members)):
+        if not isinstance(groups, list) or len(groups) != s:
+            raise PartitioningError(f"{path}: {name} does not hold s={s} partitions")
+        if not all(isinstance(group, list) for group in groups):
+            raise PartitioningError(f"{path}: {name} holds a partition that is not a list")
+    words = [w for group in sub_dictionaries for w in group]
+    bad = [w for w in words if type(w) is not str]
+    if bad:
+        raise PartitioningError(f"{path}: sub_dictionaries holds {bad[0]!r}, not a word")
+    if len(set(words)) != len(words):
+        raise PartitioningError(f"{path}: sub_dictionaries lists a word twice")
+    pairs = [pair for group in members for pair in group]
+    # The ids go into int64 arrays; a bool is no integer.  The test is written
+    # out: a function call per pair cost more than the rest of the load.
+    bad = [
+        p for p in pairs
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int
+        or not -(2**63) <= p[0] < 2**63 or not -(2**63) <= p[1] < 2**63
+    ]
+    if bad:
+        raise PartitioningError(
+            f"{path}: members holds {bad[0]!r}, not a [doc id, owner id] pair of integers"
+        )
+    ids = [doc_id for doc_id, _owner in pairs]
     if len(set(ids)) != len(ids):
         raise PartitioningError(f"{path}: a doc id is listed twice")
-    return PartitionSet.from_members(sub_dictionaries, members)
+    return PartitionSet.from_members(
+        sub_dictionaries, [[tuple(pair) for pair in group] for group in members]
+    )
+

@@ -11,15 +11,12 @@ compressed bits with its owner's weights.
 
 ``save_weights`` and ``load_weights`` move a pipeline's correlativity,
 ``w_max`` and owner weights between memory and ``weights.bin``, one write
-and one ``readinto`` per array; ``load_weights`` also reads the
-``arrays.npz`` of older run directories.
+and one ``readinto`` per array.
 """
 
 from __future__ import annotations
 
-import re
 import struct
-import zipfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -133,15 +130,13 @@ def load_weights(
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[dict[int, np.ndarray]]]:
     """The correlativity, ``w_max`` and owner -> weights of each partition,
     from a file ``save_weights`` wrote for partitions of the real dimensions
-    ``sizes``, or from an older run directory's ``arrays.npz``.  A file of
-    another partition count or dimension, or shorter or longer than its
-    headers say, raises ``WeightingError``."""
-    if Path(path).suffix == ".npz":
-        return _load_npz_weights(path, len(sizes))
+    ``sizes``.  A file of another magic, partition count or dimension, one
+    that lists an owner of a partition twice, or one shorter or longer than
+    its headers say raises ``WeightingError``."""
     correlativity, w_max, weights = [], [], []
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path, "weights file", WeightingError)
-        reader.magic((WEIGHTS_MAGIC,))
+        reader.magic(WEIGHTS_MAGIC)
         (s,) = reader.unpack(_U32)
         if s != len(sizes):
             raise WeightingError(f"{path}: holds {s} partitions, not {len(sizes)}")
@@ -152,34 +147,8 @@ def load_weights(
             correlativity.append(reader.array("<f8", (n, n)))
             w_max.append(reader.array("<f8", (n,)))
             ids = reader.array("<i8", (owners,)).tolist()
+            if len(set(ids)) != owners:
+                raise WeightingError(f"{path}: partition {p} lists an owner twice")
             weights.append(dict(zip(ids, reader.array("<f8", (owners, n)))))
         reader.end()
-    return correlativity, w_max, weights
-
-
-def _load_npz_weights(
-    path: str | Path, s: int
-) -> tuple[list[np.ndarray], list[np.ndarray], list[dict[int, np.ndarray]]]:
-    """The arrays ``corr{p}``, ``wmax{p}`` and ``w{p}_{owner}`` of an
-    ``arrays.npz``; its ``secure*``, ``weighted*`` and ``raw*`` arrays are
-    not read."""
-    try:
-        # np.load leaves a file it opened itself open when it is no zip.
-        with open(path, "rb") as fh, np.load(fh) as arrays:
-            names = [f"{n}{p}" for p in range(s) for n in ("corr", "wmax")]
-            missing = [name for name in names if name not in arrays]
-            if missing:
-                raise WeightingError(f"{path}: missing arrays {missing}")
-            correlativity = [arrays[f"corr{p}"] for p in range(s)]
-            w_max = [arrays[f"wmax{p}"] for p in range(s)]
-            # Every saved owner, also one whose documents in the partition
-            # were all deleted: its next document is weighted as before.
-            weights = [{} for _ in range(s)]
-            for name in arrays.files:
-                if m := re.fullmatch(r"w(\d+)_(-?\d+)", name):
-                    if int(m[1]) >= s:
-                        raise WeightingError(f"{path}: {name} is of no partition")
-                    weights[int(m[1])][int(m[2])] = arrays[name]
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise WeightingError(f"{path}: damaged ({exc})") from None
     return correlativity, w_max, weights

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -40,7 +41,14 @@ def identity_key(dim, ones=None):
     if ones is not None:
         s[list(ones)] = 1
     eye = np.eye(dim)
-    return PartitionKey(s, eye.copy(), eye.copy(), eye.copy(), eye.copy())
+    return square_key(s, eye.copy(), eye.copy(), eye.copy(), eye.copy())
+
+
+def square_key(indicator, m1, m2, m1_inv, m2_inv):
+    """Key of these square inverses, regrouped into the column layout that
+    ``PartitionKey`` keeps, as ``keygen`` regroups them."""
+    split = np.argsort(indicator, kind="stable")
+    return PartitionKey(indicator, m1, m2, (m1_inv.T[split], m2_inv.T[split]))
 
 
 def inverses(key):
@@ -371,7 +379,9 @@ class TestTrapdoorColumns:
         rng = np.random.default_rng(5)
         indicator = rng.integers(0, 2, size=9).astype(np.uint8)
         a, b = rng.normal(size=(9, 9)), rng.normal(size=(9, 9))
-        key = PartitionKey(indicator, np.eye(9), np.eye(9), a, b)
+        key = PartitionKey(indicator, np.eye(9), np.eye(9), (a, b))
+        assert key._inv_columns[0] is a and key._inv_columns[1] is b
+        key = square_key(indicator, np.eye(9), np.eye(9), a, b)
         np.testing.assert_array_equal(inverses(key)[0], a)
         np.testing.assert_array_equal(inverses(key)[1], b)
 
@@ -401,7 +411,7 @@ class TestEncryptMatrix:
             "ones": np.ones(dim, dtype=np.uint8),
         }[indicator]
         assert indicator != "random" or 0 < s.sum() < dim
-        key = PartitionKey(s, base.m1, base.m2, *inverses(base))
+        key = square_key(s, base.m1, base.m2, *inverses(base))
         values = np.random.default_rng(4).uniform(size=(25, dim))
         original = values.copy()
 
@@ -487,7 +497,7 @@ class TestWorkerThread:
         # encrypt_matrix runs C2 = V2 M2 on the worker: an M2 of the wrong
         # width fails there, after C1 succeeded here.
         base = keygen([6], seed=6)[0]
-        bad = PartitionKey(base.indicator, base.m1, np.ones((6, 5)), *inverses(base))
+        bad = square_key(base.indicator, base.m1, np.ones((6, 5)), *inverses(base))
         with pytest.raises(ValueError, match="matmul"):
             encrypt_matrix(np.ones((4, 6)), bad, np.random.default_rng(0))
         assert key_and_ciphertext_bytes(5) == want
@@ -618,4 +628,15 @@ class TestKeyFile:
         path = tmp_path / "keys.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(AspeError, match="magic"):
+            load_key(path)
+
+    def test_rejects_esk1_file(self, tmp_path):
+        """An ESK1 file, which held the square inverses row-major, fails the
+        load with an error that names the file, the magic it holds and the
+        one expected."""
+        path = tmp_path / "keys.bin"
+        save_key(keygen([3], seed=1), path)
+        path.write_bytes(b"ESK1" + path.read_bytes()[4:])
+        want = f"{path}: not a key file (magic b'ESK1', expected b'ESK2')"
+        with pytest.raises(AspeError, match=re.escape(want)):
             load_key(path)

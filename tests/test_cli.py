@@ -1,7 +1,6 @@
 import json
 import re
 import shutil
-from pathlib import Path
 
 import pytest
 
@@ -234,12 +233,29 @@ def test_build_rejects_float_doc_id(tmp_path, capsys):
     assert not run.exists()
 
 
-def test_search_on_damaged_older_run_prints_error(tmp_path, capsys):
-    """A half-truncated arrays.npz fails with a message naming it, not a
-    traceback."""
+def test_search_on_damaged_older_run_prints_error(run_dir, tmp_path, capsys):
+    """A run whose forest_plain.bin is in the older ESF2 format fails with
+    one error line naming the file, not a traceback."""
     run = tmp_path / "run"
-    shutil.copytree(Path(__file__).parent / "data" / "esk1_run", run)
-    path = run / "arrays.npz"
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-    assert main(["search", "--run", str(run), "--keywords", "kw000", "--k", "1"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}: damaged")
+    shutil.copytree(run_dir, run)
+    path = run / "forest_plain.bin"
+    path.write_bytes(b"ESF2" + path.read_bytes()[4:])
+    assert main(["search", "--run", str(run), "--keywords", "kw00", "--k", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a forest file (magic b'ESF2', expected b'ESF3')\n"
+    )
+
+
+@pytest.mark.parametrize("member", [5, [1, 2, 3], ["a", 1]])
+def test_search_on_run_with_bad_member_prints_error(run_dir, tmp_path, capsys, member):
+    """A partitions.json member that is no [doc id, owner id] pair of
+    integers fails with one error line naming the file."""
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    path = run / "partitions.json"
+    payload = json.loads(path.read_text())
+    payload["members"][0][0] = member
+    path.write_text(json.dumps(payload))
+    assert main(["search", "--run", str(run), "--keywords", "kw00", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: members holds {member!r}") and err.count("\n") == 1

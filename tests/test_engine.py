@@ -4,7 +4,6 @@ import json
 import re
 import shutil
 import tempfile
-import warnings
 import weakref
 from pathlib import Path
 
@@ -14,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from encsearch import forest as forest_mod, padding, weighting
-from encsearch.corpus import Document, build_dictionary, load_corpus, synthetic_corpus
+from encsearch.corpus import Document, build_dictionary, synthetic_corpus
 from encsearch.aspe import load_key, make_trapdoor, save_key
+from encsearch.cli import main
 from encsearch.engine import Pipeline, PipelineConfig, QuerySpec
 from encsearch.errors import EncSearchError, ForestError
 from encsearch.forest import load_forest, order_by_likelihood, round_score, save_forest
@@ -23,9 +23,6 @@ from encsearch.partitioning import PartitionSet
 
 RUN_FILES = {"config.json", "partitions.json", "weights.bin", "forest_plain.bin",
              "keys.bin", "forest_enc.bin"}
-# Saved by older versions and no longer read: load derives what they held.
-OLDER_FILES = {"corpus.jsonl", "dictionary.txt", "noise.json", "partitions.npz"}
-DATA = Path(__file__).parent / "data"
 
 
 def brute_force(pipe, query, k):
@@ -75,47 +72,6 @@ def assert_rows_stored_once(pipe, queries):
             want.extend(zip([d for d, _ in pipe.pset.members[p]], scores))
         want.sort(key=lambda e: (-e[1], e[0]))
         assert pipe.exact_search(q.keywords) == want
-
-
-def assert_answers_esk1_queries(pipe):
-    """The answers tests/data/esk1_queries.json recorded for
-    tests/data/esk1_run, with the same seeded trapdoors."""
-    for entry in json.loads((DATA / "esk1_queries.json").read_text()):
-        pipe._query_rng = np.random.default_rng(entry["rng_seed"])
-        res = pipe.query(entry["keywords"], k=entry["k"], t=entry["t"])
-        assert [[d, sc] for d, sc in res.results] == entry["results"]
-        assert {str(p): v for p, v in res.visited.items()} == entry["visited"]
-
-
-def assert_same_trees(got, want):
-    """The same trees, array for array and bit for bit."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.partition == b.partition
-        for name in ("doc_ids", "nodes", "enc1", "enc2", "probe"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x is None) == (y is None), name
-            if x is not None:
-                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
-def legacy_arrays(pipe):
-    """The weighting arrays under the names older versions saved them by
-    in ``arrays.npz``."""
-    arrays = {}
-    for p in range(pipe.s):
-        arrays[f"corr{p}"] = pipe.correlativity[p]
-        arrays[f"wmax{p}"] = pipe.w_max[p]
-        for owner, vec in pipe.weights[p].items():
-            arrays[f"w{p}_{owner}"] = vec
-    return arrays
-
-
-def write_legacy_arrays(run, arrays):
-    """Make ``run`` an older run directory: ``arrays`` in ``arrays.npz``
-    and no ``weights.bin``."""
-    (run / "weights.bin").unlink()
-    np.savez(run / "arrays.npz", **arrays)
 
 
 def same_bits(a, b):
@@ -1007,15 +963,17 @@ class TestPersistence:
                 loaded._secure_vector_for(doc, 1), pipe._secure_vector_for(doc, 1)
             )
 
-    def test_load_drops_retired_config_keys_only(self, tmp_path, multi):
+    def test_load_rejects_retired_config_keys(self, tmp_path, multi):
+        """The fields older versions also saved, now constants, fail the
+        load as any other unknown key does."""
         multi.save(tmp_path / "run")
         path = tmp_path / "run" / "config.json"
         config = json.loads(path.read_text())
-        path.write_text(json.dumps({**config, "probe_keywords": 10, "cond_cap": 1e6}))
-        assert Pipeline.load(tmp_path / "run").config == multi.config
-        path.write_text(json.dumps({**config, "depth": 3}))
-        with pytest.raises(EncSearchError, match="unknown config keys \\['depth'\\]"):
-            Pipeline.load(tmp_path / "run")
+        for extra in ({"probe_keywords": 10}, {"cond_cap": 1e6}, {"depth": 3}):
+            path.write_text(json.dumps({**config, **extra}))
+            want = re.escape(f"{path}: unknown config keys {list(extra)}")
+            with pytest.raises(EncSearchError, match=want):
+                Pipeline.load(tmp_path / "run")
 
     @pytest.mark.parametrize("name", ["keys.bin", "forest_plain.bin", "forest_enc.bin"])
     @pytest.mark.parametrize("cut", ["3", "10", "half", "len-1", "+2 bytes"])
@@ -1038,53 +996,6 @@ class TestPersistence:
         assert {"keys.bin", "forest_plain.bin", "forest_enc.bin"} <= set(names)
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_loads_run_directory_with_esk1_keys(self, tmp_path):
-        """tests/data/esk1_run was written (synthetic_corpus(20, 40, 3, seed=1),
-        PipelineConfig(s=2, seed=1)) by the code that stored keys.bin as ESK1,
-        with the square inverses row-major; esk1_queries.json holds that
-        code's answers to queries with seeded trapdoors, and its forest files
-        are ESF2.  Loaded now, and once saved again as ESK2 and ESF3, the run
-        answers them the same; keys.bin keeps its size, and the forest files
-        hold the same arrays."""
-        run = DATA / "esk1_run"
-        assert (run / "keys.bin").read_bytes()[:4] == b"ESK1"
-        for name in ("forest_plain.bin", "forest_enc.bin"):
-            assert (run / name).read_bytes()[:4] == b"ESF2"
-        Pipeline.load(run).save(tmp_path / "run")
-        names = {f.name for f in (tmp_path / "run").iterdir()}
-        assert names == {f.name for f in run.iterdir()} - OLDER_FILES - {"arrays.npz"} | {"weights.bin"}
-        for name in names:
-            rewritten = (tmp_path / "run" / name).read_bytes()
-            if name == "weights.bin":  # arrays.npz's arrays: see test_resaved_older_run_*
-                assert rewritten[:4] == b"ESW1"
-            elif name == "keys.bin":
-                assert rewritten[:4] == b"ESK2" and len(rewritten) == (run / name).stat().st_size
-            elif name in ("forest_plain.bin", "forest_enc.bin"):
-                assert rewritten[:4] == b"ESF3"
-                assert_same_trees(load_forest(tmp_path / "run" / name), load_forest(run / name))
-            elif name == "partitions.json":  # version 2 -> 3: no assignments
-                old = json.loads((run / name).read_text())
-                del old["assignments"]
-                assert json.loads(rewritten) == {**old, "version": 3}
-            else:
-                assert rewritten == (run / name).read_bytes(), name
-        for pipe in (Pipeline.load(run), Pipeline.load(tmp_path / "run")):
-            assert_answers_esk1_queries(pipe)
-
-    @pytest.mark.parametrize("how", ["deleted", "damaged"])
-    def test_older_run_directory_answers_without_its_derived_files(self, tmp_path, how):
-        """The dictionary.txt, noise.json and partitions.npz of
-        tests/data/esk1_run are not read: deleted or damaged in a copy, the
-        run answers esk1_queries.json as before."""
-        copy = tmp_path / "run"
-        shutil.copytree(DATA / "esk1_run", copy)
-        for name in ("dictionary.txt", "noise.json", "partitions.npz"):
-            if how == "deleted":
-                (copy / name).unlink()
-            else:
-                (copy / name).write_bytes(b"\0not what it was")
-        assert_answers_esk1_queries(Pipeline.load(copy))
 
     def test_save_writes_no_corpus_and_load_keeps_assignments(self, tmp_path, multi):
         """The run directory holds the six files load cannot derive; the doc
@@ -1132,19 +1043,6 @@ class TestPersistence:
         }[damage])
         with pytest.raises(EncSearchError):
             Pipeline.load(tmp_path / "run")
-
-    def test_older_run_directory_loads_without_reading_its_corpus(self, tmp_path):
-        """tests/data/esk1_run still holds the corpus.jsonl older code saved:
-        the documents it lists are the loaded members, and the file is not
-        read, so a damaged one changes nothing."""
-        run = DATA / "esk1_run"
-        ids = sorted(d.doc_id for d in load_corpus(run / "corpus.jsonl"))
-        pipe = Pipeline.load(run)
-        assert sorted(pipe.pset.assignments) == ids
-        copy = tmp_path / "run"
-        shutil.copytree(run, copy)
-        (copy / "corpus.jsonl").write_text("not json\n")
-        assert Pipeline.load(copy).pset.assignments == pipe.pset.assignments
 
     def test_save_over_encrypted_run_leaves_no_stale_files(self, tmp_path):
         """An unencrypted pipeline saved over an encrypted run leaves no old
@@ -1244,25 +1142,20 @@ class TestPersistence:
         with pytest.raises(EncSearchError, match="forest_plain.bin"):
             Pipeline.load(tmp_path / "run")
 
-    def test_load_rejects_arrays_without_a_correlativity(self, tmp_path, small):
-        small.save(tmp_path / "run")
-        arrays = legacy_arrays(small)
-        del arrays["corr2"]
-        write_legacy_arrays(tmp_path / "run", arrays)
-        with pytest.raises(EncSearchError, match="corr2"):
-            Pipeline.load(tmp_path / "run")
-
     def test_load_rejects_weights_of_no_partition(self, tmp_path, small):
+        """A weights.bin with a record past the last partition fails the
+        load."""
         small.save(tmp_path / "run")
-        arrays = legacy_arrays(small)
-        write_legacy_arrays(tmp_path / "run", {**arrays, "w3_0": arrays["corr0"]})
-        with pytest.raises(EncSearchError, match="w3_0"):
+        path = tmp_path / "run" / "weights.bin"
+        corr, wmax, weights = small.correlativity, small.w_max, small.weights
+        weighting.save_weights(path, [*corr, corr[0]], [*wmax, wmax[0]], [*weights, weights[0]])
+        with pytest.raises(EncSearchError, match=re.escape(f"{path}: holds 4 partitions, not 3")):
             Pipeline.load(tmp_path / "run")
 
     def test_weights_round_trip_bit_for_bit(self, tmp_path):
-        """weights.bin loads every array as it was saved and as arrays.npz
-        loads it, also the weights of a negative owner id and of an owner
-        whose documents in the partition were all deleted."""
+        """weights.bin loads every array as it was saved, also the weights of
+        a negative owner id and of an owner whose documents in the partition
+        were all deleted."""
         docs = [
             Document(d.doc_id, -7 if d.owner_id == 0 else d.owner_id, d.counts)
             for d in synthetic_corpus(60, 120, 4, seed=5)
@@ -1280,8 +1173,6 @@ class TestPersistence:
         pipe.save(run)
         loaded = Pipeline.load(run)
         assert_same_weights(loaded, pipe)
-        write_legacy_arrays(run, legacy_arrays(pipe))
-        assert_same_weights(Pipeline.load(run), loaded)
 
     @pytest.mark.parametrize("damage, message", [
         ("truncated", "truncated weights file"),
@@ -1310,30 +1201,74 @@ class TestPersistence:
         with pytest.raises(EncSearchError, match=f"weights.bin: .*{message}"):
             Pipeline.load(tmp_path / "run")
 
-    def test_resaved_older_run_holds_weights_bin(self, tmp_path):
-        """Saving over a copy of tests/data/esk1_run replaces its arrays.npz
-        with a weights.bin of the same arrays, bit for bit, and the run
-        still answers esk1_queries.json."""
-        copy = tmp_path / "run"
-        shutil.copytree(DATA / "esk1_run", copy)
-        older = Pipeline.load(copy)
-        older.save(copy)
-        assert {f.name for f in copy.iterdir()} == RUN_FILES
-        loaded = Pipeline.load(copy)
-        assert_same_weights(loaded, older)
-        assert_answers_esk1_queries(loaded)
+    def test_resaved_older_run_holds_weights_bin(self, tmp_path, small):
+        """An older run directory, which no longer loads, is rebuilt in
+        place: a save over it leaves the six files of this format and none
+        of the older ones."""
+        run = tmp_path / "run"
+        small.save(run)
+        (run / "weights.bin").unlink()
+        for name in ("arrays.npz", "corpus.jsonl", "dictionary.txt", "noise.json", "partitions.npz"):
+            (run / name).write_bytes(b"older")
+        with pytest.raises(EncSearchError, match="weights.bin: missing"):
+            Pipeline.load(run)
+        small.save(run)
+        assert {f.name for f in run.iterdir()} == RUN_FILES
+        assert_same_weights(Pipeline.load(run), small)
 
-    def test_damaged_arrays_npz_fails_load_and_closes_it(self, tmp_path):
-        copy = tmp_path / "run"
-        shutil.copytree(DATA / "esk1_run", copy)
-        path = copy / "arrays.npz"
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(EncSearchError, match="arrays.npz"):
-                Pipeline.load(copy)
-            gc.collect()
-        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    def test_load_rejects_owner_listed_twice(self, tmp_path, small):
+        """A weights.bin that lists an owner of a partition twice fails the
+        load rather than keep one of its two weight rows."""
+        small.save(tmp_path / "run")
+        path = tmp_path / "run" / "weights.bin"
+        raw = bytearray(path.read_bytes())
+        n = len(small.w_max[0])
+        assert len(small.weights[0]) >= 2
+        at = 16 + 8 * (n * n + n)  # partition 0's owner ids
+        raw[at + 8 : at + 16] = raw[at : at + 8]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EncSearchError, match=re.escape(f"{path}: partition 0 lists an owner twice")):
+            Pipeline.load(tmp_path / "run")
+
+    @pytest.mark.parametrize("name, message", [
+        ("keys.bin", "not a key file (magic b'ESK1', expected b'ESK2')"),
+        ("forest_plain.bin", "not a forest file (magic b'ESF2', expected b'ESF3')"),
+        ("forest_enc.bin", "not a forest file (magic b'ESF2', expected b'ESF3')"),
+        ("arrays.npz", "missing from the run directory"),
+        ("partitions.json", "not a version-3 partition set"),
+        ("config.json", "unknown config keys ['cond_cap']"),
+    ])
+    def test_older_format_fails_load_and_update(self, tmp_path, small, capsys, name, message):
+        """A run directory with one file in a format an older version wrote
+        fails the load with one error that names the file, and
+        ``encsearch update`` on it exits 1 with one error line and changes
+        no file.  An older ESK1 key file or ESF2 forest file is told by its
+        magic, and older weights by an ``arrays.npz`` in place of
+        ``weights.bin``."""
+        run = tmp_path / "run"
+        small.save(run)
+        path = run / name
+        if name in ("keys.bin", "forest_plain.bin", "forest_enc.bin"):
+            path.write_bytes((b"ESK1" if name == "keys.bin" else b"ESF2") + path.read_bytes()[4:])
+        elif name == "arrays.npz":
+            (run / "weights.bin").unlink()
+            arrays = {f"corr{p}": corr for p, corr in enumerate(small.correlativity)}
+            arrays |= {f"wmax{p}": wmax for p, wmax in enumerate(small.w_max)}
+            arrays |= {f"w{p}_{o}": v for p, w in enumerate(small.weights) for o, v in w.items()}
+            np.savez(path, **arrays)
+            path = run / "weights.bin"
+        else:
+            payload = json.loads(path.read_text())
+            payload |= {"version": 2} if name == "partitions.json" else {"cond_cap": 1e6}
+            path.write_text(json.dumps(payload))
+        with pytest.raises(EncSearchError) as caught:
+            Pipeline.load(run)
+        assert str(caught.value) == f"{path}: {message}"
+        before = {f.name: f.read_bytes() for f in run.iterdir()}
+        assert main(["update", "--run", str(run), "--delete", "3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert {f.name: f.read_bytes() for f in run.iterdir()} == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run"]
 
     @pytest.mark.parametrize("name", sorted(RUN_FILES))
     def test_load_names_a_missing_file(self, tmp_path, small, name):
@@ -1407,3 +1342,27 @@ def test_query_sampling_partition_out_of_range(partition):
     assert pipe.s == 1
     with pytest.raises(EncSearchError, match=f"partition {partition} out of range"):
         pipe.sample_queries(1, partition=partition)
+
+
+@pytest.mark.parametrize("partition", [True, False, 0.0, "0"])
+def test_partition_argument_must_be_an_integer(partition):
+    """A partition that is a bool or no integer fails as a bad t or k does:
+    True used to insert into and sample partition 1."""
+    pipe = Pipeline.build(synthetic_corpus(20, 40, 2, seed=14), toy_config(s=2, seed=14))
+    doc = Document.from_terms(500, 1, ["kw00"])
+    want = re.escape(f"partition must be an integer, got {partition!r}")
+    with pytest.raises(EncSearchError, match=want):
+        pipe.insert_document(doc, partition=partition)
+    with pytest.raises(EncSearchError, match=want):
+        pipe.sample_queries(1, partition=partition)
+    assert 500 not in pipe.pset.assignments
+
+
+def test_numpy_integer_partition_accepted():
+    pipe = Pipeline.build(synthetic_corpus(20, 40, 2, seed=14), toy_config(s=2, seed=14))
+    p = int(np.argmax(pipe.pset.sizes))
+    got = pipe.sample_queries(2, seed=3, partition=np.int64(p))
+    assert [q.keywords for q in got] == [q.keywords for q in pipe.sample_queries(2, seed=3, partition=p)]
+    report = pipe.insert_document(Document.from_terms(500, 1, ["kw00"]), partition=np.int32(p))
+    assert report.partition == p and type(report.partition) is int
+    assert pipe.pset.assignments[500] == p

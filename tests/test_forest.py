@@ -1,5 +1,5 @@
 import json
-import struct
+import re
 from pathlib import Path
 
 import numpy as np
@@ -765,40 +765,63 @@ class TestForestFile:
             )
             assert len(raw) == held
 
-    def test_loads_esf2_file(self, tmp_path):
-        """An ESF2 file, whose tree headers also held the probe settings,
-        loads the same trees; saved again it is ESF3, 20 bytes shorter per
-        tree."""
-        ids, rows = random_rows(9, 4, seed=6)
-        plain = ordered_tree(ids, rows, np.ones(4), partition=0)
-        insert_leaf(plain, 50, np.full(4, 0.5))  # size at build 9, not the leaf count
-        enc = encrypt_tree(plain, keygen([4], seed=2)[0], np.random.default_rng(3))
-        old = tmp_path / "esf2.bin"
-        with open(old, "wb") as fh:
-            fh.write(b"ESF2" + (2).to_bytes(4, "little"))
-            for t in (plain, enc):
-                mats = (t.enc1, t.enc2) if t.encrypted else (t.nodes,)
-                probe = t.probe if t.probe is not None else np.zeros(0)
-                fh.write(struct.pack(
-                    "<IBIIQIIdIQ",
-                    t.partition, int(t.encrypted), 4, len(probe), len(t.doc_ids),
-                    1000, 10, 1.0, 77, t.size_at_build,
-                ))
-                for a in (probe, t.doc_ids, *mats):
-                    fh.write(a.tobytes())
-        loaded = load_forest(old)
-        for a, b in zip((plain, enc), loaded):
-            assert b.partition == a.partition and b.size_at_build == a.size_at_build
-            for name in ("probe", "doc_ids", "nodes", "enc1", "enc2"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert (x is None) == (y is None)
-                if x is not None:
-                    assert x.tobytes() == y.tobytes() and x.shape == y.shape
-        assert plain.size_at_build == 9
-        new = tmp_path / "esf3.bin"
-        save_forest(loaded, new)
-        assert new.read_bytes()[:4] == b"ESF3"
-        assert new.stat().st_size == old.stat().st_size - 2 * 20
+    def test_rejects_esf2_file(self, tmp_path):
+        """An ESF2 file, the format before the tree headers lost the probe
+        settings, fails the load with an error that names the file, the
+        magic it holds and the one expected."""
+        path = tmp_path / "forest.bin"
+        save_forest([build_tree(*random_rows(5, 3))], path)
+        path.write_bytes(b"ESF2" + path.read_bytes()[4:])
+        want = f"{path}: not a forest file (magic b'ESF2', expected b'ESF3')"
+        with pytest.raises(ForestError, match=re.escape(want)):
+            load_forest(path)
+
+    @given(st.lists(st.booleans(), max_size=40))
+    def test_is_preorder_matches_recursive_parse(self, internal):
+        """A sequence of internal (True) and leaf nodes is a preorder exactly
+        when one recursive descent reads it to its end."""
+        def parse(i):  # the index after the subtree at i, or None
+            if i >= len(internal):
+                return None
+            if not internal[i]:
+                return i + 1
+            left = parse(i + 1)
+            return None if left is None else parse(left)
+
+        doc_ids = np.where(internal, -1, np.arange(len(internal)))
+        want = not internal or parse(0) == len(internal)
+        assert forest._is_preorder(doc_ids) == want
+
+    def test_is_preorder_rejects_ids_below_minus_one(self):
+        """Save writes -1 at an internal node and the doc id, >= 0, at a
+        leaf; a -5 in the place of a -1 is no tree it wrote."""
+        doc_ids = build_tree(*random_rows(5, 3)).doc_ids
+        assert forest._is_preorder(doc_ids)
+        doc_ids[doc_ids == -1] = -5
+        assert not forest._is_preorder(doc_ids)
+
+    def test_rejects_encrypted_flag_other_than_0_or_1(self, tmp_path):
+        """A flag of 2 fails with the package's error, not an unpacking error
+        after reading three matrices."""
+        path = tmp_path / "forest.bin"
+        save_forest([build_tree(*random_rows(5, 3))], path)
+        raw = bytearray(path.read_bytes())
+        raw[8 + 4] = 2  # the flag, after the magic, the tree count and the partition
+        path.write_bytes(bytes(raw) + bytes(2 * 9 * 3 * 8))
+        with pytest.raises(ForestError, match=re.escape(f"{path}: tree 0 has encrypted flag 2")):
+            load_forest(path)
+
+    def test_rejects_doc_ids_that_are_no_preorder(self, tmp_path):
+        """A tree whose root -1 was moved to the end loads no more: its doc
+        ids are no preorder, which ``right_children`` needs."""
+        tree = build_tree(*random_rows(6, 3, seed=4), partition=1)
+        tree.doc_ids = np.roll(tree.doc_ids, -1)
+        tree.nodes = np.roll(tree.nodes, -1, axis=0)
+        path = tmp_path / "forest.bin"
+        save_forest([Tree(0, np.empty(0, dtype=np.int64), np.zeros((0, 3))), tree], path)
+        want = f"{path}: tree 1's doc ids are not the preorder of a full binary tree"
+        with pytest.raises(ForestError, match=re.escape(want)):
+            load_forest(path)
 
 
 def test_plaintext_forest_matches_recorded_behaviour():

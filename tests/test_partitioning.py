@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -449,14 +450,17 @@ class TestClusterIndexes:
         assert payload["version"] == 3
         assert load_partition_set(path) == ps
 
-    def test_version_2_assignments_ignored(self, tmp_path, pset):
+    def test_version_2_rejected(self, tmp_path, pset):
+        """A version-2 record, which also held each document's partition,
+        fails the load and names the file."""
         ps, _, _ = pset
         path = tmp_path / "partitions.json"
         save_partition_set(ps, path)
         payload = json.loads(path.read_text())
-        wrong = {str(doc_id): 0 for doc_id in ps.assignments}
-        path.write_text(json.dumps({**payload, "version": 2, "assignments": wrong}))
-        assert load_partition_set(path) == ps
+        assignments = {str(doc_id): p for doc_id, p in ps.assignments.items()}
+        path.write_text(json.dumps({**payload, "version": 2, "assignments": assignments}))
+        with pytest.raises(PartitioningError, match=re.escape(f"{path}: not a version-3 partition set")):
+            load_partition_set(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "partitions.json"
@@ -487,6 +491,53 @@ class TestClusterIndexes:
         path.write_text(damaged)
         with pytest.raises(PartitioningError, match=message):
             load_partition_set(path)
+
+    @pytest.mark.parametrize("field, damage, message", [
+        ("s", True, "s must be an integer >= 1, got True"),
+        ("s", 0, "s must be an integer >= 1, got 0"),
+        ("s", 4.0, "s must be an integer >= 1, got 4.0"),
+        ("s", "4", "s must be an integer >= 1, got '4'"),
+        ("sub_dictionaries", "abcd", "sub_dictionaries does not hold s=4 partitions"),
+        ("sub_dictionaries", ["a", "b", "c", "d"], "sub_dictionaries holds a partition that is not a list"),
+        ("sub_dictionaries", "int word", "sub_dictionaries holds 7, not a word"),
+        ("sub_dictionaries", "word twice", "sub_dictionaries lists a word twice"),
+        ("members", 5, "members does not hold s=4 partitions"),
+        ("members", "member 5", "members holds 5, not a \\[doc id, owner id\\] pair"),
+        ("members", "member [1, 2, 3]", "members holds \\[1, 2, 3\\], not a"),
+        ("members", "member ['a', 1]", "members holds \\['a', 1\\], not a"),
+        ("members", "member [true, 1]", "members holds \\[True, 1\\], not a"),
+        ("members", "member [1.0, 1]", "members holds \\[1.0, 1\\], not a"),
+        ("members", "member 2**63", "members holds \\[9223372036854775808, 1\\], not a"),
+    ])
+    def test_field_of_the_wrong_type(self, tmp_path, pset, field, damage, message):
+        """Each field of the wrong type fails the load with one error that
+        names the file and the field, not a numpy or Python one later."""
+        ps, _, _ = pset
+        path = tmp_path / "partitions.json"
+        save_partition_set(ps, path)
+        payload = json.loads(path.read_text())
+        words, members = payload["sub_dictionaries"], payload["members"]
+        value = {
+            "int word": [[7, *words[0][1:]], *words[1:]],
+            "word twice": [words[0], [*words[1], words[0][0]], *words[2:]],
+            "member 5": [[5, *members[0][1:]], *members[1:]],
+            "member [1, 2, 3]": [[[1, 2, 3], *members[0][1:]], *members[1:]],
+            "member ['a', 1]": [[["a", 1], *members[0][1:]], *members[1:]],
+            "member [true, 1]": [[[True, 1], *members[0][1:]], *members[1:]],
+            "member [1.0, 1]": [[[1.0, 1], *members[0][1:]], *members[1:]],
+            "member 2**63": [[[2**63, 1], *members[0][1:]], *members[1:]],
+        }.get(damage, damage) if isinstance(damage, str) else damage
+        path.write_text(json.dumps({**payload, field: value}))
+        with pytest.raises(PartitioningError, match=re.escape(f"{path}: ") + message):
+            load_partition_set(path)
+
+    def test_largest_int64_ids_load(self, tmp_path):
+        words = [["a", "b"]]
+        members = [[(2**63 - 1, -(2**63)), (0, 0)]]
+        ps = PartitionSet.from_members(words, members)
+        path = tmp_path / "partitions.json"
+        save_partition_set(ps, path)
+        assert load_partition_set(path) == ps
 
 
 def test_default_partition_count():

@@ -22,11 +22,13 @@ encryption holds both split halves and both products at once, one (rows x V)
 float64 array more than one product after the other (11.5 MB for a 1,363-row
 tree of V = 1,057).  Trapdoors stay on the calling thread.
 
-Key file layout (magic ``ESK2``, little endian): the magic and the partition
+Key file layout (magic ``ESK3``, little endian): the magic and the partition
 count (u32); then per partition its dimension V (u32), the indicator (V u8),
 ``m1`` and ``m2`` (V x V f8 each, row-major), and each inverse as
 ``PartitionKey`` keeps it (V x V f8 each): row j is column ``_split[j]`` of
-the inverse, S=0 columns first.
+the inverse, S=0 columns first.  Each array starts at the next multiple of
+64 bytes, after zero padding, and loads as a view of the file's private
+mapping (``binfile``), so a loaded key copies no matrix.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .binfile import BinaryReader
+from .binfile import BinaryReader, writing
 from .errors import AspeError
 
-KEY_MAGIC = b"ESK2"
+KEY_MAGIC = b"ESK3"
 _U32 = struct.Struct("<I")
 # Largest diagonal block that _unit_lower_inverse hands to np.linalg.inv, and
 # the rows per block of the triangular solves.
@@ -338,25 +340,23 @@ def score(encrypted: EncryptedVector, trapdoor: Trapdoor) -> float:
 # Key file: versioned binary record, 64-bit little-endian floats.
 
 def save_key(keys: Sequence[PartitionKey], path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(KEY_MAGIC)
-        fh.write(_U32.pack(len(keys)))
+    with writing(path, KEY_MAGIC) as out:
+        out.write(_U32.pack(len(keys)))
         for pk in keys:
-            fh.write(_U32.pack(pk.dim))
-            fh.write(np.ascontiguousarray(pk.indicator, dtype=np.uint8))
+            out.write(_U32.pack(pk.dim))
+            out.array(pk.indicator, "u1")
             for mat in (pk.m1, pk.m2, *pk._inv_columns):
-                fh.write(np.ascontiguousarray(mat, dtype="<f8"))
+                out.array(mat, "<f8")
 
 
 def load_key(path: str | Path) -> list[PartitionKey]:
-    with open(path, "rb") as fh:
-        reader = BinaryReader(fh, path, "key file", AspeError)
-        reader.magic(KEY_MAGIC)
-        keys = []
-        for _ in range(reader.unpack(_U32)[0]):
-            (dim,) = reader.unpack(_U32)
-            indicator = reader.array(np.uint8, (dim,))
-            m1, m2, inv1, inv2 = (reader.array("<f8", (dim, dim)) for _ in range(4))
-            keys.append(PartitionKey(indicator, m1, m2, (inv1, inv2)))
-        reader.end()
+    reader = BinaryReader(path, "key file", AspeError)
+    reader.magic(KEY_MAGIC)
+    keys = []
+    for _ in range(reader.unpack(_U32)[0]):
+        (dim,) = reader.unpack(_U32)
+        indicator = reader.array("u1", (dim,))
+        m1, m2, inv1, inv2 = (reader.array("<f8", (dim, dim)) for _ in range(4))
+        keys.append(PartitionKey(indicator, m1, m2, (inv1, inv2)))
+    reader.end()
     return keys

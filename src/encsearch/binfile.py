@@ -1,63 +1,122 @@
-"""Reading the package's binary files front to back, straight into arrays.
+"""The package's binary files: written whole, read as views of one mapping.
 
-Each array is read with one ``readinto`` into its final, writable array, so
-no intermediate ``bytes`` copy is made.  Every read is checked against the
-bytes left in the file before anything is allocated: a file shorter than its
-headers say, or one with bytes after its last record, raises the caller's
-``EncSearchError`` subclass rather than a ``struct`` or numpy error.
+Every array in a file starts at a multiple of ``ALIGN`` bytes from the start
+of the file; the gap before it, after the headers or the array before, is zero
+padding.  ``writing`` writes a file through a temporary sibling that then
+replaces it (``os.replace``), so no file is ever rewritten in place.
+
+``BinaryReader`` maps the file once, private and copy-on-write
+(``mmap.ACCESS_COPY``), and each array it returns is a writable, C-contiguous
+view into that mapping: no array is copied at load, a page is read from disk
+only when something first touches it, and writes to an array change the
+process's own copy of its pages, never the file.  The mapping, and its one
+file descriptor, lives until the last array that views it is dropped.  A
+file's replacement leaves the mapping on the replaced file, so a live
+pipeline keeps its arrays; rewriting or truncating a mapped file in place
+from outside can end the process with SIGBUS.
+
+Every read is checked against the bytes left in the file: a file shorter
+than its headers say, one with bytes after its last record, or non-zero
+padding raises the caller's ``EncSearchError`` subclass rather than a
+``struct`` or numpy error.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import EncSearchError
 
+ALIGN = 64
+
+
+class BinaryWriter:
+    """Headers as they come, each array after zero padding to ``ALIGN``."""
+
+    def __init__(self, fh: BinaryIO):
+        self._fh = fh
+        self._pos = 0
+
+    def write(self, data: bytes) -> None:
+        self._pos += self._fh.write(data)
+
+    def array(self, values, dtype: str) -> None:
+        self.write(bytes(-self._pos % ALIGN))
+        self.write(np.ascontiguousarray(values, dtype=dtype).data)
+
+
+@contextmanager
+def writing(path: str | Path, magic: bytes) -> Iterator[BinaryWriter]:
+    """A ``BinaryWriter`` that has written ``magic`` into a temporary sibling
+    of ``path``, which replaces ``path`` once the block ends; a block that
+    raises leaves ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            writer = BinaryWriter(fh)
+            writer.write(magic)
+            yield writer
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 class BinaryReader:
-    def __init__(self, fh: BinaryIO, path: str | Path, kind: str, error: type[EncSearchError]):
-        self._fh = fh
-        self._left = os.fstat(fh.fileno()).st_size - fh.tell()
+    def __init__(self, path: str | Path, kind: str, error: type[EncSearchError]):
+        with open(path, "rb") as fh:
+            # An empty file cannot be mapped; its magic check fails anyway.
+            size = os.fstat(fh.fileno()).st_size
+            self._buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if size else b""
+        self._pos = 0
         self._path = path
         self._kind = kind
         self._error = error
 
-    def _read_into(self, buf: bytearray | np.ndarray, nbytes: int) -> None:
-        if self._fh.readinto(buf) != nbytes:
+    def _take(self, nbytes: int) -> int:
+        """The offset of the next ``nbytes`` bytes, which are then passed."""
+        if nbytes > len(self._buf) - self._pos:
             raise self._error(f"{self._path}: truncated {self._kind}")
-        self._left -= nbytes
+        self._pos += nbytes
+        return self._pos - nbytes
 
     def magic(self, expected: bytes) -> None:
         """Check the 4-byte magic against the one ``save`` writes."""
-        magic = self._fh.read(4)
+        magic = self._buf[:4]
         if magic != expected:
             raise self._error(
                 f"{self._path}: not a {self._kind} (magic {magic!r}, expected {expected!r})"
             )
-        self._left -= 4
+        self._pos = 4
 
     def unpack(self, layout: struct.Struct) -> tuple:
-        buf = bytearray(layout.size)
-        self._read_into(buf, layout.size)
-        return layout.unpack(buf)
+        return layout.unpack_from(self._buf, self._take(layout.size))
 
     def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
-        if nbytes > self._left:  # before allocating what a bad header asks for
-            raise self._error(f"{self._path}: truncated {self._kind}")
-        out = np.empty(shape, dtype=dtype)
-        self._read_into(out, nbytes)
-        return out
+        at = self._take(-self._pos % ALIGN)
+        if any(self._buf[at : self._pos]):
+            raise self._error(
+                f"{self._path}: non-zero padding before the array at byte {self._pos} "
+                f"of the {self._kind}"
+            )
+        count = math.prod(shape)
+        at = self._take(np.dtype(dtype).itemsize * count)
+        return np.frombuffer(self._buf, dtype, count, at).reshape(shape)
 
     def end(self) -> None:
         """Check that the last record ended the file."""
-        if self._left:
+        left = len(self._buf) - self._pos
+        if left:
             raise self._error(
-                f"{self._path}: {self._left} bytes after the last record of the {self._kind}"
+                f"{self._path}: {left} bytes after the last record of the {self._kind}"
             )

@@ -524,14 +524,18 @@ class Pipeline:
     def load(cls, out_dir: str | Path) -> "Pipeline":
         """Read a run directory written by ``save``; the noise models follow
         from the config.  Each file is read in the one format ``save``
-        writes; no other file of the directory is read.
+        writes; no other file of the directory is read.  The binary files
+        are mapped copy-on-write, not copied: their arrays are views that
+        read a page only when it is first touched, and edits stay in
+        memory (``binfile``).
 
         Each of these raises EncSearchError naming the file: a missing file,
         a file in an older format (another magic, partition-set version or
         config key), ``keys.bin`` and ``forest_enc.bin`` present when
         ``config.json`` says the run is unencrypted, malformed JSON or JSON
         fields of the wrong type, a damaged weights file or one of other
-        dimensions or with an owner listed twice, tree or key files that do
+        dimensions, with an owner listed twice or with a weight or ``w_max``
+        that ``save`` cannot write, tree or key files that do
         not hold one entry per partition, in partition order and of the
         partition's width, doc ids that are not the preorder of a full
         binary tree, a probe of a plaintext tree that is not empty or of its

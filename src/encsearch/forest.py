@@ -32,15 +32,17 @@ no whole array and frees nothing.  The slack is at most two rows per delete
 since the tree's last whole-tree operation (build, insert, rebuild or load),
 and a delete that halves the tree rebuilds it.
 
-File layout (magic ``ESF3``, little endian): the magic and the tree count
+File layout (magic ``ESF4``, little endian): the magic and the tree count
 (u32); then per tree a header of partition (u32), encrypted flag (u8),
 dimension (u32), probe length (u32), node count n (u64) and size at build
 (u64), followed by the probe (f64), ``doc_ids`` (n i64) and the node matrix
-(n rows of f64), or ``enc1`` then ``enc2``.  The file holds nothing else, so
-the arrays go between disk and memory as they are: written from the arrays,
-and read each with one ``readinto`` into a writable array of the file's
-dtype.  A file of another magic, or a tree whose doc ids are no preorder,
-fails the load.
+(n rows of f64), or ``enc1`` then ``enc2``.  Each array, empty or not,
+starts at the next multiple of 64 bytes, after zero padding (``binfile``).
+The file holds nothing else, so the arrays go between disk and memory as
+they are: written from the arrays, and loaded as writable views of the
+file's private, copy-on-write mapping, so a delete's in-place moves stay in
+memory.  A file of another magic, non-zero padding, or a tree whose doc ids
+are no preorder fails the load.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .aspe import PartitionKey, Trapdoor, encrypt_matrix
-from .binfile import BinaryReader
+from .binfile import BinaryReader, writing
 from .errors import ForestError
 
-FOREST_MAGIC = b"ESF3"
+FOREST_MAGIC = b"ESF4"
 _U32 = struct.Struct("<I")
 _TREE_HEADER = struct.Struct("<IBIIQQ")
 # Keywords drawn per probe query (at most the real dimension).
@@ -502,13 +504,12 @@ def rebuild_tree(tree: Tree) -> Tree:
 # Serialization: versioned binary, one header and plain array dumps per tree.
 
 def save_forest(trees: Sequence[Tree], path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(FOREST_MAGIC)
-        fh.write(_U32.pack(len(trees)))
+    with writing(path, FOREST_MAGIC) as out:
+        out.write(_U32.pack(len(trees)))
         for tree in trees:
             mats = (tree.enc1, tree.enc2) if tree.encrypted else (tree.nodes,)
             probe = tree.probe if tree.probe is not None else np.zeros(0)
-            fh.write(
+            out.write(
                 _TREE_HEADER.pack(
                     tree.partition,
                     int(tree.encrypted),
@@ -518,10 +519,10 @@ def save_forest(trees: Sequence[Tree], path: str | Path) -> None:
                     tree.size_at_build,
                 )
             )
-            fh.write(np.ascontiguousarray(probe, dtype="<f8"))
-            fh.write(np.ascontiguousarray(tree.doc_ids, dtype="<i8"))
+            out.array(probe, "<f8")
+            out.array(tree.doc_ids, "<i8")
             for mat in mats:
-                fh.write(np.ascontiguousarray(mat, dtype="<f8"))
+                out.array(mat, "<f8")
 
 
 def _is_preorder(doc_ids: np.ndarray) -> bool:
@@ -537,25 +538,24 @@ def _is_preorder(doc_ids: np.ndarray) -> bool:
 
 def load_forest(path: str | Path) -> list[Tree]:
     trees = []
-    with open(path, "rb") as fh:
-        reader = BinaryReader(fh, path, "forest file", ForestError)
-        reader.magic(FOREST_MAGIC)
-        for _ in range(reader.unpack(_U32)[0]):
-            partition, encrypted, dim, probe_len, n_nodes, built = reader.unpack(_TREE_HEADER)
-            if encrypted > 1:
-                raise ForestError(f"{path}: tree {partition} has encrypted flag {encrypted}")
-            probe = reader.array("<f8", (probe_len,))
-            doc_ids = reader.array("<i8", (n_nodes,))
-            if not _is_preorder(doc_ids):
-                raise ForestError(
-                    f"{path}: tree {partition}'s doc ids are not the preorder of a full binary tree"
-                )
-            mats = [reader.array("<f8", (n_nodes, dim)) for _ in range(1 + encrypted)]
-            tree = Tree(partition, doc_ids, probe=probe if probe_len else None, size_at_build=built)
-            if encrypted:
-                tree.enc1, tree.enc2 = mats
-            else:
-                tree.nodes = mats[0]
-            trees.append(tree)
-        reader.end()
+    reader = BinaryReader(path, "forest file", ForestError)
+    reader.magic(FOREST_MAGIC)
+    for _ in range(reader.unpack(_U32)[0]):
+        partition, encrypted, dim, probe_len, n_nodes, built = reader.unpack(_TREE_HEADER)
+        if encrypted > 1:
+            raise ForestError(f"{path}: tree {partition} has encrypted flag {encrypted}")
+        probe = reader.array("<f8", (probe_len,))
+        doc_ids = reader.array("<i8", (n_nodes,))
+        if not _is_preorder(doc_ids):
+            raise ForestError(
+                f"{path}: tree {partition}'s doc ids are not the preorder of a full binary tree"
+            )
+        mats = [reader.array("<f8", (n_nodes, dim)) for _ in range(1 + encrypted)]
+        tree = Tree(partition, doc_ids, probe=probe if probe_len else None, size_at_build=built)
+        if encrypted:
+            tree.enc1, tree.enc2 = mats
+        else:
+            tree.nodes = mats[0]
+        trees.append(tree)
+    reader.end()
     return trees

@@ -10,8 +10,12 @@ the maximum raw weight across owners in the partition, giving weights in
 compressed bits with its owner's weights.
 
 ``save_weights`` and ``load_weights`` move a pipeline's correlativity,
-``w_max`` and owner weights between memory and ``weights.bin``, one write
-and one ``readinto`` per array.
+``w_max`` and owner weights between memory and ``weights.bin`` (magic
+``ESW2``), one write per array and, at load, one view per array of the
+file's private mapping, each array starting at a multiple of 64 bytes
+(``binfile``).  The load checks the values ``save`` can write: finite
+``w_max`` >= 0 and finite weights in [0, 1]; the correlativity, the bulk of
+the file, is not read until an insert or a save needs it.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .binfile import BinaryReader
+from .binfile import BinaryReader, writing
 from .errors import WeightingError
 
-WEIGHTS_MAGIC = b"ESW1"
+WEIGHTS_MAGIC = b"ESW2"
 _U32 = struct.Struct("<I")
 _PARTITION_HEADER = struct.Struct("<II")  # real dimension n, owner count
 
@@ -112,17 +116,15 @@ def save_weights(
     """Write ``weights.bin``: the magic and the partition count, then per
     partition its real dimension n and owner count, the n x n
     correlativity, ``w_max``, the owner ids (int64) and the owners' weight
-    rows, all little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(_U32.pack(len(correlativity)))
+    rows as one (owners, n) array, all little-endian."""
+    with writing(path, WEIGHTS_MAGIC) as out:
+        out.write(_U32.pack(len(correlativity)))
         for corr, wmax, owner_weights in zip(correlativity, w_max, weights):
-            fh.write(_PARTITION_HEADER.pack(len(wmax), len(owner_weights)))
-            fh.write(np.ascontiguousarray(corr, dtype="<f8"))
-            fh.write(np.ascontiguousarray(wmax, dtype="<f8"))
-            fh.write(np.array(list(owner_weights), dtype="<i8"))
-            for vec in owner_weights.values():
-                fh.write(np.ascontiguousarray(vec, dtype="<f8"))
+            out.write(_PARTITION_HEADER.pack(len(wmax), len(owner_weights)))
+            out.array(corr, "<f8")
+            out.array(wmax, "<f8")
+            out.array(list(owner_weights), "<i8")
+            out.array(list(owner_weights.values()), "<f8")
 
 
 def load_weights(
@@ -131,24 +133,29 @@ def load_weights(
     """The correlativity, ``w_max`` and owner -> weights of each partition,
     from a file ``save_weights`` wrote for partitions of the real dimensions
     ``sizes``.  A file of another magic, partition count or dimension, one
-    that lists an owner of a partition twice, or one shorter or longer than
-    its headers say raises ``WeightingError``."""
+    that lists an owner of a partition twice, holds a ``w_max`` that is
+    negative or not finite or a weight outside [0, 1], or one shorter or
+    longer than its headers say raises ``WeightingError``."""
     correlativity, w_max, weights = [], [], []
-    with open(path, "rb") as fh:
-        reader = BinaryReader(fh, path, "weights file", WeightingError)
-        reader.magic(WEIGHTS_MAGIC)
-        (s,) = reader.unpack(_U32)
-        if s != len(sizes):
-            raise WeightingError(f"{path}: holds {s} partitions, not {len(sizes)}")
-        for p, size in enumerate(sizes):
-            n, owners = reader.unpack(_PARTITION_HEADER)
-            if n != size:
-                raise WeightingError(f"{path}: partition {p} has dimension {n}, not {size}")
-            correlativity.append(reader.array("<f8", (n, n)))
-            w_max.append(reader.array("<f8", (n,)))
-            ids = reader.array("<i8", (owners,)).tolist()
-            if len(set(ids)) != owners:
-                raise WeightingError(f"{path}: partition {p} lists an owner twice")
-            weights.append(dict(zip(ids, reader.array("<f8", (owners, n)))))
-        reader.end()
+    reader = BinaryReader(path, "weights file", WeightingError)
+    reader.magic(WEIGHTS_MAGIC)
+    (s,) = reader.unpack(_U32)
+    if s != len(sizes):
+        raise WeightingError(f"{path}: holds {s} partitions, not {len(sizes)}")
+    for p, size in enumerate(sizes):
+        n, owners = reader.unpack(_PARTITION_HEADER)
+        if n != size:
+            raise WeightingError(f"{path}: partition {p} has dimension {n}, not {size}")
+        correlativity.append(reader.array("<f8", (n, n)))
+        w_max.append(reader.array("<f8", (n,)))
+        if not (np.isfinite(w_max[p]).all() and (w_max[p] >= 0).all()):
+            raise WeightingError(f"{path}: partition {p} has a w_max below 0 or not finite")
+        ids = reader.array("<i8", (owners,)).tolist()
+        if len(set(ids)) != owners:
+            raise WeightingError(f"{path}: partition {p} lists an owner twice")
+        rows = reader.array("<f8", (owners, n))
+        if not ((rows >= 0) & (rows <= 1)).all():  # NaN fails both
+            raise WeightingError(f"{path}: partition {p} has a weight outside [0, 1]")
+        weights.append(dict(zip(ids, rows)))
+    reader.end()
     return correlativity, w_max, weights

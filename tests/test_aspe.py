@@ -613,14 +613,17 @@ class TestKeyFile:
         path = tmp_path / "keys.bin"
         save_key([pk], path)
         raw = path.read_bytes()
-        header = b"ESK2" + struct.pack("<II", 1, 5) + pk.indicator.tobytes()
         m1_inv, m2_inv = inverses(pk)
         mats = [pk.m1, pk.m2, m1_inv.T[pk._split], m2_inv.T[pk._split]]
-        assert raw == header + b"".join(m.astype("<f8").tobytes() for m in mats)
+        # Each array after zero padding to the next multiple of 64 bytes.
+        want = b"ESK3" + struct.pack("<II", 1, 5)
+        for arr in (pk.indicator, *(m.astype("<f8") for m in mats)):
+            want += bytes(-len(want) % 64) + arr.tobytes()
+        assert raw == want
 
     def test_oversized_dimension_fails_before_allocating(self, tmp_path):
         path = tmp_path / "keys.bin"
-        path.write_bytes(b"ESK2" + struct.pack("<II", 1, 2**32 - 1) + b"\0" * 64)
+        path.write_bytes(b"ESK3" + struct.pack("<II", 1, 2**32 - 1) + b"\0" * 64)
         with pytest.raises(AspeError, match="truncated"):
             load_key(path)
 
@@ -637,6 +640,6 @@ class TestKeyFile:
         path = tmp_path / "keys.bin"
         save_key(keygen([3], seed=1), path)
         path.write_bytes(b"ESK1" + path.read_bytes()[4:])
-        want = f"{path}: not a key file (magic b'ESK1', expected b'ESK2')"
+        want = f"{path}: not a key file (magic b'ESK1', expected b'ESK3')"
         with pytest.raises(AspeError, match=re.escape(want)):
             load_key(path)

@@ -242,7 +242,7 @@ def test_search_on_damaged_older_run_prints_error(run_dir, tmp_path, capsys):
     path.write_bytes(b"ESF2" + path.read_bytes()[4:])
     assert main(["search", "--run", str(run), "--keywords", "kw00", "--k", "1"]) == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: not a forest file (magic b'ESF2', expected b'ESF3')\n"
+        f"error: {path}: not a forest file (magic b'ESF2', expected b'ESF4')\n"
     )
 
 

@@ -901,16 +901,21 @@ class TestPersistence:
 
     def test_arrays_hold_no_rows_or_raw_weights(self, tmp_path, multi):
         """weights.bin holds its headers and, per partition, the
-        correlativity, w_max, owner ids and one weight row per owner:
-        nothing else, so no index rows and no raw weights."""
+        correlativity, w_max, owner ids and one weight row per owner, each
+        array after zero padding to the next multiple of 64 bytes: nothing
+        else, so no index rows and no raw weights."""
         multi.save(tmp_path / "run")
-        path = tmp_path / "run" / "weights.bin"
-        held = 8 + sum(
-            8 + corr.nbytes + wmax.nbytes + 8 * len(w) + sum(v.nbytes for v in w.values())
-            for corr, wmax, w in zip(multi.correlativity, multi.w_max, multi.weights)
-        )
+        raw = (tmp_path / "run" / "weights.bin").read_bytes()
+        held = 8
+        for corr, wmax, w in zip(multi.correlativity, multi.w_max, multi.weights):
+            held += 8
+            ids = np.array(list(w), dtype="<i8")
+            for arr in (corr, wmax, ids, np.array(list(w.values()))):
+                held = -(-held // 64) * 64
+                assert raw[held : held + arr.nbytes] == arr.tobytes()
+                held += arr.nbytes
         assert all(multi.weights)
-        assert path.stat().st_size == held
+        assert len(raw) == held
 
     def test_load_rebuilds_padded_rows_after_updates(self, tmp_path):
         docs = synthetic_corpus(80, 160, 5, seed=2)
@@ -1224,16 +1229,17 @@ class TestPersistence:
         raw = bytearray(path.read_bytes())
         n = len(small.w_max[0])
         assert len(small.weights[0]) >= 2
-        at = 16 + 8 * (n * n + n)  # partition 0's owner ids
+        wmax_at = -(-(64 + 8 * n * n) // 64) * 64  # the correlativity starts at 64
+        at = -(-(wmax_at + 8 * n) // 64) * 64  # partition 0's owner ids
         raw[at + 8 : at + 16] = raw[at : at + 8]
         path.write_bytes(bytes(raw))
         with pytest.raises(EncSearchError, match=re.escape(f"{path}: partition 0 lists an owner twice")):
             Pipeline.load(tmp_path / "run")
 
     @pytest.mark.parametrize("name, message", [
-        ("keys.bin", "not a key file (magic b'ESK1', expected b'ESK2')"),
-        ("forest_plain.bin", "not a forest file (magic b'ESF2', expected b'ESF3')"),
-        ("forest_enc.bin", "not a forest file (magic b'ESF2', expected b'ESF3')"),
+        ("keys.bin", "not a key file (magic b'ESK1', expected b'ESK3')"),
+        ("forest_plain.bin", "not a forest file (magic b'ESF2', expected b'ESF4')"),
+        ("forest_enc.bin", "not a forest file (magic b'ESF2', expected b'ESF4')"),
         ("arrays.npz", "missing from the run directory"),
         ("partitions.json", "not a version-3 partition set"),
         ("config.json", "unknown config keys ['cond_cap']"),

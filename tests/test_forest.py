@@ -728,16 +728,22 @@ class TestForestFile:
             load_forest(path)
 
     def test_loaded_arrays_writable_and_updatable(self, tmp_path):
-        """Updates write into a loaded tree's node matrix in place."""
+        """Updates write into a loaded tree's arrays in place: they are
+        writable, C-contiguous and aligned, and the edits never reach the
+        file."""
         tree = build_tree(*random_rows(9, 4, seed=2))
         path = tmp_path / "forest.bin"
         save_forest([tree], path)
+        saved, nodes = path.read_bytes(), tree.nodes.copy()
         loaded = load_forest(path)[0]
         for arr in (loaded.doc_ids, loaded.nodes):
-            assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.aligned
         assert delete_leaf(loaded, 4) == delete_leaf(tree, 4)
         np.testing.assert_array_equal(loaded.nodes, tree.nodes)
         np.testing.assert_array_equal(loaded.doc_ids, tree.doc_ids)
+        loaded.nodes[:] = -1.0
+        assert path.read_bytes() == saved
+        np.testing.assert_array_equal(load_forest(path)[0].nodes, nodes)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "forest.bin"
@@ -747,8 +753,9 @@ class TestForestFile:
                 load_forest(path)
 
     def test_file_holds_headers_and_arrays_only(self, tmp_path):
-        """An ESF3 file is its magic, the tree count, and per tree a 29-byte
-        header and the probe, doc ids and node rows or ciphertext halves."""
+        """An ESF4 file is its magic, the tree count, and per tree a 29-byte
+        header and the probe, doc ids and node rows or ciphertext halves,
+        each array after zero padding to the next multiple of 64 bytes."""
         ids, rows = random_rows(9, 4, seed=5)
         plain = ordered_tree(ids, rows, np.ones(4), partition=0)
         enc = encrypt_tree(plain, keygen([4], seed=2)[0], np.random.default_rng(3))
@@ -757,12 +764,15 @@ class TestForestFile:
             path = tmp_path / "forest.bin"
             save_forest(trees, path)
             raw = path.read_bytes()
-            assert raw[:4] == b"ESF3"
-            held = 8 + sum(
-                29 + (0 if t.probe is None else t.probe.nbytes) + t.doc_ids.nbytes
-                + sum(m.nbytes for m in ((t.enc1, t.enc2) if t.encrypted else (t.nodes,)))
-                for t in trees
-            )
+            assert raw[:4] == b"ESF4"
+            held = 8
+            for t in trees:
+                held += 29
+                probe = np.zeros(0) if t.probe is None else t.probe
+                for arr in (probe, t.doc_ids, *((t.enc1, t.enc2) if t.encrypted else (t.nodes,))):
+                    held = -(-held // 64) * 64
+                    assert raw[held : held + arr.nbytes] == arr.tobytes()
+                    held += arr.nbytes
             assert len(raw) == held
 
     def test_rejects_esf2_file(self, tmp_path):
@@ -772,7 +782,7 @@ class TestForestFile:
         path = tmp_path / "forest.bin"
         save_forest([build_tree(*random_rows(5, 3))], path)
         path.write_bytes(b"ESF2" + path.read_bytes()[4:])
-        want = f"{path}: not a forest file (magic b'ESF2', expected b'ESF3')"
+        want = f"{path}: not a forest file (magic b'ESF2', expected b'ESF4')"
         with pytest.raises(ForestError, match=re.escape(want)):
             load_forest(path)
 

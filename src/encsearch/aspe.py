@@ -12,15 +12,28 @@ and the inverse chain of ``random_invertible``, and C1 = V1 M1 and C2 = V2 M2
 of ``encrypt_matrix``.  A single worker thread, made on first use, runs one
 matrix product into an array the caller allocated while the caller runs the
 other half; numpy releases the GIL inside BLAS, so the two use two cores.
-Each half is the call it was when run alone, on the same operands, and no
-product is split into row or column blocks: with one BLAS thread, a 1,363 x
-1,057 encryption split into two row blocks differs from the whole product by
-up to 3.3e-16.  So M1, M2, the inverses and every ciphertext are
-bit-identical to computing the halves one after the other, and the random
-draws stay on the calling thread in their order.  The cost is memory: an
-encryption holds both split halves and both products at once, one (rows x V)
-float64 array more than one product after the other (11.5 MB for a 1,363-row
-tree of V = 1,057).  Trapdoors stay on the calling thread.
+Each half is the same ``np.matmul`` call on the same operands wherever it
+runs, so M1, M2, the inverses and every ciphertext are bit-identical to
+computing the halves one after the other, and the random draws stay on the
+calling thread in their order.  A delete's path of about ten rows is
+handed over too: run serially it was faster in a hot loop but slower inside
+the update path, where each product reads a V x V key matrix that the work
+between deletes has likely evicted, and two cores stream the two matrices
+faster than one.  Trapdoors stay on the calling thread.
+
+Row blocks.  ``encrypt_matrix`` splits and encrypts ``_ENCRYPT_BLOCK`` rows
+at a time into whole C1 and C2 outputs, so the two split halves exist one
+block at a time: besides its input and outputs, an encryption holds two
+(block x V) float64 arrays (11.8 MB at V = 961) instead of two whole-tree
+ones (20.9 MB for the 1,357-row tree of V = 961).  Each block repacks the
+key matrices inside BLAS, so smaller blocks cost time: at that tree, one
+BLAS thread, blocks of 384 rows took 7% more CPU time than the whole
+product and blocks of 768 rows 4%.  Row blocks of random draws equal one
+whole draw.  The products stay byte-identical only if BLAS rounds each row
+the same way in a block as in the whole product; on OpenBLAS at one thread
+that held for every block of a multiple of 48 rows that was tried (48 to
+768), and not for blocks of 64 to 512 rows, so the block size is a
+multiple of 48.
 
 Key file layout (magic ``ESK3``, little endian): the magic and the partition
 count (u32); then per partition its dimension V (u32), the indicator (V u8),
@@ -59,6 +72,8 @@ _COND_CAP = 1e6
 _MAX_TRIES = 10
 # Entries per row block of _split_index's temporaries (512 KB of float64).
 _SPLIT_BLOCK = 1 << 16
+# Rows per block of encrypt_matrix: a multiple of 48 (see the module docstring).
+_ENCRYPT_BLOCK = 768
 
 # The second thread that runs one independent half of keygen and encryption;
 # made on first use.  Only np.matmul, into arrays the caller allocated, runs
@@ -166,7 +181,8 @@ def random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, n
     way round, the solve's temporaries stayed in the worker's malloc arena
     and raised the benchmark's peak RSS by about 10 MB.)  Factors are drawn
     into two alternating buffers, so the draw of t_{k+1} never overwrites
-    the t_k that step k reads.  Invertibility is structural; the condition
+    the t_k that step k reads, and the last product is written into the
+    buffer of the factor before it.  Invertibility is structural; the condition
     number (1-norm estimate) is still checked against ``_COND_CAP``,
     resampling up to ``_MAX_TRIES`` times.
     """
@@ -191,7 +207,10 @@ def random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, n
             if m is None:
                 m, inv = t, _unit_lower_inverse(t)
             else:
-                product = np.empty((dim, dim))
+                # The last product goes into t_{k-1}'s buffer, which nothing
+                # reads any more; at k = 1 that buffer is m itself.
+                last = k == _FACTORS - 1 and k > 1
+                product = buffers[(k + 1) % 2] if last else np.empty((dim, dim))
                 with _beside(np.matmul, m, t, out=product):
                     (_solve_unit_lower if lower else _solve_unit_upper)(t, inv)
                 m = product
@@ -289,15 +308,19 @@ def encrypt_vector(
 def encrypt_matrix(
     values: np.ndarray, key: PartitionKey, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch row-wise encryption: returns (C1, C2), one row per input row."""
+    """Batch row-wise encryption: returns (C1, C2), one row per input row,
+    split and encrypted ``_ENCRYPT_BLOCK`` rows at a time."""
     if values.ndim != 2 or values.shape[1] != key.dim:
         raise AspeError(f"matrix shape {values.shape} does not match key dim {key.dim}")
-    v1, v2 = _split_index(values.astype(np.float64, copy=False), key, rng)
-    # C2 on the worker thread, C1 on this one, each one whole product.  Both
-    # outputs are allocated here, so the worker leaves no array behind.
-    c1, c2 = np.empty(v1.shape), np.empty(v2.shape)
-    with _beside(np.matmul, v2, key.m2, out=c2):
-        np.matmul(v1, key.m1, out=c1)
+    # Both outputs are allocated here, so the worker leaves no array behind.
+    c1, c2 = np.empty(values.shape), np.empty(values.shape)
+    for lo in range(0, len(values), _ENCRYPT_BLOCK):
+        rows = slice(lo, lo + _ENCRYPT_BLOCK)
+        v1, v2 = _split_index(values[rows].astype(np.float64, copy=False), key, rng)
+        # C2 on the worker thread, C1 on this one.
+        with _beside(np.matmul, v2, key.m2, out=c2[rows]):
+            np.matmul(v1, key.m1, out=c1[rows])
+        del v1, v2  # before the next block's split
     return c1, c2
 
 

@@ -15,6 +15,16 @@ file's replacement leaves the mapping on the replaced file, so a live
 pipeline keeps its arrays; rewriting or truncating a mapped file in place
 from outside can end the process with SIGBUS.
 
+An array that an insert or rebuild replaces would keep its pages resident
+for as long as any other array of its file lives.  So once an array and
+every view of it are gone, its whole pages are given back with
+``madvise(MADV_DONTNEED)``: only the pages that lie wholly inside its byte
+range, because a page it shares with a neighbouring array may hold that
+array's bytes, or its private edits.  The release hangs on the array that
+``np.frombuffer`` returns, which every view (reshape, slice) keeps as its
+``.base``, so it fires only with the last view.  Where ``mmap`` has no
+``MADV_DONTNEED``, the pages stay until the mapping goes.
+
 Every read is checked against the bytes left in the file: a file shorter
 than its headers say, one with bytes after its last record, or non-zero
 padding raises the caller's ``EncSearchError`` subclass rather than a
@@ -27,6 +37,7 @@ import math
 import mmap
 import os
 import struct
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -36,6 +47,7 @@ import numpy as np
 from .errors import EncSearchError
 
 ALIGN = 64
+_RELEASE = getattr(mmap, "MADV_DONTNEED", None)
 
 
 class BinaryWriter:
@@ -111,7 +123,14 @@ class BinaryReader:
             )
         count = math.prod(shape)
         at = self._take(np.dtype(dtype).itemsize * count)
-        return np.frombuffer(self._buf, dtype, count, at).reshape(shape)
+        flat = np.frombuffer(self._buf, dtype, count, at)
+        first = -(-at // mmap.PAGESIZE) * mmap.PAGESIZE
+        past = self._pos // mmap.PAGESIZE * mmap.PAGESIZE
+        if past > first and _RELEASE is not None:
+            # On ``flat``, not on the reshaped array: each view's base is ``flat``.
+            release = weakref.finalize(flat, self._buf.madvise, _RELEASE, first, past - first)
+            release.atexit = False  # at exit the pages go with the process
+        return flat.reshape(shape)
 
     def end(self) -> None:
         """Check that the last record ended the file."""

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,20 @@ class TestRandomInvertible:
             t = unit_triangular(dim, k % 2 == 0, rng)
             want = t if want is None else want @ t
         assert m.tobytes() == want.tobytes()
+
+    def test_holds_four_square_arrays(self):
+        """Two factor buffers, the first product and the inverse: the last
+        product reuses the buffer of the factor before it, so the traced
+        peak stays under five dim x dim arrays."""
+        dim = 300
+        random_invertible(8, np.random.default_rng(0))  # make the worker first
+        tracemalloc.start()
+        try:
+            random_invertible(dim, np.random.default_rng(dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * dim * dim * 8
 
     def test_condition_cap(self):
         rng = np.random.default_rng(0)
@@ -429,6 +444,62 @@ class TestEncryptMatrix:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
         assert values.tobytes() == original.tobytes()
+
+    @pytest.mark.parametrize("blocks, extra", [
+        (0, 0), (0, 1), (0, 47), (0, 48), (0, 49), (1, -1), (1, 0), (1, 1), (3, 5),
+    ])
+    def test_row_blocks(self, monkeypatch, blocks, extra):
+        """Split and encrypted ``_ENCRYPT_BLOCK`` rows at a time, one worker
+        hand-over per block, the split halves equal one draw of the whole
+        matrix and every row scores its plaintext inner product."""
+        block = aspe._ENCRYPT_BLOCK
+        n, dim = blocks * block + extra, 20
+        key = keygen([dim], seed=2)[0]
+        values = np.random.default_rng(n).uniform(size=(n, dim))
+        want = _split_index(values, key, np.random.default_rng(7))
+
+        halves, handed = [], []
+
+        def split(*args):
+            halves.append(_split_index(*args))
+            return halves[-1]
+
+        def beside(fn, v, *args, **kwargs):
+            handed.append(len(v))
+            return real_beside(fn, v, *args, **kwargs)
+
+        real_beside = aspe._beside
+        monkeypatch.setattr(aspe, "_split_index", split)
+        monkeypatch.setattr(aspe, "_beside", beside)
+        c1, c2 = encrypt_matrix(values, key, np.random.default_rng(7))
+
+        sizes = [min(block, n - lo) for lo in range(0, n, block)]
+        assert [len(v1) for v1, _ in halves] == sizes
+        assert handed == sizes
+        for i, whole in enumerate(want):
+            got = np.concatenate([h[i] for h in halves] or [np.empty((0, dim))])
+            assert got.tobytes() == whole.tobytes()
+        q = np.random.default_rng(1).uniform(size=dim)
+        trap = make_trapdoor(q, key, np.random.default_rng(3))
+        assert c1.shape == c2.shape == (n, dim)
+        np.testing.assert_allclose(c1 @ trap.t1 + c2 @ trap.t2, values @ q, rtol=0, atol=1e-9)
+
+    def test_holds_one_block_of_split_halves(self):
+        """Besides its two outputs, an encryption holds the split halves of
+        one block and the split's temporaries, about four blocks' bytes;
+        the whole split, or a block's halves kept into the next block's
+        split, would be six."""
+        block, dim = aspe._ENCRYPT_BLOCK, 64
+        key = keygen([dim], seed=0)[0]
+        values = np.random.default_rng(0).random((3 * block + 5, dim))
+        encrypt_matrix(values, key, np.random.default_rng(1))  # make the worker first
+        tracemalloc.start()
+        try:
+            encrypt_matrix(values, key, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * values.nbytes < 5 * block * dim * 8
 
     def test_shape_errors(self):
         key = keygen([4], seed=0)[0]

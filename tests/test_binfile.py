@@ -14,10 +14,11 @@ import pytest
 
 from encsearch import weighting
 from encsearch.aspe import save_key
+from encsearch.binfile import BinaryReader, writing
 from encsearch.corpus import Document, synthetic_corpus
 from encsearch.engine import Pipeline, PipelineConfig
 from encsearch.errors import EncSearchError
-from encsearch.forest import save_forest
+from encsearch.forest import _drop_rows, save_forest
 
 BINARY_FILES = ["forest_plain.bin", "forest_enc.bin", "keys.bin", "weights.bin"]
 KINDS = {"forest_plain.bin": "forest", "forest_enc.bin": "forest", "keys.bin": "key",
@@ -186,3 +187,60 @@ def test_loaded_run_holds_one_descriptor_per_binary_file(run):
     del loaded
     gc.collect()
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+def smaps_rss(path):
+    """Resident bytes of this process's mappings of ``path``."""
+    name, total, inside = str(path.resolve()), 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split(maxsplit=5)
+            if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", head[0]):
+                inside = len(head) == 6 and head[5].rstrip("\n") == name
+            elif inside and head[0] == "Rss:":
+                total += int(head[1]) * 1024
+    return total
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/smaps"), reason="reads /proc/self/smaps")
+def test_replaced_arrays_give_back_their_pages(tmp_path):
+    """Once every partition has been queried, all of the big server tree's
+    pages are resident; an insert that replaces its three arrays gives them
+    back, all but the edge pages each may share with its neighbours."""
+    docs = synthetic_corpus(200, 200, 4, seed=3)
+    Pipeline.build(docs, PipelineConfig(s=3)).save(tmp_path / "run")
+    loaded = Pipeline.load(tmp_path / "run")
+    loaded.query(loaded.sample_queries(1, n_keywords=5, seed=0)[0].keywords, 5, t=loaded.s)
+    big = max(range(loaded.s), key=lambda p: len(loaded.server.trees[p].doc_ids))
+    tree = loaded.server.trees[big]
+    arrays = (tree.doc_ids, tree.enc1, tree.enc2)
+    replaced = sum(a.nbytes for a in arrays) - 2 * mmap.PAGESIZE * len(arrays)
+    assert replaced > 100 * mmap.PAGESIZE
+    del tree, arrays
+    enc = tmp_path / "run" / "forest_enc.bin"
+    before = smaps_rss(enc)
+    loaded.insert_document(Document(10_000, 1, docs[0].counts), partition=big)
+    assert before - smaps_rss(enc) >= replaced
+
+
+def test_views_outlive_the_array_they_were_taken_from(tmp_path):
+    """A leading view that ``_drop_rows`` leaves keeps its moved rows after
+    the array it was taken from is dropped, and an in-place edit of the
+    next array, whose first page the two share, outlives both."""
+    path = tmp_path / "two.bin"
+    first = np.arange(3000, dtype="<f8").reshape(1000, 3)
+    with writing(path, b"TEST") as out:
+        out.array(first, "<f8")
+        out.array(np.zeros(1000), "<f8")
+    reader = BinaryReader(path, "test file", EncSearchError)
+    reader.magic(b"TEST")
+    rows, after = reader.array("<f8", (1000, 3)), reader.array("<f8", (1000,))
+    assert mapped_offset(after) % mmap.PAGESIZE  # the two share a page
+    view = _drop_rows(rows, [0, 500])
+    after[:] = -1.0
+    del rows, reader
+    gc.collect()
+    assert view.tobytes() == np.delete(first, [0, 500], axis=0).tobytes()
+    del view
+    gc.collect()
+    assert np.all(after == -1.0)

@@ -448,6 +448,8 @@ class Pipeline:
     def insert_document(self, doc: Document, partition: int | None = None) -> UpdateReport:
         """Add one document: only its partition's tree is touched; the proxy
         re-encrypts that whole tree and pushes it."""
+        if doc.doc_id < 0:  # the tree would refuse it after the partition took it
+            raise ForestError("doc ids must be non-negative")
         if doc.doc_id in self.pset.assignments:
             raise EncSearchError(f"doc_id {doc.doc_id} already exists")
         p = self._check_partition(partition) if partition is not None else self._partition_for(doc)

@@ -6,10 +6,11 @@ ordered by accumulated score against random non-negative probe queries
 has the shape of pairing adjacent nodes level by level, an odd last node
 promoted unpaired: a block of b > 1 leaves is a node over its first
 2^floor(log2(b-1)) leaves and the rest.  ``build_tree`` lays that out in
-preorder top down; no rows give an empty tree.  Internal node vectors are the
-elementwise maximum of their children, which makes them upper bounds for any
-non-negative query and lets the depth-first search prune subtrees that cannot
-reach the current candidate list.
+preorder top down, one depth at a time; no rows give an empty tree.  Internal
+node vectors are the elementwise maximum of their children, which makes them
+upper bounds for any non-negative query and lets the depth-first search prune
+subtrees that cannot reach the current candidate list.  ``fill_bounds`` sets
+them in a tree of any shape, level by level from the deepest up.
 
 Layout.  A tree of m leaves has 2m-1 nodes, every internal node has two
 children, and the nodes are stored in preorder as parallel arrays: ``doc_ids``
@@ -149,16 +150,28 @@ class Tree:
         return self._lists[1], self._lists[2]
 
     def depth(self) -> int:
-        """Longest root-to-leaf edge count."""
-        best, d, pending = 0, 0, []  # pending: depths of right children still to visit
-        for doc_id in self.doc_ids.tolist():
-            if doc_id < 0:
-                d += 1
-                pending.append(d)
-            else:
-                best = max(best, d)
-                d = pending.pop() if pending else 0
-        return best
+        """Longest root-to-leaf edge count: one per level of internal nodes."""
+        return len(_levels(self.right_children()))
+
+
+def _levels(right: np.ndarray) -> list[np.ndarray]:
+    """The internal nodes of the tree whose right children are ``right``,
+    grouped by depth, root first: a walk from the root that steps from each
+    internal node to both its children, one level at a time."""
+    levels, at = [], np.flatnonzero(right[:1] >= 0)
+    while len(at):
+        levels.append(at)
+        at = np.concatenate((at + 1, right[at]))
+        at = at[right[at] >= 0]
+    return levels
+
+
+def fill_bounds(tree: Tree) -> None:
+    """Set every internal row of a plaintext tree of any shape to the max of
+    its children, one level at a time from the deepest up."""
+    right = tree.right_children()
+    for at in reversed(_levels(right)):
+        tree.nodes[at] = np.maximum(tree.nodes[at + 1], tree.nodes[right[at]])
 
 
 def _ancestors(right: list[int], j: int) -> list[int]:
@@ -171,16 +184,12 @@ def _ancestors(right: list[int], j: int) -> list[int]:
     return path
 
 
-def _refresh_bounds(
-    nodes: np.ndarray, path: list[int], right: list[int], at: int, shift: int
-) -> None:
-    """Recompute the node vectors on ``path`` bottom-up from their children,
-    after an update that moved every row after row ``at`` by ``shift``.
-    ``right`` holds the right children from before the update: the path
-    lies above ``at``, so only a right child after ``at`` has moved."""
+def _refresh_bounds(tree: Tree, path: list[int]) -> None:
+    """Recompute the node vectors on ``path`` bottom-up from their children
+    after a splice, which left the path's rows where they were."""
+    right = tree.search_lists()[1]
     for i in reversed(path):
-        r = right[i] + shift if right[i] > at else right[i]
-        nodes[i] = np.maximum(nodes[i + 1], nodes[r])
+        tree.nodes[i] = np.maximum(tree.nodes[i + 1], tree.nodes[right[i]])
 
 
 def _drop_rows(a: np.ndarray, dropped: Sequence[int]) -> np.ndarray:
@@ -266,10 +275,10 @@ def build_tree(
     probe: np.ndarray | None = None,
 ) -> Tree:
     """Bulk load of the rows, with doc ids ``ids``, as leaves in the given
-    order, laid out in preorder top down: a block of b > 1 leaves is an
-    internal node, then the block of its first 2^floor(log2(b-1)) leaves,
-    then the block of the rest.  Internal rows, the max of their children,
-    are filled from the deepest level up.  No rows give an empty tree."""
+    order, laid out in preorder top down, one depth at a time: a block of
+    b > 1 leaves is an internal node, then the block of its first
+    2^floor(log2(b-1)) leaves, then the block of the rest.  ``fill_bounds``
+    fills the internal rows.  No rows give an empty tree."""
     ids = np.asarray(ids, dtype=np.int64)
     m = len(ids)
     if rows.shape[0] != m:
@@ -278,24 +287,16 @@ def build_tree(
         raise ForestError("doc ids must be non-negative")
     n = max(2 * m - 1, 0)
     leaf = np.zeros(n, dtype=bool)
-    levels: list[list[int]] = []  # the internal nodes at each depth
-    blocks = [(m, 0)] if m else []  # (leaves, depth) still to lay out, the next last
-    for i in range(n):
-        b, d = blocks.pop()
-        if b == 1:
-            leaf[i] = True
-            continue
-        if d == len(levels):
-            levels.append([])
-        levels[d].append(i)
-        half = 1 << ((b - 1).bit_length() - 1)  # the largest power of two below b
-        blocks += [(b - half, d + 1), (half, d + 1)]
+    at, size = np.zeros(min(m, 1), dtype=np.int64), np.full(min(m, 1), m)  # one depth's blocks
+    while len(at):
+        leaf[at[size == 1]] = True
+        at, size = at[size > 1], size[size > 1]
+        half = np.int64(1) << (np.frexp(size - 1)[1] - 1)  # the largest power of two below size
+        at, size = np.concatenate((at + 1, at + 2 * half)), np.concatenate((half, size - half))
     tree = Tree(partition, np.full(n, -1, dtype=np.int64), np.empty((n, rows.shape[1])),
                 probe=probe, size_at_build=m)
     tree.doc_ids[leaf], tree.nodes[leaf] = ids, rows
-    right = tree.right_children()
-    for at in map(np.array, reversed(levels)):
-        tree.nodes[at] = np.maximum(tree.nodes[at + 1], tree.nodes[right[at]])
+    fill_bounds(tree)
     return tree
 
 
@@ -456,13 +457,12 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     rank = _insert_rank(tree, leaf_at, doc_id, vec)
     before = rank < len(leaf_at)
     target = int(leaf_at[rank] if before else leaf_at[-1])
-    right = tree.search_lists()[1]
-    path = _ancestors(right, target)
+    path = _ancestors(tree.search_lists()[1], target)
     at = [target, target] if before else [target, target + 1]
     parent_vec = np.maximum(vec, tree.nodes[target])
     tree.doc_ids = np.insert(tree.doc_ids, at, [-1, doc_id])
     tree.nodes = np.insert(tree.nodes, at, [parent_vec, vec], axis=0)
-    _refresh_bounds(tree.nodes, path, right, target, 2)
+    _refresh_bounds(tree, path)
 
     touched = 2 + len(path)  # new leaf + new internal node + ancestors
     depth = len(path) + 1
@@ -481,14 +481,13 @@ def delete_leaf(tree: Tree, doc_id: int) -> Deletion:
     if doc_id < 0 or not len(hit):  # -1 would match an internal node
         raise ForestError(f"doc {doc_id} not found in tree")
     leaf = int(hit[0])
-    right = tree.search_lists()[1]
-    path = _ancestors(right, leaf)
+    path = _ancestors(tree.search_lists()[1], leaf)
     # Dropping the parent row with the leaf row leaves the sibling's subtree
     # in the parent's place.
     dropped = [path.pop(), leaf] if path else [leaf]
     tree.doc_ids = _drop_rows(tree.doc_ids, dropped)
     tree.nodes = _drop_rows(tree.nodes, dropped)
-    _refresh_bounds(tree.nodes, path, right, dropped[0], -2)
+    _refresh_bounds(tree, path)
     return Deletion(dropped, path, 0 < len(tree.leaves) * 2 <= tree.size_at_build)
 
 

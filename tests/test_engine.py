@@ -761,6 +761,22 @@ class TestUpdates:
         with pytest.raises(ForestError, match="partition"):
             pipe.insert_document(Document.from_terms(500, 1, ["kw00"]), partition=4)
 
+    def test_negative_doc_id_rejected_before_any_change(self, tmp_path):
+        """An insert that fails on its doc id leaves the partition set, the
+        trees and the server trees as they were, so a save still loads."""
+        pipe = Pipeline.build(synthetic_corpus(60, 80, 3, seed=1), PipelineConfig(s=2, seed=2))
+        pset = json.dumps([sorted(pipe.pset.assignments.items()), pipe.pset.members])
+        trees = [(t.doc_ids.tobytes(), t.nodes.tobytes()) for t in pipe.trees]
+        served = [(t.doc_ids.tobytes(), t.enc1.tobytes(), t.enc2.tobytes()) for t in pipe.server.trees]
+        with pytest.raises(ForestError, match="non-negative"):
+            pipe.insert_document(Document(-5, 1, {"kw000": 2}))
+        assert json.dumps([sorted(pipe.pset.assignments.items()), pipe.pset.members]) == pset
+        assert [(t.doc_ids.tobytes(), t.nodes.tobytes()) for t in pipe.trees] == trees
+        assert [(t.doc_ids.tobytes(), t.enc1.tobytes(), t.enc2.tobytes())
+                for t in pipe.server.trees] == served
+        pipe.save(tmp_path / "run")
+        assert Pipeline.load(tmp_path / "run").pset.members == pipe.pset.members
+
     def test_delete_removes_from_results(self):
         docs = synthetic_corpus(15, 30, 3, seed=11)
         pipe = Pipeline.build(docs, toy_config(seed=11))

@@ -17,6 +17,7 @@ from encsearch.forest import (
     build_tree,
     delete_leaf,
     encrypt_tree,
+    fill_bounds,
     gdfs,
     insert_leaf,
     load_forest,
@@ -127,6 +128,19 @@ def ids_rows_probe(draw, max_rows=40):
     )
 
 
+def descent_depth(doc_ids):
+    """Reference depth: a recursive descent of the preorder, no right
+    children needed."""
+    def descend(i):  # (depth of the subtree at row i, the row after it)
+        if doc_ids[i] >= 0:
+            return 0, i + 1
+        left, j = descend(i + 1)
+        right, k = descend(j)
+        return 1 + max(left, right), k
+
+    return descend(0)[0] if doc_ids else 0
+
+
 class TestRowArrays:
     @settings(max_examples=150, deadline=None)
     @given(case=ids_rows_probe())
@@ -183,6 +197,11 @@ class TestRowArrays:
                 np.testing.assert_array_equal(
                     tree.nodes[i], np.maximum(tree.nodes[i + 1], tree.nodes[right[i]])
                 )
+            internal = tree.doc_ids < 0
+            refilled = Tree(1, tree.doc_ids.copy(), np.where(internal[:, None], np.nan, tree.nodes))
+            fill_bounds(refilled)
+            assert refilled.nodes.tobytes() == tree.nodes.tobytes()
+            assert tree.depth() == descent_depth(tree.doc_ids.tolist())
         rebuilt = rebuild_tree(tree)
         live_ids = np.array(sorted(live), dtype=np.int64)
         live_rows = np.array([live[d] for d in live_ids.tolist()]).reshape(len(live), len(probe))
@@ -240,6 +259,21 @@ class TestBuildTree:
         assert tree.nodes.shape == want_nodes.shape
         assert tree.nodes.tobytes() == want_nodes.tobytes()
         assert tree.size_at_build == len(ids) and tree.probe is probe and tree.partition == 5
+
+    @pytest.mark.parametrize(
+        "m", sorted({2**k + d for k in range(15) for d in (-1, 0, 1)})
+    )
+    def test_layout_at_power_of_two_edges(self, m):
+        """The layout's power-of-two arithmetic has its edges where a
+        block's b - 1 is a power of two; the hypothesis test stops at 300
+        rows."""
+        ids = np.arange(m, dtype=np.int64)[::-1] * 2
+        rows = (np.arange(m, dtype=np.float64) % 7)[:, None]
+        tree = build_tree(ids, rows)
+        want_ids, want_nodes = paired_tree(ids, rows)
+        assert tree.doc_ids.tobytes() == want_ids.tobytes()
+        assert tree.nodes.tobytes() == want_nodes.tobytes()
+        assert tree.depth() == max(m - 1, 0).bit_length()  # ceil(log2 m)
 
     def test_single_leaf(self):
         tree = build_tree([7], np.array([[1.0, 2.0]]))

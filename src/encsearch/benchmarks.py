@@ -19,6 +19,7 @@ import numpy as np
 from . import forest as forest_mod, metrics, partitioning
 from .corpus import Document, build_binary_indexes, build_dictionary, id_arrays, synthetic_corpus
 from .engine import Pipeline, PipelineConfig, QuerySpec
+from .errors import EncSearchError
 
 # Index clusters whose leaf order the "grouped" tree of bench_tree_orders uses.
 _ORDER_GROUPS = 4
@@ -40,7 +41,7 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         if min(self.n_docs, self.n_keywords, self.n_owners, self.s, self.k, self.queries) < 1:
-            raise ValueError("all benchmark parameters must be positive")
+            raise EncSearchError("all benchmark parameters must be positive")
 
 
 @dataclass

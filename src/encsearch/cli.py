@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import benchmarks, padding
@@ -25,25 +26,19 @@ def _default_out() -> str:
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", type=int, default=None, help="partition count (default: ~1000 keywords each)")
-    p.add_argument("--sigma", type=float, default=0.05, help="pseudo-keyword noise std")
-    p.add_argument("--U-ratio", dest="u_ratio", type=float, default=0.1,
+    p.add_argument("--s", type=int, help="partition count (default: ~1000 keywords each)")
+    p.add_argument("--sigma", type=float, help="pseudo-keyword noise std")
+    p.add_argument("--U-ratio", dest="u_ratio", type=float,
                    help="pseudo dimensions per partition as a fraction in [0, 1] of real ones")
-    p.add_argument("--omega", type=int, default=None, help="nonzero pseudo entries per vector")
-    p.add_argument("--R", dest="probe_count", type=int, default=1000,
-                   help="probe queries for leaf ordering")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--omega", type=int, help="nonzero pseudo entries per vector")
+    p.add_argument("--R", dest="probe_count", type=int, help="probe queries for leaf ordering")
+    p.add_argument("--seed", type=int)
 
 
-def _config_from(args) -> PipelineConfig:
-    return PipelineConfig(
-        s=args.s,
-        u_ratio=args.u_ratio,
-        sigma=args.sigma,
-        omega=args.omega,
-        probe_count=args.probe_count,
-        seed=args.seed,
-    )
+def _config(cls, args):
+    """A ``cls`` of the flags given; the others keep the dataclass defaults."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if getattr(args, f.name, None) is not None})
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -64,6 +59,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_build(args) -> int:
+    config = _config(PipelineConfig, args)
     if args.synthetic:
         try:
             n_docs, n_kw, n_owners = (int(x) for x in args.synthetic.split(":"))
@@ -71,13 +67,13 @@ def cmd_build(args) -> int:
             raise EncSearchError(
                 f"--synthetic {args.synthetic!r}: expected DOCS:KEYWORDS:OWNERS"
             ) from None
-        docs = synthetic_corpus(n_docs, n_kw, n_owners, seed=args.seed)
+        docs = synthetic_corpus(n_docs, n_kw, n_owners, seed=config.seed)
     elif args.corpus:
         docs = load_corpus(args.corpus)
     else:
         print("build: need --corpus or --synthetic", file=sys.stderr)
         return 2
-    pipeline = Pipeline.build(docs, _config_from(args))
+    pipeline = Pipeline.build(docs, config)
     pipeline.save(args.out)
     print(f"built {pipeline.s} partition(s) over {len(pipeline.pset.assignments)} docs, "
           f"dictionary size {len(pipeline.pset.home)}; artifacts in {args.out}/")
@@ -111,11 +107,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = benchmarks.BenchmarkConfig(
-        n_docs=args.n_docs, n_keywords=args.n_keywords, s=args.s or 4,
-        k=args.k, queries=args.queries, query_keywords=args.query_keywords,
-        mean_len=args.mean_len, zipf_a=args.zipf_a, seed=args.seed, sigma=args.sigma,
-    )
+    cfg = _config(benchmarks.BenchmarkConfig, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.what in ("orders", "all"):
@@ -209,17 +201,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="search/update benchmarks -> CSV")
     p.add_argument("what", choices=["orders", "forest", "scaling", "update", "all"])
-    p.add_argument("--n-docs", type=int, default=2000)
-    p.add_argument("--n-keywords", type=int, default=2000)
-    p.add_argument("--s", type=int, default=4)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--queries", type=int, default=1000)
-    p.add_argument("--query-keywords", type=int, default=10)
-    p.add_argument("--mean-len", type=int, default=40)
-    p.add_argument("--zipf-a", type=float, default=1.1)
+    p.add_argument("--n-docs", type=int)
+    p.add_argument("--n-keywords", type=int)
+    p.add_argument("--s", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--queries", type=int)
+    p.add_argument("--query-keywords", type=int)
+    p.add_argument("--mean-len", type=int)
+    p.add_argument("--zipf-a", type=float)
     p.add_argument("--sizes", default="250,500,1000,2000")
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=_default_out())
     p.set_defaults(func=cmd_bench)
 

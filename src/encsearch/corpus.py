@@ -30,7 +30,7 @@ def tokenize(text: str) -> list[str]:
     return text.lower().translate(_PUNCT_TABLE).split()
 
 
-def _all_ints(values) -> bool:
+def all_ints(values) -> bool:
     """Whether every value is an int or a numpy integer (a bool is not)."""
     kinds = set(map(type, values))
     return kinds == _INT or not any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds)
@@ -48,7 +48,7 @@ class Document:
         # The build carries ids in int64 arrays, which would truncate a
         # float id or overflow on a huge one.
         ids = (self.doc_id, self.owner_id)
-        if not _all_ints(ids) or not -(2**63) <= min(ids) <= max(ids) < 2**63:
+        if not all_ints(ids) or not -(2**63) <= min(ids) <= max(ids) < 2**63:
             raise CorpusError(
                 f"doc_id {self.doc_id!r} and owner_id {self.owner_id!r} must be 64-bit integers"
             )
@@ -57,7 +57,7 @@ class Document:
         # A term's weight is positive exactly when it occurs, which the
         # derived keyword incidence relies on.
         counts = self.counts.values()
-        if not _all_ints(counts) or min(counts) < 1:
+        if not all_ints(counts) or min(counts) < 1:
             raise CorpusError(f"document {self.doc_id} has a term count that is not a positive integer")
 
     @classmethod

@@ -11,6 +11,7 @@ deletes only the re-encrypted ancestor rows, else the whole re-encrypted tree.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import shutil
@@ -24,21 +25,44 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import aspe, forest as forest_mod, padding, partitioning, weighting
-from .corpus import Document, build_binary_indexes, build_dictionary, id_arrays
+from .corpus import Document, all_ints, build_binary_indexes, build_dictionary, id_arrays
 from .errors import EncSearchError, ForestError
 from .forest import Tree
 
 
-@dataclass
+# Per ``PipelineConfig`` field: the types ``json`` writes and their name (a
+# bool is never taken for a number, nor is a numpy integer), then a range
+# test, which NaN fails, and its name.
+_CONFIG_RULES = {
+    "s": ((int, type(None)), "an integer or null", lambda v: v is None or v >= 1, ">= 1 or null"),
+    "u_ratio": ((int, float), "a number", lambda v: 0 <= v <= 1, "finite and in [0, 1]"),
+    "sigma": ((int, float), "a number", lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    "omega": ((int, type(None)), "an integer or null", lambda v: v is None or v >= 0, ">= 0 or null"),
+    "probe_count": ((int,), "an integer", lambda v: v >= 1, ">= 1"),
+    "zipf_a": ((int, float), "a number", lambda v: v > -math.inf, "above -inf"),
+    "seed": ((int,), "an integer", lambda v: True, ""),
+    "encrypt": ((bool,), "true or false", lambda v: True, ""),
+}
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
-    s: int | None = None        # partition count; None -> ceil(n/1000)
+    s: int | None = None        # partition count >= 1; None -> ceil(n/1000)
     u_ratio: float = 0.1        # pseudo dimensions as a fraction of N_i, in [0, 1]
-    sigma: float = 0.05         # noise std
-    omega: int | None = None    # nonzero pseudo entries per vector; None -> ceil(U/2)
-    probe_count: int = 1000     # R probe queries for leaf ordering
-    zipf_a: float = 1.0
+    sigma: float = 0.05         # noise std, finite and >= 0
+    omega: int | None = None    # nonzero pseudo entries per vector, >= 0; None -> ceil(U/2)
+    probe_count: int = 1000     # R probe queries for leaf ordering, >= 1
+    zipf_a: float = 1.0         # Zipf exponent of probe and sampled queries, above -inf
     seed: int = 0
     encrypt: bool = True        # benches may skip key generation / encryption
+
+    def __post_init__(self):
+        for key, (kinds, kind, in_range, range_name) in _CONFIG_RULES.items():
+            value = getattr(self, key)
+            if not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,)):
+                raise EncSearchError(f"{key} must be {kind}, got {value!r}")
+            if not in_range(value):
+                raise EncSearchError(f"{key} must be {range_name}, got {value!r}")
 
     def resolve_s(self, dictionary_size: int) -> int:
         if self.s is not None:
@@ -73,7 +97,7 @@ class UpdateReport:
 
 
 def _check_k(k) -> None:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+    if not all_ints([k]) or k < 1:
         raise EncSearchError(f"k must be an integer >= 1, got {k!r}")
 
 
@@ -86,6 +110,8 @@ def _query_weights(keywords: Mapping[str, float] | Sequence[str]) -> _CheckedWei
     Weights it returned pass through unchecked, so a query checks once."""
     if isinstance(keywords, _CheckedWeights):
         return keywords
+    if isinstance(keywords, (str, bytes)):
+        raise EncSearchError(f"keywords must be a list or mapping of words, got {keywords!r}")
     if not isinstance(keywords, Mapping):
         return _CheckedWeights.fromkeys(keywords, 1.0)
     checked = _CheckedWeights()
@@ -187,14 +213,7 @@ class Pipeline:
         return weighted_mats
 
     def _build_noise(self, config: PipelineConfig) -> None:
-        """Set the noise models of ``config``; a bad setting raises and
-        changes nothing."""
-        if not 0 <= config.u_ratio <= 1:  # also NaN
-            raise EncSearchError(f"u_ratio must be finite and in [0, 1], got {config.u_ratio!r}")
-        if config.omega is not None and (
-            isinstance(config.omega, bool) or not isinstance(config.omega, numbers.Integral)
-        ):
-            raise EncSearchError(f"omega must be an integer, got {config.omega!r}")
+        """Set the noise models of ``config``."""
         noise = []
         for p in range(self.pset.s):
             n_real = len(self.pset.sub_dictionaries[p])
@@ -293,7 +312,7 @@ class Pipeline:
         ranked = sorted(range(self.s), key=lambda p: (-covered[p], p))
         if t is None:
             t = int(np.count_nonzero(covered > 0)) or self.s
-        elif isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 1 <= t <= self.s:
+        elif not all_ints([t]) or not 1 <= t <= self.s:
             raise EncSearchError(f"t must be an integer in [1, {self.s}], got {t!r}")
         return sorted(ranked[:t])
 
@@ -387,9 +406,9 @@ class Pipeline:
 
         ``partition`` restricts keyword choice to one sub-dictionary
         (cluster-coherent workload)."""
-        if count < 1 or n_keywords < 1:
+        if not all_ints((count, n_keywords)) or min(count, n_keywords) < 1:
             raise EncSearchError(
-                f"count and n_keywords must be >= 1, got count={count}, n_keywords={n_keywords}"
+                f"count and n_keywords must be >= 1 integers, got {count!r} and {n_keywords!r}"
             )
         if partition is not None:
             partition = self._check_partition(partition)
@@ -420,9 +439,8 @@ class Pipeline:
     # -- dynamic maintenance ------------------------------------------------
 
     def _check_partition(self, partition) -> int:
-        """``partition`` as an int, if it is an integer in [0, s): numpy
-        integers are, bools are not."""
-        if isinstance(partition, bool) or not isinstance(partition, (int, np.integer)):
+        """``partition`` as an int, if it is an integer (``all_ints``) in [0, s)."""
+        if not all_ints([partition]):
             raise ForestError(f"partition must be an integer, got {partition!r}")
         if not 0 <= partition < self.s:
             raise ForestError(f"partition {partition} out of range [0, {self.s})")
@@ -469,6 +487,8 @@ class Pipeline:
         re-encrypts only the ancestor rows whose bounds it recomputed and
         splices them into the server's tree; a delete that rebuilds or
         empties the tree re-encrypts the whole tree."""
+        if not all_ints([doc_id]):
+            raise EncSearchError(f"doc_id must be an integer, got {doc_id!r}")
         if doc_id not in self.pset.assignments:
             raise EncSearchError(f"unknown doc_id {doc_id}")
         p = self.pset.assignments.pop(doc_id)
@@ -541,8 +561,8 @@ class Pipeline:
         not hold one entry per partition, in partition order and of the
         partition's width, doc ids that are not the preorder of a full
         binary tree, a probe of a plaintext tree that is not empty or of its
-        width, a probe on an encrypted tree, noise settings that
-        ``config.json`` holds and no noise model takes, and an encrypted tree
+        width, a probe on an encrypted tree, a ``config.json`` setting out
+        of its range (``PipelineConfig``), and an encrypted tree
         whose doc ids differ from its plaintext tree's: a delete splices
         re-encrypted rows into the encrypted tree at the plaintext tree's
         positions."""
@@ -551,10 +571,7 @@ class Pipeline:
         self.config = _load_config(_required(out / "config.json"))
         self.pset = partitioning.load_partition_set(_required(out / "partitions.json"))
         s = self.pset.s
-        try:
-            self._build_noise(self.config)
-        except EncSearchError as exc:
-            raise EncSearchError(f"{out / 'config.json'}: {exc}") from None
+        self._build_noise(self.config)
         self.correlativity, self.w_max, self.weights = weighting.load_weights(
             _required(out / "weights.bin"), self.pset.sizes
         )
@@ -597,20 +614,6 @@ def _required(path: Path) -> Path:
     return path
 
 
-# The JSON types of the ``PipelineConfig`` fields in config.json, and their
-# names; a bool is never taken for a number.
-_CONFIG_TYPES = {
-    "s": ((int, type(None)), "an integer or null"),
-    "u_ratio": ((int, float), "a number"),
-    "sigma": ((int, float), "a number"),
-    "omega": ((int, type(None)), "an integer or null"),
-    "probe_count": ((int,), "an integer"),
-    "zipf_a": ((int, float), "a number"),
-    "seed": ((int,), "an integer"),
-    "encrypt": ((bool,), "true or false"),
-}
-
-
 def _load_config(path: Path) -> PipelineConfig:
     try:
         raw = json.loads(path.read_text())
@@ -618,14 +621,13 @@ def _load_config(path: Path) -> PipelineConfig:
         raise EncSearchError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise EncSearchError(f"{path}: not a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
+    unknown = sorted(set(raw) - set(_CONFIG_RULES))
     if unknown:
         raise EncSearchError(f"{path}: unknown config keys {unknown}")
-    for key, value in raw.items():
-        kinds, name = _CONFIG_TYPES[key]
-        if not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,)):
-            raise EncSearchError(f"{path}: {key} must be {name}, got {value!r}")
-    return PipelineConfig(**raw)
+    try:
+        return PipelineConfig(**raw)
+    except EncSearchError as exc:
+        raise EncSearchError(f"{path}: {exc}") from None
 
 
 def _check_trees(path: Path, trees: Sequence[Tree], widths: Sequence[int]) -> None:

@@ -9,6 +9,7 @@ from encsearch.benchmarks import (
     bench_tree_orders,
     bench_update,
 )
+from encsearch.errors import EncSearchError
 
 
 def small_config(**overrides):
@@ -21,9 +22,9 @@ def small_config(**overrides):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(EncSearchError):
         BenchmarkConfig(n_docs=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(EncSearchError):
         BenchmarkConfig(queries=-1)
 
 

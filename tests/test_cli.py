@@ -4,7 +4,11 @@ import shutil
 
 import pytest
 
+from encsearch import benchmarks, cli
+from encsearch.benchmarks import BenchmarkConfig
 from encsearch.cli import _parse_grid, main
+from encsearch.engine import PipelineConfig
+from encsearch.errors import EncSearchError
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +164,37 @@ def test_bench_orders(tmp_path, capsys):
     assert rc == 0
     assert "mlsb:" in capsys.readouterr().out
     assert (tmp_path / "fig4_tree_speed.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-docs", "--s"])
+def test_bench_rejects_a_zero_setting(tmp_path, capsys, flag):
+    """--s 0 used to run with s=4, and --n-docs 0 to end in a traceback."""
+    out = tmp_path / "bench"
+    argv = ["bench", "update", "--n-docs", "60", "--n-keywords", "60", "--queries", "5",
+            flag, "0", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: all benchmark parameters must be positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["build", "--synthetic", "10:20:2"], PipelineConfig()),
+    (["build", "--synthetic", "10:20:2", "--s", "3", "--R", "20", "--seed", "2"],
+     PipelineConfig(s=3, probe_count=20, seed=2)),
+    (["bench", "update"], BenchmarkConfig()),
+    (["bench", "update", "--s", "2", "--zipf-a", "1.5"], BenchmarkConfig(s=2, zipf_a=1.5)),
+])
+def test_flags_left_out_keep_the_dataclass_defaults(tmp_path, monkeypatch, argv, want):
+    seen = []
+
+    def stop(config):
+        seen.append(config)
+        raise EncSearchError("stop")
+
+    monkeypatch.setattr(cli.Pipeline, "build", lambda docs, config: stop(config))
+    monkeypatch.setattr(benchmarks, "bench_update", lambda config, out_dir: stop(config))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert seen == [want]
 
 
 def test_config_file_expansion(tmp_path, capsys):

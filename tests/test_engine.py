@@ -5,6 +5,7 @@ import re
 import shutil
 import tempfile
 import weakref
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from encsearch import forest as forest_mod, padding, weighting
+from encsearch import forest as forest_mod, padding, partitioning, weighting
 from encsearch.corpus import Document, build_dictionary, synthetic_corpus
 from encsearch.aspe import load_key, make_trapdoor, save_key
 from encsearch.cli import main
-from encsearch.engine import Pipeline, PipelineConfig, QuerySpec
+from encsearch.engine import Pipeline, PipelineConfig, QuerySpec, _load_config
 from encsearch.errors import EncSearchError, ForestError
 from encsearch.forest import load_forest, order_by_likelihood, round_score, save_forest
 from encsearch.partitioning import PartitionSet
@@ -205,6 +206,19 @@ class TestQueryPath:
             pipe.query({words[0]: bad, words[1]: 1.0}, k=3)
         assert pipe._query_rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("keywords", ["kw00", b"kw00"])
+    def test_bare_string_keywords_rejected(self, multi, keywords):
+        """A string is not read as the words of its characters: each step of
+        a query fails before any random draw."""
+        pipe = multi
+        state = pipe._query_rng.bit_generator.state
+        for step in (lambda: pipe.query(keywords, k=3), lambda: pipe.exact_search(keywords),
+                     lambda: pipe.select_partitions(keywords, None),
+                     lambda: pipe.make_trapdoors(keywords, [0])):
+            with pytest.raises(EncSearchError, match="keywords must be a list or mapping"):
+                step()
+        assert pipe._query_rng.bit_generator.state == state
+
     def test_nan_weight_rejected_by_exact_search(self, toy):
         pipe, _ = toy
         for bad in (float("nan"), "1", None):
@@ -391,6 +405,15 @@ class TestSampleQueries:
         with pytest.raises(EncSearchError, match="count and n_keywords must be >= 1"):
             multi.sample_queries(count, n_keywords=n_keywords)
 
+    @pytest.mark.parametrize("count, n_keywords", [
+        (1.5, 5), (2.0, 5), ("3", 5), (True, 5), (2, 2.5), (2, True), (None, 5),
+    ])
+    def test_rejects_non_integer_counts(self, multi, count, n_keywords):
+        """True used to sample one query, and a float or string raised a
+        raw TypeError."""
+        with pytest.raises(EncSearchError, match="count and n_keywords must be >= 1"):
+            multi.sample_queries(count, n_keywords=n_keywords)
+
     def test_shapes_and_determinism(self, multi):
         pipe = multi
         a = pipe.sample_queries(3, n_keywords=4, seed=5)
@@ -490,6 +513,64 @@ class TestNoiseSettings:
         config = {**json.loads(path.read_text()), "sigma": 0, "zipf_a": 1, "omega": None}
         path.write_text(json.dumps(config))
         assert Pipeline.load(tmp_path / "run").config == PipelineConfig(**config)
+
+
+class TestConfigChecks:
+    """``PipelineConfig`` checks every field at construction, by the rules
+    ``load`` applies to ``config.json``, so a bad setting fails before any
+    work and ``save`` never writes a config that ``load`` rejects."""
+
+    DOCS = synthetic_corpus(60, 80, 3, seed=6)
+
+    @pytest.mark.parametrize("setting", [
+        # Built, then saved a run directory that load rejected.
+        {"seed": 1.5}, {"encrypt": "no"}, {"encrypt": 1}, {"sigma": True}, {"s": True},
+        # Built, then failed to save: json cannot write numpy integers or float32.
+        {"s": np.int64(2)}, {"omega": np.int64(1)}, {"probe_count": np.int64(50)},
+        {"sigma": np.float32(0.1)}, {"encrypt": np.bool_(True)},
+        # Raw numpy or Python errors, probe_count=0 after the partitioning.
+        {"zipf_a": float("nan")}, {"zipf_a": float("-inf")}, {"zipf_a": "1"}, {"sigma": "a"},
+        {"u_ratio": "0.1"}, {"s": 2.0}, {"probe_count": 2.5}, {"probe_count": 0}, {"s": 0},
+    ])
+    def test_bad_setting_fails_before_partitioning(self, monkeypatch, setting):
+        monkeypatch.setattr(
+            partitioning, "cluster_indexes", lambda *a, **k: pytest.fail("partitioned first")
+        )
+        (key, value), = setting.items()
+        want = f"{key} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(EncSearchError, match=want):
+            Pipeline.build(self.DOCS, PipelineConfig(**setting))
+
+    def test_set_sigma_rejects_a_string_and_changes_nothing(self):
+        pipe = Pipeline.build(self.DOCS, PipelineConfig(s=2, probe_count=50))
+        noise, config = list(pipe.noise), pipe.config
+        with pytest.raises(EncSearchError, match="sigma must be a number, got 'a'"):
+            pipe.set_sigma("a")
+        assert pipe.noise == noise and pipe.config is config
+
+    def test_infinite_zipf_a_and_numpy_float64_build_and_reload(self, tmp_path):
+        config = PipelineConfig(s=2, probe_count=50, zipf_a=float("inf"), sigma=np.float64(0.1))
+        Pipeline.build(self.DOCS, config).save(tmp_path / "run")
+        assert Pipeline.load(tmp_path / "run").config == config
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from([f.name for f in fields(PipelineConfig)]),
+        st.one_of(
+            st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+            st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats().map(np.float64),
+            st.floats(width=32).map(np.float32), st.booleans().map(np.bool_),
+        ),
+    ))
+    def test_fails_naming_the_field_or_round_trips(self, tmp_path_factory, setting):
+        try:
+            config = PipelineConfig(**setting)
+        except EncSearchError as exc:
+            assert str(exc).split(" must be ")[0] in setting
+            return
+        path = tmp_path_factory.getbasetemp() / "round_trip_config.json"
+        path.write_text(json.dumps(asdict(config)))
+        assert _load_config(path) == config
 
 
 class TestSigmaSweep:
@@ -790,6 +871,16 @@ class TestUpdates:
         assert victim not in pipe.pset.assignments
         with pytest.raises(EncSearchError, match="unknown doc_id"):
             pipe.delete_document(victim)
+
+    @pytest.mark.parametrize("doc_id", [3.0, True, "3", None])
+    def test_delete_doc_id_must_be_an_integer(self, doc_id):
+        """3.0 used to delete document 3 and report doc_id=3.0."""
+        pipe = Pipeline.build(synthetic_corpus(12, 24, 2, seed=12), toy_config(seed=12))
+        members = [list(m) for m in pipe.pset.members]
+        with pytest.raises(EncSearchError, match=re.escape(f"doc_id must be an integer, got {doc_id!r}")):
+            pipe.delete_document(doc_id)
+        assert pipe.pset.members == members
+        assert pipe.delete_document(np.int64(3)).doc_id == 3 and 3 not in pipe.pset.assignments
 
     def test_delete_then_insert_round_trip(self):
         docs = synthetic_corpus(12, 24, 2, seed=12)

@@ -17,7 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from . import forest as forest_mod, metrics, partitioning
-from .corpus import Document, build_binary_indexes, build_dictionary, id_arrays, synthetic_corpus
+from .corpus import (
+    Document, build_binary_indexes, build_dictionary, check_seed, id_arrays, synthetic_corpus,
+)
 from .engine import Pipeline, PipelineConfig, QuerySpec
 from .errors import EncSearchError
 
@@ -42,6 +44,7 @@ class BenchmarkConfig:
     def __post_init__(self):
         if min(self.n_docs, self.n_keywords, self.n_owners, self.s, self.k, self.queries) < 1:
             raise EncSearchError("all benchmark parameters must be positive")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -139,15 +139,12 @@ def cmd_update(args) -> int:
         doc = document_from_record(rec, args.insert)
     pipeline = Pipeline.load(args.run)
     if args.delete is not None:
-        report = pipeline.delete_document(args.delete)
-        print(f"deleted doc {report.doc_id} from partition {report.partition} "
-              f"(touched {report.touched_nodes} nodes, re-encrypted {report.encrypted_rows} rows, "
-              f"rebuilt={report.rebuilt})")
+        report, done = pipeline.delete_document(args.delete), "deleted doc {} from"
     else:
-        report = pipeline.insert_document(doc)
-        print(f"inserted doc {report.doc_id} into partition {report.partition} "
-              f"(touched {report.touched_nodes} nodes, re-encrypted {report.encrypted_rows} rows, "
-              f"rebuilt={report.rebuilt})")
+        report, done = pipeline.insert_document(doc), "inserted doc {} into"
+    print(f"{done.format(report.doc_id)} partition {report.partition} "
+          f"(touched {report.touched_nodes} nodes, re-encrypted {report.encrypted_rows} rows, "
+          f"rebuilt={report.rebuilt})")
     pipeline.save(args.run)
     return 0
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CorpusError
+from .errors import CorpusError, EncSearchError
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 _INT = {int}
@@ -34,6 +34,13 @@ def all_ints(values) -> bool:
     """Whether every value is an int or a numpy integer (a bool is not)."""
     kinds = set(map(type, values))
     return kinds == _INT or not any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds)
+
+
+def check_seed(seed) -> None:
+    """Fail unless ``seed`` is an integer (``all_ints``) >= 0, the seeds
+    numpy's generators take."""
+    if not all_ints([seed]) or seed < 0:
+        raise EncSearchError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,7 @@ def synthetic_corpus(
     """
     if n_docs < 1 or n_keywords < 1 or n_owners < 1:
         raise CorpusError("n_docs, n_keywords and n_owners must be positive")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     width = len(str(n_keywords - 1))
     words = [f"kw{i:0{width}d}" for i in range(n_keywords)]

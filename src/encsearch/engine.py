@@ -6,6 +6,9 @@ into trapdoors; the server stores only the encrypted forest and answers
 trapdoor searches.  After an insert or delete the proxy fixes its plaintext
 tree, the one store of the padded rows, and pushes the change: for most
 deletes only the re-encrypted ancestor rows, else the whole re-encrypted tree.
+An insert and a delete return the same edit record (``forest.Edit``), and the
+proxy changes the tree before its partition bookkeeping, so a refused edit
+changes neither.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import numbers
 import os
 import shutil
+import sys
 import tempfile
 import time
 import zlib
@@ -25,21 +29,25 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import aspe, forest as forest_mod, padding, partitioning, weighting
-from .corpus import Document, all_ints, build_binary_indexes, build_dictionary, id_arrays
+from .corpus import (
+    Document, all_ints, build_binary_indexes, build_dictionary, check_seed, id_arrays,
+)
 from .errors import EncSearchError, ForestError
 from .forest import Tree
 
 
 # Per ``PipelineConfig`` field: the types ``json`` writes and their name (a
 # bool is never taken for a number, nor is a numpy integer), then a range
-# test, which NaN fails, and its name.
+# test, which NaN and an integer beyond float64 fail, and its name.
+_FLOAT_MAX = sys.float_info.max
 _CONFIG_RULES = {
     "s": ((int, type(None)), "an integer or null", lambda v: v is None or v >= 1, ">= 1 or null"),
     "u_ratio": ((int, float), "a number", lambda v: 0 <= v <= 1, "finite and in [0, 1]"),
-    "sigma": ((int, float), "a number", lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    "sigma": ((int, float), "a number", lambda v: 0 <= v <= _FLOAT_MAX, "finite and >= 0"),
     "omega": ((int, type(None)), "an integer or null", lambda v: v is None or v >= 0, ">= 0 or null"),
     "probe_count": ((int,), "an integer", lambda v: v >= 1, ">= 1"),
-    "zipf_a": ((int, float), "a number", lambda v: v > -math.inf, "above -inf"),
+    "zipf_a": ((int, float), "a number", lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX or v == math.inf,
+               "a float64 above -inf"),
     "seed": ((int,), "an integer", lambda v: True, ""),
     "encrypt": ((bool,), "true or false", lambda v: True, ""),
 }
@@ -261,22 +269,25 @@ class Pipeline:
             [forest_mod.encrypt_tree(tree, key, rng) for tree, key in zip(self.trees, self.key)]
         )
 
-    def _reencrypt_tree(
-        self, partition: int, tag: str, deletion: forest_mod.Deletion | None = None
-    ) -> int:
-        """Proxy pushes the changed tree to the server: with ``deletion``,
-        the deletion's rows dropped from the server's tree in place and only
-        its path rows re-encrypted, else the whole tree re-encrypted and
-        replaced.  Returns the rows encrypted."""
-        if self.key is None:
-            return 0
-        rng = np.random.default_rng(_derive_seed(self.config.seed, f"enc:{tag}"))
-        tree, key = self.trees[partition], self.key[partition]
-        if deletion is not None:
-            forest_mod.reencrypt_path(self.server.trees[partition], tree, deletion, key, rng)
-            return len(deletion.path)
-        self.server.replace_tree(partition, forest_mod.encrypt_tree(tree, key, rng))
-        return len(tree.doc_ids)
+    def _apply(self, p: int, doc_id: int, edit: forest_mod.Edit, tag: str) -> UpdateReport:
+        """Finish an update that changed tree p by ``edit``: rebuild the tree
+        if the edit asks it, then push the change to the server.  A delete
+        that did not rebuild drops its rows from the server's tree in place
+        and re-encrypts only its path rows; any other update re-encrypts and
+        replaces the whole tree."""
+        if edit.needs_rebuild:
+            self.trees[p] = forest_mod.rebuild_tree(self.trees[p])
+        rows = 0  # without keys
+        if self.key is not None:
+            rng = np.random.default_rng(_derive_seed(self.config.seed, f"enc:{tag}"))
+            tree, key = self.trees[p], self.key[p]
+            if edit.dropped and not edit.needs_rebuild:
+                forest_mod.reencrypt_path(self.server.trees[p], tree, edit, key, rng)
+                rows = len(edit.path)
+            else:
+                self.server.replace_tree(p, forest_mod.encrypt_tree(tree, key, rng))
+                rows = len(tree.doc_ids)
+        return UpdateReport(doc_id, p, edit.touched, edit.needs_rebuild, rows)
 
     # -- query path ---------------------------------------------------------
 
@@ -410,6 +421,7 @@ class Pipeline:
             raise EncSearchError(
                 f"count and n_keywords must be >= 1 integers, got {count!r} and {n_keywords!r}"
             )
+        check_seed(seed)
         if partition is not None:
             partition = self._check_partition(partition)
         rng = np.random.default_rng(seed)
@@ -466,40 +478,28 @@ class Pipeline:
     def insert_document(self, doc: Document, partition: int | None = None) -> UpdateReport:
         """Add one document: only its partition's tree is touched; the proxy
         re-encrypts that whole tree and pushes it."""
-        if doc.doc_id < 0:  # the tree would refuse it after the partition took it
-            raise ForestError("doc ids must be non-negative")
         if doc.doc_id in self.pset.assignments:
             raise EncSearchError(f"doc_id {doc.doc_id} already exists")
         p = self._check_partition(partition) if partition is not None else self._partition_for(doc)
-        vec = self._secure_vector_for(doc, p)
-
+        edit = forest_mod.insert_leaf(self.trees[p], doc.doc_id, self._secure_vector_for(doc, p))
         self.pset.assignments[doc.doc_id] = p
         self.pset.members[p].append((doc.doc_id, doc.owner_id))
-
-        touched, needs_rebuild = forest_mod.insert_leaf(self.trees[p], doc.doc_id, vec)
-        if needs_rebuild:
-            self.trees[p] = forest_mod.rebuild_tree(self.trees[p])
-        rows = self._reencrypt_tree(p, tag=f"ins:{doc.doc_id}")
-        return UpdateReport(doc.doc_id, p, touched, needs_rebuild, rows)
+        return self._apply(p, doc.doc_id, edit, tag=f"ins:{doc.doc_id}")
 
     def delete_document(self, doc_id: int) -> UpdateReport:
         """Remove one document from its partition's tree.  The proxy
         re-encrypts only the ancestor rows whose bounds it recomputed and
-        splices them into the server's tree; a delete that rebuilds or
-        empties the tree re-encrypts the whole tree."""
+        splices them into the server's tree; a delete that rebuilds the tree
+        re-encrypts the whole tree."""
         if not all_ints([doc_id]):
             raise EncSearchError(f"doc_id must be an integer, got {doc_id!r}")
         if doc_id not in self.pset.assignments:
             raise EncSearchError(f"unknown doc_id {doc_id}")
-        p = self.pset.assignments.pop(doc_id)
+        p = self.pset.assignments[doc_id]
+        edit = forest_mod.delete_leaf(self.trees[p], doc_id)
+        del self.pset.assignments[doc_id]
         self.pset.members[p] = [m for m in self.pset.members[p] if m[0] != doc_id]
-
-        deletion = forest_mod.delete_leaf(self.trees[p], doc_id)
-        if deletion.needs_rebuild:
-            self.trees[p] = forest_mod.rebuild_tree(self.trees[p])
-        whole = deletion.needs_rebuild or not len(self.trees[p].doc_ids)
-        rows = self._reencrypt_tree(p, tag=f"del:{doc_id}", deletion=None if whole else deletion)
-        return UpdateReport(doc_id, p, deletion.touched, deletion.needs_rebuild, rows)
+        return self._apply(p, doc_id, edit, tag=f"del:{doc_id}")
 
     # -- persistence --------------------------------------------------------
 

@@ -21,10 +21,11 @@ right child is the node after the left subtree (``Tree.right_children``).  The
 leaves read in preorder are in likelihood order, so an insert or delete splices
 rows where one leaf was.  Each tree owns its arrays: an encrypted twin shares
 none with its plaintext tree.  A tree caches the lists its search reads until
-an update gives it a new ``doc_ids`` array object.  A delete that
-``delete_leaf`` applied to a plaintext tree reaches its encrypted twin through
-``reencrypt_path``, which re-encrypts only the refreshed ancestor rows; other
-changes re-encrypt the whole tree (``encrypt_tree``).
+an update gives it a new ``doc_ids`` array object.  ``insert_leaf`` and
+``delete_leaf`` both return the rows they changed as one ``Edit``.  A delete
+reaches the plaintext tree's encrypted twin through ``reencrypt_path``, which
+re-encrypts only the refreshed ancestor rows; other changes re-encrypt the
+whole tree (``encrypt_tree``).
 
 Deletes move rows in place.  ``delete_leaf`` and ``reencrypt_path`` drop
 their rows from each of their tree's arrays by moving the later rows up inside
@@ -83,17 +84,20 @@ class TreeNode(NamedTuple):
         return self.doc_id >= 0
 
 
-class Deletion(NamedTuple):
-    """What ``delete_leaf`` changed in a tree's preorder arrays."""
+class Edit(NamedTuple):
+    """What ``insert_leaf`` or ``delete_leaf`` changed in a tree's preorder
+    arrays: an insert fills ``added``, a delete ``dropped``."""
 
     dropped: list[int]   # rows removed, indexed as before: the leaf's parent, if any, and the leaf
+    added: list[int]     # rows inserted, indexed as after: the new parent and the new leaf,
+                         # or [0] for the leaf of an empty tree
     path: list[int]      # the other ancestors, root first, whose bounds were recomputed;
-                         # they lie above the dropped rows, so their indexes did not move
-    needs_rebuild: bool  # a non-empty tree has shrunk to half its size at the last build
+                         # they lie above the changed rows, so their indexes did not move
+    needs_rebuild: bool  # too deep, or doubled or halved in size since the last build
 
     @property
     def touched(self) -> int:
-        return len(self.dropped) + len(self.path)
+        return len(self.dropped) + len(self.added) + len(self.path)
 
 
 @dataclass(eq=False)
@@ -311,20 +315,18 @@ def encrypt_tree(tree: Tree, key: PartitionKey, rng: np.random.Generator) -> Tre
 
 
 def reencrypt_path(
-    enc: Tree, tree: Tree, deletion: Deletion, key: PartitionKey, rng: np.random.Generator
+    enc: Tree, tree: Tree, edit: Edit, key: PartitionKey, rng: np.random.Generator
 ) -> None:
     """Bring the encrypted twin ``enc`` up to ``tree``, which
-    ``delete_leaf`` changed by ``deletion`` since ``enc`` was its twin, in
+    ``delete_leaf`` changed by ``edit`` since ``enc`` was its twin, in
     place: the dropped rows are moved out of ``enc``'s own arrays
     (``_drop_rows``), and the path rows are encrypted anew from ``tree`` and
     written over their old rows.  Every path row is re-encrypted, changed
     bound or not, so the server learns only the path, which it can derive
     from the doc ids."""
     arrays = (enc.doc_ids, enc.enc1, enc.enc2)
-    enc.doc_ids, enc.enc1, enc.enc2 = (_drop_rows(a, deletion.dropped) for a in arrays)
-    enc.enc1[deletion.path], enc.enc2[deletion.path] = encrypt_matrix(
-        tree.nodes[deletion.path], key, rng
-    )
+    enc.doc_ids, enc.enc1, enc.enc2 = (_drop_rows(a, edit.dropped) for a in arrays)
+    enc.enc1[edit.path], enc.enc2[edit.path] = encrypt_matrix(tree.nodes[edit.path], key, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +433,13 @@ def _insert_rank(tree: Tree, leaf_at: np.ndarray, doc_id: int, vec: np.ndarray) 
     return bisect_left(range(len(leaf_at)), True, key=ranks_after)
 
 
-def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
+def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> Edit:
     """Insert a new leaf at its probe-score rank position.
 
-    Only the insertion path is touched.  Returns (touched-node count,
-    rebuild-recommended) where the flag is set once the balance bound
-    depth <= ceil(log2 M) + 1 is violated.
+    Only the insertion path is touched.  Returns the rows added and
+    refreshed, and whether to rebuild: once the balance bound
+    depth <= ceil(log2 M) + 1 is violated or the size has doubled.  A
+    negative or present ``doc_id`` fails before the tree changes.
     """
     if tree.encrypted:
         raise ForestError("insert into the plaintext tree, then re-encrypt")
@@ -450,7 +453,7 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
         tree.doc_ids = np.array([doc_id], dtype=np.int64)
         tree.nodes = vec[None, :].copy()
         tree.size_at_build = max(tree.size_at_build, 1)
-        return 1, False
+        return Edit([], [0], [], False)
 
     # The new leaf goes before the first leaf ranking after it, or after the
     # last leaf.
@@ -464,15 +467,16 @@ def insert_leaf(tree: Tree, doc_id: int, vec: np.ndarray) -> tuple[int, bool]:
     tree.nodes = np.insert(tree.nodes, at, [parent_vec, vec], axis=0)
     _refresh_bounds(tree, path)
 
-    touched = 2 + len(path)  # new leaf + new internal node + ancestors
     depth = len(path) + 1
     m = len(leaf_at) + 1
     limit = int(np.ceil(np.log2(m))) + 1 if m > 1 else 1
     needs_rebuild = depth > limit or m >= 2 * max(1, tree.size_at_build)
-    return touched, needs_rebuild
+    # The new parent takes the target's row; the new leaf is its left child
+    # before the target, else its right child after it.
+    return Edit([], [target, target + 1 if before else target + 2], path, needs_rebuild)
 
 
-def delete_leaf(tree: Tree, doc_id: int) -> Deletion:
+def delete_leaf(tree: Tree, doc_id: int) -> Edit:
     """Remove a leaf; its sibling is promoted and ancestor bounds recomputed.
     Returns the rows dropped and refreshed, and whether to rebuild."""
     if tree.encrypted:
@@ -488,7 +492,7 @@ def delete_leaf(tree: Tree, doc_id: int) -> Deletion:
     tree.doc_ids = _drop_rows(tree.doc_ids, dropped)
     tree.nodes = _drop_rows(tree.nodes, dropped)
     _refresh_bounds(tree, path)
-    return Deletion(dropped, path, 0 < len(tree.leaves) * 2 <= tree.size_at_build)
+    return Edit(dropped, [], path, 0 < len(tree.leaves) * 2 <= tree.size_at_build)
 
 
 def rebuild_tree(tree: Tree) -> Tree:

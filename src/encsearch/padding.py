@@ -11,6 +11,7 @@ the value maximizing the equilibrium score f(precision%, rank-privacy%).
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +45,7 @@ class NoiseModel:
                 raise PaddingError(f"{name} must be an integer, got {value!r}")
         if self.pseudo_count < 0:
             raise PaddingError("pseudo_count must be >= 0")
-        if not np.isfinite(self.sigma) or self.sigma < 0:
+        if not math.isfinite(self.sigma) or self.sigma < 0:
             raise PaddingError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if self.omega < 0:
             raise PaddingError(f"omega must be >= 0, got {self.omega!r}")

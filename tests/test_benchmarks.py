@@ -26,6 +26,9 @@ def test_config_validation():
         BenchmarkConfig(n_docs=0)
     with pytest.raises(EncSearchError):
         BenchmarkConfig(queries=-1)
+    for seed in (-1, True, 1.5):
+        with pytest.raises(EncSearchError, match="seed must be a non-negative integer"):
+            BenchmarkConfig(seed=seed)
 
 
 class TestTreeOrders:

@@ -177,6 +177,21 @@ def test_bench_rejects_a_zero_setting(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--synthetic", "30:60:3"],
+    ["tune", "--grid", "0.05:0.05:0.05", "--queries", "3", "--k", "3"],
+    ["bench", "update", "--n-docs", "40", "--n-keywords", "40", "--queries", "5"],
+])
+def test_negative_seed_prints_one_error(run_dir, tmp_path, capsys, argv):
+    """Each of these used to end in a numpy traceback; build and bench also
+    write nothing."""
+    out = tmp_path / "out"
+    run = ["--run", str(run_dir)] if argv[0] == "tune" else []
+    assert main(argv + run + ["--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, want", [
     (["build", "--synthetic", "10:20:2"], PipelineConfig()),
     (["build", "--synthetic", "10:20:2", "--s", "3", "--R", "20", "--seed", "2"],

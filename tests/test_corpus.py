@@ -11,7 +11,7 @@ from encsearch.corpus import (
     synthetic_corpus,
     tokenize,
 )
-from encsearch.errors import CorpusError
+from encsearch.errors import CorpusError, EncSearchError
 
 
 def doc(doc_id, owner_id, terms):
@@ -134,6 +134,13 @@ class TestSyntheticCorpus:
     def test_invalid_args(self):
         with pytest.raises(CorpusError):
             synthetic_corpus(0, 10, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        """-1 used to raise numpy's ValueError, 1.5 a raw TypeError, and
+        True generated a corpus."""
+        with pytest.raises(EncSearchError, match=f"seed must be a non-negative integer, got {seed!r}$"):
+            synthetic_corpus(5, 10, 1, seed=seed)
 
 
 class TestIo:

@@ -414,6 +414,14 @@ class TestSampleQueries:
         with pytest.raises(EncSearchError, match="count and n_keywords must be >= 1"):
             multi.sample_queries(count, n_keywords=n_keywords)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, multi, seed):
+        """-1 used to raise numpy's ValueError, 1.5 a raw TypeError, and
+        True sampled."""
+        with pytest.raises(EncSearchError, match=f"seed must be a non-negative integer, got {seed!r}$"):
+            multi.sample_queries(2, seed=seed)
+        assert len(multi.sample_queries(1, seed=np.int64(3))) == 1
+
     def test_shapes_and_determinism(self, multi):
         pipe = multi
         a = pipe.sample_queries(3, n_keywords=4, seed=5)
@@ -531,6 +539,8 @@ class TestConfigChecks:
         # Raw numpy or Python errors, probe_count=0 after the partitioning.
         {"zipf_a": float("nan")}, {"zipf_a": float("-inf")}, {"zipf_a": "1"}, {"sigma": "a"},
         {"u_ratio": "0.1"}, {"s": 2.0}, {"probe_count": 2.5}, {"probe_count": 0}, {"s": 0},
+        # Beyond float64: a raw OverflowError in zipf_by_rank.
+        {"zipf_a": 10**400}, {"zipf_a": -(10**400)}, {"sigma": 10**400},
     ])
     def test_bad_setting_fails_before_partitioning(self, monkeypatch, setting):
         monkeypatch.setattr(
@@ -550,6 +560,13 @@ class TestConfigChecks:
 
     def test_infinite_zipf_a_and_numpy_float64_build_and_reload(self, tmp_path):
         config = PipelineConfig(s=2, probe_count=50, zipf_a=float("inf"), sigma=np.float64(0.1))
+        Pipeline.build(self.DOCS, config).save(tmp_path / "run")
+        assert Pipeline.load(tmp_path / "run").config == config
+
+    def test_sigma_beyond_int64_builds_and_reloads(self, tmp_path):
+        """sigma=2**64 used to pass the rules and then fail in NoiseModel
+        with a raw TypeError."""
+        config = PipelineConfig(s=2, probe_count=50, sigma=2**64)
         Pipeline.build(self.DOCS, config).save(tmp_path / "run")
         assert Pipeline.load(tmp_path / "run").config == config
 
@@ -742,12 +759,15 @@ def check_server_trees(pipe, rng):
 
 
 def check_encrypted_rows(pipe, report, deleted):
-    """A delete that neither rebuilds nor empties its tree re-encrypts the
-    refreshed ancestors, the touched nodes but the dropped leaf and parent;
-    every other update re-encrypts the whole tree."""
+    """A delete that does not rebuild its tree re-encrypts the refreshed
+    ancestors: the touched nodes but the dropped leaf and parent, or but the
+    dropped only leaf of a tree it empties.  Every other update re-encrypts
+    the whole tree."""
     n = len(pipe.trees[report.partition].doc_ids)
-    whole = not deleted or report.rebuilt or n == 0
-    assert report.encrypted_rows == (n if whole else report.touched_nodes - 2)
+    if deleted and not report.rebuilt:
+        assert report.encrypted_rows == report.touched_nodes - (2 if n else 1)
+    else:
+        assert report.encrypted_rows == n
 
 
 @settings(max_examples=20, deadline=None)
@@ -842,19 +862,44 @@ class TestUpdates:
         with pytest.raises(ForestError, match="partition"):
             pipe.insert_document(Document.from_terms(500, 1, ["kw00"]), partition=4)
 
+    @staticmethod
+    def state(pipe):
+        """The partition set, the trees and the server trees, as bytes."""
+        return (
+            json.dumps([sorted(pipe.pset.assignments.items()), pipe.pset.members]),
+            [(t.doc_ids.tobytes(), t.nodes.tobytes()) for t in pipe.trees],
+            [(t.doc_ids.tobytes(), t.enc1.tobytes(), t.enc2.tobytes()) for t in pipe.server.trees],
+        )
+
     def test_negative_doc_id_rejected_before_any_change(self, tmp_path):
         """An insert that fails on its doc id leaves the partition set, the
         trees and the server trees as they were, so a save still loads."""
         pipe = Pipeline.build(synthetic_corpus(60, 80, 3, seed=1), PipelineConfig(s=2, seed=2))
-        pset = json.dumps([sorted(pipe.pset.assignments.items()), pipe.pset.members])
-        trees = [(t.doc_ids.tobytes(), t.nodes.tobytes()) for t in pipe.trees]
-        served = [(t.doc_ids.tobytes(), t.enc1.tobytes(), t.enc2.tobytes()) for t in pipe.server.trees]
+        before = self.state(pipe)
         with pytest.raises(ForestError, match="non-negative"):
             pipe.insert_document(Document(-5, 1, {"kw000": 2}))
-        assert json.dumps([sorted(pipe.pset.assignments.items()), pipe.pset.members]) == pset
-        assert [(t.doc_ids.tobytes(), t.nodes.tobytes()) for t in pipe.trees] == trees
-        assert [(t.doc_ids.tobytes(), t.enc1.tobytes(), t.enc2.tobytes())
-                for t in pipe.server.trees] == served
+        assert self.state(pipe) == before
+        pipe.save(tmp_path / "run")
+        assert Pipeline.load(tmp_path / "run").pset.members == pipe.pset.members
+
+    @pytest.mark.parametrize("edit", ["insert_leaf", "delete_leaf"])
+    def test_refused_tree_edit_changes_nothing(self, tmp_path, monkeypatch, edit):
+        """An update whose tree edit fails leaves the partition set, the
+        trees and the server trees as they were, so a save still loads: the
+        proxy changes the tree before its partition bookkeeping."""
+        pipe = Pipeline.build(synthetic_corpus(60, 80, 3, seed=1), PipelineConfig(s=2, seed=2))
+        before = self.state(pipe)
+
+        def refuse(*args):
+            raise ForestError("refused")
+
+        monkeypatch.setattr(forest_mod, edit, refuse)
+        with pytest.raises(ForestError, match="refused"):
+            if edit == "insert_leaf":
+                pipe.insert_document(Document(500, 1, {"kw00": 2}))
+            else:
+                pipe.delete_document(3)
+        assert self.state(pipe) == before
         pipe.save(tmp_path / "run")
         assert Pipeline.load(tmp_path / "run").pset.members == pipe.pset.members
 

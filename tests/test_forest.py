@@ -325,7 +325,8 @@ class TestBuildTree:
         assert tree.doc_ids.shape == (0,) and tree.nodes.shape == (0, 3)
         assert (tree.partition, tree.size_at_build) == (4, 0)
         assert gdfs(tree, probe, 5) == ([], 0)
-        assert insert_leaf(tree, 6, np.array([1.0, 0.0, 2.0])) == (1, False)
+        edit = insert_leaf(tree, 6, np.array([1.0, 0.0, 2.0]))
+        assert (edit.touched, edit.needs_rebuild) == (1, False)
         assert gdfs(tree, probe, 5) == ([(6, 3.0)], 1)
 
     def test_ids_must_match_rows(self):
@@ -552,19 +553,36 @@ class TestInsertDelete:
 
     def test_insert_into_single_leaf(self):
         tree = build_tree([0], np.array([[1.0, 0.0]]), probe=np.ones(2))
-        touched, rebuild = insert_leaf(tree, 1, np.array([0.0, 2.0]))
-        assert touched == 2
-        assert rebuild  # size doubled since the bulk load
+        edit = insert_leaf(tree, 1, np.array([0.0, 2.0]))
+        assert edit.touched == 2
+        assert edit.needs_rebuild  # size doubled since the bulk load
         assert sorted(tree.leaves.tolist()) == [0, 1]
         np.testing.assert_array_equal(tree.nodes[0], [1.0, 2.0])
+
+    def test_insert_edit_names_the_rows_it_added(self):
+        """An insert's edit names, indexed after it, the new parent and the
+        new leaf, one of its children, and as its path the ancestors above
+        them; into an empty tree, the one new row."""
+        tree = ordered_tree(*random_rows(9, 3, seed=3), np.ones(3))
+        rng = np.random.default_rng(4)
+        for new_id in range(100, 120):
+            edit = insert_leaf(tree, new_id, rng.random(3))
+            parent, leaf = edit.added
+            right = tree.search_lists()[1]
+            assert tree.doc_ids[edit.added].tolist() == [-1, new_id]
+            assert leaf in (parent + 1, right[parent])
+            assert edit.path + [parent] == forest._ancestors(right, leaf)
+            assert (edit.dropped, edit.touched) == ([], 2 + len(edit.path))
+        empty = build_tree(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+        assert insert_leaf(empty, 7, np.ones(3)) == forest.Edit([], [0], [], False)
 
     def test_insert_touched_bounded_by_path(self):
         tree = ordered_tree(*random_rows(33, 4, seed=2), np.ones(4))
         rng = np.random.default_rng(8)
         for new_id in range(100, 110):
             depth_before = tree.depth()
-            touched, _ = insert_leaf(tree, new_id, rng.random(4))
-            assert touched <= 2 * (depth_before + 2)
+            edit = insert_leaf(tree, new_id, rng.random(4))
+            assert edit.touched <= 2 * (depth_before + 2)
 
     def test_post_insert_search_matches_rebuilt(self):
         probe = np.abs(np.random.default_rng(0).normal(size=3))
@@ -629,8 +647,8 @@ class TestInsertDelete:
         rng = np.random.default_rng(0)
         flagged = False
         for new_id in range(100, 110):
-            _, rebuild = insert_leaf(tree, new_id, rng.random(2))
-            flagged = flagged or rebuild
+            edit = insert_leaf(tree, new_id, rng.random(2))
+            flagged = flagged or edit.needs_rebuild
         assert flagged  # size more than doubled since the bulk load
 
     def test_halving_triggers_rebuild_flag(self):
@@ -900,10 +918,10 @@ def test_plaintext_forest_matches_recorded_behaviour():
         p = i % pipe.s
         dim = pipe.trees[p].nodes.shape[1]
         vec = np.round(rng.random(dim) * (rng.random(dim) < 0.05), 2)
-        touched, rebuild = insert_leaf(pipe.trees[p], 1000 + i, vec)
-        if rebuild:
+        edit = insert_leaf(pipe.trees[p], 1000 + i, vec)
+        if edit.needs_rebuild:
             pipe.trees[p] = rebuild_tree(pipe.trees[p])
-        inserts.append([p, touched, rebuild])
+        inserts.append([p, edit.touched, edit.needs_rebuild])
     assert inserts == golden["inserts"]
     deletes = []
     for i in range(5):
